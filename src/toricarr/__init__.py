@@ -13,16 +13,16 @@ from .exact import IntMatrix, hnf, snf, solve_affine
 from .arrangement import (Character, AngleQ, ArrangementSpec, AffineHyperplane,
                           Window, parse_spec, is_essential, essentialize,
                           restrict, lift_to_window)
-from .cells import (AffineFace, LiftedFacePoset, FaceCategory, LayerPoset,
-                    enumerate_faces, quotient_faces, layers, project_pi_F,
+from .cells import (AffineFace, LiftedFacePoset, PeriodicCategory, FaceCategory,
+                    LayerPoset, enumerate_faces, quotient_faces, layers,
                     opposite_chamber, chamber_fiber)
 from .category import (AcyclicCategory, ChainComplex, check_acyclic,
                        nerve_chains, boundary_matrices, homology,
                        euler_characteristic)
-from .salvetti import (SalvettiPoset, SalvettiCategory, salvetti_poset,
+from .salvetti import (SalvettiPoset, salvetti_poset, salvetti_below,
                        toric_salvetti, is_thick, cw_census)
 from .pi1 import (GroupPresentation, Pi1Context, presentation, abelianize,
-                  simplify_presentation, chamber_graph, positive_minimal_path,
+                  simplify_presentation, positive_minimal_path,
                   omega_paths, sigma, delta_word, h_of_G, relations_for_G)
 
 __version__ = "0.1.0"

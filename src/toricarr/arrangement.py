@@ -130,19 +130,19 @@ class AffineHyperplane:
         """<alpha, point> - c; its sign locates a point against the plane."""
         return sum(a * x for a, x in zip(self.alpha, point)) - self.c
 
-    def geometric_key(self):
-        """Canonical key identifying the hyperplane as a point set."""
-        g = 0
-        for a in self.alpha:
-            g = math.gcd(g, a)
-        lead = next(a for a in self.alpha if a != 0)
-        sgn = 1 if lead > 0 else -1
-        alpha = tuple(a // (sgn * g) for a in self.alpha)
-        return alpha, self.c / (sgn * g)
-
     def __repr__(self):
         return "AffineHyperplane(alpha=%r, c=%s, source=%d, shift=%d)" % (
             self.alpha, self.c, self.source, self.shift)
+
+
+def geometric_key(alpha, c):
+    """Canonical key of the hyperplane <alpha, x> = c as a point set:
+    the primitive normal with positive leading entry, and its constant."""
+    g = 0
+    for a in alpha:
+        g = math.gcd(g, a)
+    sgn = 1 if next(a for a in alpha if a != 0) > 0 else -1
+    return tuple(a // (sgn * g) for a in alpha), Fraction(c) / (sgn * g)
 
 
 class Window:

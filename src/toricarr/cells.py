@@ -7,11 +7,13 @@ closure is entirely inside the closed box are honest faces of the
 periodic arrangement; the rest are flagged `boundary_cut` and never
 serve as orbit representatives.
 
-The quotient by the integer translation lattice produces the face
-category: objects are face orbits keyed by the unique translate with
+`PeriodicCategory` quotients a lifted poset by the integer translation
+lattice; the face category and the toric Salvetti category are both
+built with it.  Objects are orbits keyed by the unique translate with
 barycenter in [0,1)^n, morphisms are orbits of incidences.
 """
 
+from collections import namedtuple
 from fractions import Fraction
 from itertools import combinations
 import math
@@ -19,6 +21,7 @@ import math
 from .errors import SpecError, WindowError, InternalError
 from .exact import IntMatrix, rank, solve_affine, kernel_basis, saturation_basis, hnf
 from .category import AcyclicCategory
+from .arrangement import geometric_key
 
 Q = Fraction
 
@@ -118,6 +121,7 @@ class LiftedFacePoset:
         for fid in self.lowers:
             self.lowers[fid] = tuple(sorted(self.lowers[fid]))
         self._star_ok = {}
+        self._translated = {}
 
     @property
     def dim(self):
@@ -133,13 +137,6 @@ class LiftedFacePoset:
     def leq(self, f1, f2):
         """True when face f1 lies in the closure of face f2."""
         return conforms(self.faces[f1].sign_vector, self.faces[f2].sign_vector)
-
-    def covering_relations(self):
-        rels = []
-        for fid, ups in sorted(self.uppers.items()):
-            d = self.faces[fid].dim
-            rels.extend((fid, g) for g in ups if self.faces[g].dim == d + 1)
-        return rels
 
     def window_suggestion(self):
         k = max([1] + [math.ceil(-lo) for lo in self.window.lo]
@@ -157,6 +154,32 @@ class LiftedFacePoset:
             raise WindowError("no face enumerated at %s" % (tuple(map(str, point)),),
                               suggestion=self.window_suggestion())
         return fid
+
+    def translate(self, fid, u):
+        """The face fid + u for an integer vector u, memoised.
+
+        A barycenter lies in the relative interior of its face and the
+        arrangement is periodic, so the shifted barycenter lies in the
+        translated face even when the window clips either of them.
+        """
+        key = (fid, u)
+        got = self._translated.get(key)
+        if got is None:
+            if any(u):
+                got = self.locate(tuple(x + s for x, s in
+                                        zip(self.faces[fid].barycenter, u)))
+            else:
+                got = fid
+            self._translated[key] = got
+        return got
+
+    def canonical(self, element):
+        """Split a lifted element, a tuple of face ids, as (translate, u):
+        the translate's first face has its barycenter in [0,1)^n and the
+        element is the translate moved by u."""
+        u = tuple(math.floor(x) for x in self.faces[element[0]].barycenter)
+        back = tuple(-s for s in u)
+        return tuple(self.translate(f, back) for f in element), u
 
     def star_ok(self, fid):
         """Closed star of the face lies inside the window box.
@@ -202,7 +225,7 @@ def enumerate_faces(hyperplanes, window):
     class_rep = []
     seen_geo = {}
     for i, h in enumerate(hyperplanes):
-        key = h.geometric_key()
+        key = geometric_key(h.alpha, h.c)
         if key not in seen_geo:
             seen_geo[key] = len(class_rep)
             class_rep.append(i)
@@ -384,136 +407,134 @@ def _flag_boundary_cut(faces, flats, hyperplanes, window, cand):
 # quotient by the translation lattice
 
 
-class FaceOrbit:
-    __slots__ = ("index", "canonical_fid", "dim")
-
-    def __init__(self, index, canonical_fid, dim):
-        self.index = index
-        self.canonical_fid = canonical_fid
-        self.dim = dim
-
-    def __repr__(self):
-        return "FaceOrbit(%d, fid=%d, dim=%d)" % (self.index, self.canonical_fid, self.dim)
+Morphism = namedtuple("Morphism", "src tgt shift target")
 
 
-class FaceMorphism:
-    __slots__ = ("mid", "src", "tgt", "shift", "lower_fid", "upper_fid")
+class PeriodicCategory:
+    """Quotient of a periodic lifted poset by the translation lattice.
 
-    def __init__(self, mid, src, tgt, shift, lower_fid, upper_fid):
-        self.mid = mid
-        self.src = src
-        self.tgt = tgt
-        self.shift = shift
-        self.lower_fid = lower_fid
-        self.upper_fid = upper_fid
+    Lifted elements are tuples of face ids whose first face grades them:
+    an object's grade is that face's codimension.  `below(e)` lists, from
+    the star of e, every element that e maps to; grades strictly rise
+    along it.  An orbit is keyed by its translate whose first face has
+    its barycenter in [0,1)^n, and `objects` lists these canonical
+    elements.  A morphism orbit is stored on its canonical source with its
+    lifted target and the target's (object, shift), so distinct
+    translates of one orbit below the same element give parallel
+    morphisms.  The first `len(objects)` morphisms are the identities.
+    """
 
-    @property
-    def is_identity(self):
-        return self.lower_fid == self.upper_fid
-
-
-class FaceCategory:
-    """Acyclic category of face orbits of the torus decomposition."""
-
-    def __init__(self, lifted, orbits, orbit_of, morphisms, by_rep, table):
+    def __init__(self, lifted, elements, below):
+        if not lifted.window.covers_quotient_core():
+            raise WindowError("window must contain [-1,2]^n to canonicalize orbits",
+                              suggestion=1)
+        n = lifted.dim
         self.lifted = lifted
-        self.orbits = orbits
-        self.orbit_of = orbit_of        # fid -> (orbit index, shift)
-        self.morphisms = morphisms
-        self.by_rep = by_rep            # (lower_fid, canonical upper fid) -> mid
-        self.table = table
+        self.objects = list(elements)
+        self.index = {e: k for k, e in enumerate(self.objects)}
+        self.grades = [n - lifted.faces[e[0]].dim for e in self.objects]
+        self.morphisms = [Morphism(k, k, (0,) * n, e)
+                          for k, e in enumerate(self.objects)]
+        for k, e in enumerate(self.objects):
+            for target in below(e):
+                tgt, u = self.key(target)
+                self.morphisms.append(Morphism(k, tgt, u, target))
+        self.by_rep = {(m.src, m.target): mid for mid, m in enumerate(self.morphisms)}
+
+        # composition through lifts: move the second factor's target along
+        # the first factor's shift and look the pair up
+        nonid = range(len(self.objects), len(self.morphisms))
+        by_src = {}
+        for mid in nonid:
+            by_src.setdefault(self.morphisms[mid].src, []).append(mid)
+        self.table = {}
+        for mid1 in nonid:
+            m1 = self.morphisms[mid1]
+            for mid2 in by_src.get(m1.tgt, ()):
+                target = tuple(lifted.translate(f, m1.shift)
+                               for f in self.morphisms[mid2].target)
+                comp = self.by_rep.get((m1.src, target))
+                if comp is None:
+                    raise InternalError("composition fell outside the star")
+                self.table[(mid2, mid1)] = comp
+
+    def key(self, element):
+        """(object, u) of a lifted element: the element is objects[object] + u."""
+        lifted = self.lifted
+        canonical, u = lifted.canonical(element)
+        k = self.index.get(canonical)
+        if k is None:
+            raise WindowError("the orbit of %s has no whole representative in the "
+                              "window" % (element,),
+                              suggestion=lifted.window_suggestion())
+        bary = lifted.faces[element[0]].barycenter
+        if lifted.faces[canonical[0]].barycenter != \
+                tuple(x - s for x, s in zip(bary, u)):
+            raise InternalError("orbit representative mismatch for %s" % (element,))
+        return k, u
 
     def census(self):
-        counts = {}
-        for o in self.orbits:
-            counts[o.dim] = counts.get(o.dim, 0) + 1
-        return [counts.get(d, 0) for d in range(self.lifted.dim + 1)]
-
-    def as_category(self):
-        grades = [o.dim for o in self.orbits]
-        identities = [None] * len(self.orbits)
-        morphs = []
-        for m in self.morphisms:
-            morphs.append((m.src, m.tgt))
-            if m.is_identity:
-                identities[m.tgt] = m.mid
-        if any(i is None for i in identities):
-            raise InternalError("missing identity morphism")
-        return AcyclicCategory(grades, morphs, identities, self.table,
-                               labels=[o.canonical_fid for o in self.orbits])
+        """Object counts by grade 0..n."""
+        counts = [0] * (self.lifted.dim + 1)
+        for g in self.grades:
+            counts[g] += 1
+        return counts
 
     def morphism_multiplicities(self):
         counts = {}
-        for m in self.morphisms:
-            if not m.is_identity:
-                key = (m.src, m.tgt)
-                counts[key] = counts.get(key, 0) + 1
+        for m in self.morphisms[len(self.objects):]:
+            counts[(m.src, m.tgt)] = counts.get((m.src, m.tgt), 0) + 1
         return counts
 
+    def as_category(self):
+        return AcyclicCategory(self.grades, [(m.src, m.tgt) for m in self.morphisms],
+                               range(len(self.objects)), self.table,
+                               labels=self.objects)
 
-def _floor_vec(point):
-    return tuple(math.floor(x) for x in point)
 
+class FaceCategory(PeriodicCategory):
+    """Face category of the torus: one object per face orbit, mapping to
+    the orbits of its boundary faces."""
 
-def _shifted(point, shift, sign=1):
-    return tuple(x + sign * s for x, s in zip(point, shift))
+    @property
+    def orbits(self):
+        """Canonical face id of each orbit, in object order."""
+        return [e[0] for e in self.objects]
+
+    def census(self):
+        """Orbit counts by face dimension 0..n."""
+        return super().census()[::-1]
 
 
 def quotient_faces(lifted):
-    """Quotient the windowed lift by integer translations."""
-    if not lifted.window.covers_quotient_core():
-        raise WindowError("window must contain [-1,2]^n to canonicalize orbits",
-                          suggestion=1)
+    """Quotient the windowed lift by integer translations.
+
+    Every orbit needs a whole (uncut) representative in the window.  One
+    that has none shows at the orbits below it: vertices are never cut,
+    so each missing orbit lies above a present one, which then receives
+    fewer morphism orbits than its canonical face has cofaces.
+    """
     faces = lifted.faces
-    canonical = [f.id for f in faces
+
+    def below(e):
+        lows = lifted.lowers[e[0]]
+        if any(faces[f].boundary_cut for f in lows):
+            raise InternalError("cut face below an uncut face")
+        return [(f,) for f in lows]
+
+    canonical = [(f.id,) for f in faces
                  if not f.boundary_cut and all(0 <= b < 1 for b in f.barycenter)]
-    orbit_index = {fid: k for k, fid in enumerate(canonical)}
-    orbits = [FaceOrbit(k, fid, faces[fid].dim) for k, fid in enumerate(canonical)]
-
-    orbit_of = {}
-    for f in faces:
-        if f.boundary_cut:
-            continue
-        u = _floor_vec(f.barycenter)
-        target = _shifted(f.barycenter, u, -1)
-        gfid = lifted.locate(target)
-        g = faces[gfid]
-        if g.boundary_cut:
-            raise WindowError("canonical representative of face %d is cut by the window"
-                              % f.id, suggestion=lifted.window_suggestion())
-        if g.barycenter != target:
-            raise InternalError("orbit representative mismatch for face %d" % f.id)
-        orbit_of[f.id] = (orbit_index[gfid], u)
-
-    morphisms = []
-    by_rep = {}
-    for k, gfid in enumerate(canonical):
-        for lf in sorted(lifted.lowers[gfid] + (gfid,)):
-            if faces[lf].boundary_cut:
-                raise InternalError("cut face below an uncut face")
-            src, shift = orbit_of[lf]
-            mid = len(morphisms)
-            morphisms.append(FaceMorphism(mid, src, k, shift, lf, gfid))
-            by_rep[(lf, gfid)] = mid
-
-    # composition through lifts: translate the first factor's incidence by
-    # the second factor's shift
-    table = {}
-    nonid = [m for m in morphisms if not m.is_identity]
-    by_src = {}
-    for m in nonid:
-        by_src.setdefault(m.src, []).append(m)
-    for m1 in nonid:
-        for m2 in by_src.get(m1.tgt, ()):
-            lower = m1.lower_fid
-            if any(m2.shift):
-                pt = _shifted(faces[lower].barycenter, m2.shift)
-                lower = lifted.locate(pt)
-            comp = by_rep.get((lower, m2.upper_fid))
-            if comp is None:
-                raise InternalError("incidence composition fell outside the star")
-            table[(m2.mid, m1.mid)] = comp
-    return FaceCategory(lifted, orbits, orbit_of, morphisms, by_rep, table)
+    fc = FaceCategory(lifted, canonical, below)
+    arriving = [0] * len(fc.objects)
+    for m in fc.morphisms[len(fc.objects):]:
+        arriving[m.tgt] += 1
+    for k, (fid,) in enumerate(fc.objects):
+        if arriving[k] != len(lifted.uppers[fid]):
+            raise WindowError("face %d has %d cofaces but %d incidence orbits reach "
+                              "it: some face orbit has no whole representative in "
+                              "the window" % (fid, len(lifted.uppers[fid]), arriving[k]),
+                              suggestion=lifted.window_suggestion())
+    return fc
 
 
 # ---------------------------------------------------------------------------
@@ -543,9 +564,6 @@ class LayerPoset:
         for l in self.layers:
             counts[l.dim] = counts.get(l.dim, 0) + 1
         return counts
-
-    def top_index(self):
-        return max(range(len(self.layers)), key=lambda i: self.layers[i].dim)
 
 
 def _normal_lattice(basis, n):
@@ -592,6 +610,7 @@ def layers(spec, lifted=None):
         r = len(a_rows)
         if r == 0:
             key = ((), ())
+            image = []
         else:
             b = [_dot(row, point) for row in a_rows]
             # the translation lattice acts on constants through the columns
@@ -600,11 +619,10 @@ def layers(spec, lifted=None):
             key = (tuple(tuple(row) for row in a_rows),
                    _reduce_mod_lattice(b, image))
         if key not in recs:
-            recs[key] = (n - r, flat_id, a_rows)
+            recs[key] = (n - r, flat_id, a_rows, image)
     ordered = sorted(recs.items(), key=lambda kv: (-kv[1][0], str(kv[0])))
     layers_list = [Layer(i, dim, key, flat_id)
-                   for i, (key, (dim, flat_id, _)) in enumerate(ordered)]
-    rows_of = {layer.index: recs[layer.key][2] for layer in layers_list}
+                   for i, (key, (dim, flat_id, _, _)) in enumerate(ordered)]
 
     def contained(l1, l2):
         # some integer translate of flat(l1) lies inside flat(l2)
@@ -612,7 +630,7 @@ def layers(spec, lifted=None):
             return False
         _, p1, b1 = lifted.flats[l1.rep_flat]
         _, p2, b2 = lifted.flats[l2.rep_flat]
-        a2 = rows_of[l2.index]
+        _, _, a2, image = recs[l2.key]
         if not a2:
             return True
         for row in a2:
@@ -621,8 +639,6 @@ def layers(spec, lifted=None):
         w = [_dot(row, p2) - _dot(row, p1) for row in a2]
         if any(x.denominator != 1 for x in w):
             return False
-        cols = [[a2[i][j] for i in range(len(a2))] for j in range(spec.rank)]
-        image = _column_hnf(cols)
         return all(x == 0 for x in _reduce_mod_lattice([int(x) for x in w], image))
 
     relations = []
@@ -635,17 +651,6 @@ def layers(spec, lifted=None):
 
 # ---------------------------------------------------------------------------
 # local chamber operations
-
-
-def project_pi_F(lifted, fid):
-    """Restrict sign vectors of the star of a face to the hyperplanes
-    through the face's affine span: the cellular localization map."""
-    zero = sorted(lifted.zero_set(fid))
-    out = {}
-    for g in (fid,) + lifted.uppers[fid]:
-        sig = lifted.faces[g].sign_vector
-        out[g] = tuple(sig[i] for i in zero)
-    return out
 
 
 def opposite_chamber(lifted, cid, fid):

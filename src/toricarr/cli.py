@@ -47,14 +47,20 @@ def _prepare(spec, k):
     return work, basis, window, lifted
 
 
+def _alternating(counts):
+    return sum((-1) ** k * c for k, c in enumerate(counts))
+
+
 def _homology_json(h):
     return [{"degree": k, "betti": b, "torsion": t} for k, (b, t) in enumerate(h)]
 
 
-def _nerve_homology(cat, max_dim):
-    chains = nerve_chains(cat, max_dim)
-    cc = boundary_matrices(chains, cat)
-    return chains, cc, homology(cc)
+def _nerve_homology(cat, rank, max_dim):
+    """The whole nerve, its chain complex through degree max_dim + 1, and
+    the homology in degrees 0..max_dim, which that complex determines."""
+    chains = nerve_chains(cat, rank)
+    cc = boundary_matrices(chains[:max_dim + 2], cat)
+    return chains, cc, homology(cc)[:max_dim + 1]
 
 
 def cmd_validate(spec, args):
@@ -80,7 +86,7 @@ def cmd_faces(spec, args):
         "window": args.window,
         "census": fc.census(),
         "nonidentity_morphisms": nonid,
-        "euler": sum((-1) ** o.dim for o in fc.orbits),
+        "euler": _alternating(fc.census()),
     }
 
 
@@ -110,14 +116,14 @@ def cmd_salvetti(spec, args):
     counts, chi = cw_census(z)
     cat = z.as_category()
     max_dim = args.max_dim if args.max_dim is not None else work.rank
-    chains = nerve_chains(cat, max_dim)
+    chains = nerve_chains(cat, work.rank)
     return {
         "arrangement": spec_to_json_dict(work),
         "window": args.window,
         "face_census": fc.census(),
         "object_census_by_codim": counts,
         "euler_cw": chi,
-        "nerve_chain_counts": [len(d) for d in chains],
+        "nerve_chain_counts": [len(d) for d in chains[:max_dim + 1]],
         "euler_nerve": euler_characteristic(chains),
         "thick": is_thick(fc),
     }
@@ -131,14 +137,14 @@ def cmd_homology(spec, args):
         cat = fc.as_category()
     else:
         cat = toric_salvetti(lifted, fc).as_category()
-    chains, cc, h = _nerve_homology(cat, max_dim)
+    chains, cc, h = _nerve_homology(cat, work.rank, max_dim)
     if not verify_dd_zero(cc):
         raise InternalError("boundary of boundary is nonzero")
     return {
         "arrangement": spec_to_json_dict(work),
         "window": args.window,
         "space": args.space,
-        "chain_counts": [len(d) for d in chains],
+        "chain_counts": [len(d) for d in chains[:max_dim + 1]],
         "homology": _homology_json(h),
         "euler": euler_characteristic(chains),
     }
@@ -174,10 +180,10 @@ def cmd_check(spec, args):
     work, _, window, lifted = _prepare(spec, args.window)
     n = work.rank
     fc = quotient_faces(lifted)
-    results["face_euler_zero"] = sum((-1) ** o.dim for o in fc.orbits) == 0
+    results["face_euler_zero"] = _alternating(fc.census()) == 0
     ok, diags = check_acyclic(fc.as_category())
     results["face_category_acyclic"] = ok
-    chains_f, cc_f, h_f = _nerve_homology(fc.as_category(), n)
+    chains_f, cc_f, h_f = _nerve_homology(fc.as_category(), n, n)
     results["face_nerve_dd_zero"] = verify_dd_zero(cc_f)
     results["torus_recovery"] = all(
         h_f[k] == (comb(n, k), []) for k in range(n + 1))
@@ -185,7 +191,7 @@ def cmd_check(spec, args):
     ok, diags = check_acyclic(z.as_category())
     results["salvetti_category_acyclic"] = ok
     counts, chi = cw_census(z)
-    chains_z, cc_z, h_z = _nerve_homology(z.as_category(), n)
+    chains_z, cc_z, h_z = _nerve_homology(z.as_category(), n, n)
     results["salvetti_nerve_dd_zero"] = verify_dd_zero(cc_z)
     results["euler_cw_matches_nerve"] = chi == euler_characteristic(chains_z)
     results["connected"] = h_z[0] == (1, [])
@@ -270,7 +276,8 @@ def build_parser():
                        help="use the box [-K, K+1]^n (default 1)")
         p.add_argument("--format", choices=("text", "json"), default="text")
         p.add_argument("--max-dim", type=int, default=None, dest="max_dim",
-                       help="cap the nerve degree")
+                       help="report nerve chains and homology in degrees "
+                            "0..D only (default: the rank)")
         if name == "homology":
             p.add_argument("--space", choices=("face", "salvetti"),
                            default="salvetti")
@@ -284,6 +291,8 @@ def run(argv):
     args = ap.parse_args(argv)
     started = time.monotonic()
     try:
+        if args.max_dim is not None and args.max_dim < 0:
+            raise SpecError("--max-dim must be nonnegative")
         spec = _load_spec(args.input)
         report = COMMANDS[args.command](spec, args)
     except SpecError as e:

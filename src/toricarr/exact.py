@@ -75,31 +75,6 @@ def mat_mul(a, b):
     return IntMatrix.from_rows(out) if out else IntMatrix.zero(0, b.cols)
 
 
-def det(m):
-    """Exact determinant of a square IntMatrix (fraction-free Gauss)."""
-    if m.rows != m.cols:
-        raise ValueError("determinant of non-square matrix")
-    n = m.rows
-    a = [[Fraction(x) for x in m.row(i)] for i in range(n)]
-    d = Fraction(1)
-    for col in range(n):
-        piv = next((r for r in range(col, n) if a[r][col] != 0), None)
-        if piv is None:
-            return 0
-        if piv != col:
-            a[col], a[piv] = a[piv], a[col]
-            d = -d
-        d *= a[col][col]
-        inv = a[col][col]
-        for r in range(col + 1, n):
-            if a[r][col] != 0:
-                f = a[r][col] / inv
-                for c in range(col, n):
-                    a[r][c] -= f * a[col][c]
-    assert d.denominator == 1
-    return d.numerator
-
-
 def hnf(m):
     """Row Hermite normal form.
 

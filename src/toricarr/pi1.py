@@ -16,9 +16,9 @@ import math
 
 from .errors import SpecError, WindowError, InternalError
 from .exact import snf, IntMatrix, kernel_basis
-from .arrangement import Window, lift_to_window, is_essential
+from .arrangement import Window, lift_to_window, is_essential, geometric_key
 from .cells import (enumerate_faces, quotient_faces, chamber_fiber,
-                    opposite_chamber, _fm_feasible, _floor_vec, _shifted, _dot)
+                    opposite_chamber, _dot)
 
 Q = Fraction
 
@@ -173,24 +173,6 @@ class Crossing:
         return "Crossing(orbit=%d, shift=%s, sign=%+d)" % (self.orbit, self.shift, self.sign)
 
 
-def chamber_graph(lifted):
-    """Directed multigraph on chambers: one edge per (wall, side)."""
-    n = lifted.dim
-    edges = {cid: [] for cid in lifted.chamber_ids}
-    for f in lifted.faces:
-        if f.dim != n - 1:
-            continue
-        chams = lifted.chambers_above(f.id)
-        if len(chams) != 2:
-            continue
-        a, b = chams
-        edges[a].append((f.id, b))
-        edges[b].append((f.id, a))
-    for cid in edges:
-        edges[cid].sort()
-    return edges
-
-
 def positive_minimal_path(lifted, c_from, c_to):
     """A directed chamber path crossing each separating wall exactly once.
 
@@ -229,15 +211,6 @@ def positive_minimal_path(lifted, c_from, c_to):
     return steps
 
 
-def _primitive_key(alpha, c):
-    g = 0
-    for a in alpha:
-        g = math.gcd(g, a)
-    lead = next(a for a in alpha if a != 0)
-    s = 1 if lead > 0 else -1
-    return tuple(a // (s * g) for a in alpha), Fraction(c) / (s * g)
-
-
 def _shifted_key(key, shift):
     alpha, c = key
     return alpha, c + _dot(alpha, shift)
@@ -254,16 +227,13 @@ class Pi1Context:
         self.n = spec.rank
         self.x0 = _choose_base_point(spec)
         self.c0 = lifted.locate(self.x0)
-        self.codim1_orbits = [o.index for o in fc.orbits if o.dim == self.n - 1]
+        self.codim1_orbits = [k for k, g in enumerate(fc.grades) if g == 1]
         self._gamma_pos = {o: i for i, o in enumerate(self.codim1_orbits)}
         self._canonical_key = {}
-        for o in fc.orbits:
-            if o.dim == self.n - 1:
-                rep = min(lifted.zero_set(o.canonical_fid))
-                self._canonical_key[o.index] = lifted.hyperplanes[rep].geometric_key()
+        for o in self.codim1_orbits:
+            h = lifted.hyperplanes[min(lifted.zero_set(fc.objects[o][0]))]
+            self._canonical_key[o] = geometric_key(h.alpha, h.c)
         self._omega_cache = {}
-        self._q_faces = None
-        self._omega_faces = None
 
     # generator numbering: 1..n are lattice loops, then meridians
     @property
@@ -284,11 +254,10 @@ class Pi1Context:
         return word
 
     def _orbit_ref(self, fid):
-        got = self.fc.orbit_of.get(fid)
-        if got is None:
+        if self.lifted.faces[fid].boundary_cut:
             raise WindowError("crossed face %d has no orbit data in the window" % fid,
                               suggestion=self.lifted.window_suggestion())
-        return got
+        return self.fc.key((fid,))
 
     def crossing_of_face(self, fid, sign=1):
         orbit, u = self._orbit_ref(fid)
@@ -296,9 +265,8 @@ class Pi1Context:
         return Crossing(orbit, u, sign, key)
 
     def crossing_at_point(self, point, sign=1):
-        base = _floor_vec(point)
-        core = _shifted(point, base, -1)
-        fid = self.lifted.locate(core)
+        base = tuple(math.floor(x) for x in point)
+        fid = self.lifted.locate(tuple(x - b for x, b in zip(point, base)))
         f = self.lifted.faces[fid]
         if f.dim != self.n - 1:
             raise InternalError("crossing point does not lie on a single wall")
@@ -313,62 +281,15 @@ class Pi1Context:
             self._omega_cache[u] = omega_paths(self, u)
         return self._omega_cache[u]
 
-    @property
-    def q_faces(self):
-        """Faces whose closure meets the unit cube anchored at the base
-        point (the closed fundamental region swept by the segments)."""
-        if self._q_faces is None:
-            out = []
-            lifted = self.lifted
-            for f in lifted.faces:
-                zero, point, basis = lifted.flats[f.flat_id]
-                d = len(basis)
-                rows = []
-                for hidx, s in enumerate(f.sign_vector):
-                    if s == 0:
-                        continue
-                    h = lifted.hyperplanes[hidx]
-                    coeffs = tuple(_dot(h.alpha, b) for b in basis)
-                    if all(c == 0 for c in coeffs):
-                        continue
-                    rows.append((tuple(s * c for c in coeffs),
-                                 s * (h.c - _dot(h.alpha, point)), False))
-                ok = True
-                for j in range(self.n):
-                    coeffs = tuple(b[j] for b in basis)
-                    rows.append((coeffs, self.x0[j] - point[j], False))
-                    rows.append((tuple(-c for c in coeffs),
-                                 point[j] - self.x0[j] - 1, False))
-                if _fm_feasible(rows, d):
-                    out.append(f.id)
-            self._q_faces = tuple(out)
-        return self._q_faces
-
-    @property
-    def omega_faces(self):
-        """Orbit-and-shift references of every wall crossed by an iterated
-        coordinate segment staying inside the window."""
-        if self._omega_faces is None:
-            out = set()
-            for i in range(self.n):
-                unit = self.omega(tuple(int(j == i) for j in range(self.n)))
-                k = 0
-                while True:
-                    end = tuple(x + (k + 1) * int(j == i)
-                                for j, x in enumerate(self.x0))
-                    if not self.lifted.window.contains(end):
-                        break
-                    for c in unit:
-                        shift = tuple(s + k * int(j == i)
-                                      for j, s in enumerate(c.shift))
-                        out.add((c.orbit, shift))
-                    k += 1
-            self._omega_faces = frozenset(out)
-        return self._omega_faces
-
 
 def _primes():
-    yield from (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47)
+    """2, 3, 5, 7, ... without end: each arrangement rules out finitely
+    many of the base points 1/p^(i+1)."""
+    p = 2
+    while True:
+        if all(p % d for d in range(2, math.isqrt(p) + 1)):
+            yield p
+        p += 1
 
 
 def _segment_crossings(spec, base, axis, steps):
@@ -389,7 +310,7 @@ def _segment_crossings(spec, base, axis, steps):
                 t = (c - v0) / (steps * aj)
                 point = tuple(x + t * steps * int(j == axis)
                               for j, x in enumerate(base))
-                out.append((t, point, _primitive_key(chi.alpha, c)))
+                out.append((t, point, geometric_key(chi.alpha, c)))
             k += 1
     out.sort(key=lambda z: (z[0], z[2]))
     return out
@@ -414,7 +335,6 @@ def _choose_base_point(spec):
         x0 = tuple(Fraction(1, p ** (i + 1)) for i in range(n))
         if _is_generic(spec, x0):
             return x0
-    raise InternalError("no generic base point found")
 
 
 def omega_paths(ctx, u):
@@ -468,9 +388,8 @@ def delta_word(ctx, ref):
     if any(s < 0 for s in shift):
         raise SpecError("expansion faces must have nonnegative shifts")
     lifted = ctx.lifted
-    canonical = ctx.fc.orbits[orbit].canonical_fid
-    f_fid = lifted.locate(_shifted(lifted.faces[canonical].barycenter, shift))
-    c0u = lifted.locate(_shifted(ctx.x0, shift))
+    f_fid = lifted.translate(ctx.fc.objects[orbit][0], shift)
+    c0u = lifted.locate(tuple(x + s for x, s in zip(ctx.x0, shift)))
     fib = chamber_fiber(lifted, c0u, f_fid)
     mu = [ctx.crossing_of_face(f) for f, _ in positive_minimal_path(lifted, c0u, fib)]
     word = []
@@ -547,11 +466,10 @@ def relations_for_G(ctx, canonical_gfid):
     cyclic window products of the based meridians around a translated
     representative whose star has nonnegative shifts."""
     lifted = ctx.lifted
-    bary = lifted.faces[canonical_gfid].barycenter
     refs = None
     for scale in (0, 1, 2, 3):
         try:
-            g2 = lifted.locate(_shifted(bary, (scale,) * ctx.n))
+            g2 = lifted.translate(canonical_gfid, (scale,) * ctx.n)
         except WindowError:
             break
         if not lifted.star_ok(g2):
@@ -604,7 +522,7 @@ def presentation_from_context(ctx):
     for i in range(n):
         for j in range(i + 1, n):
             relators.append((i + 1, j + 1, -(i + 1), -(j + 1)))
-    codim2 = sorted(o.canonical_fid for o in ctx.fc.orbits if o.dim == n - 2)
+    codim2 = sorted(e[0] for e, g in zip(ctx.fc.objects, ctx.fc.grades) if g == 2)
     for gfid in codim2:
         relators.extend(relations_for_G(ctx, gfid))
     return GroupPresentation(names, relators, tau_count=n)

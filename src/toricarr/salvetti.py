@@ -11,10 +11,10 @@ graded by the codimension of F.
 
 from .errors import WindowError, InternalError
 from .category import AcyclicCategory, nerve_chains
-from .cells import _floor_vec, _shifted
+from .cells import PeriodicCategory
 
 __all__ = [
-    "SalvettiPoset", "SalvettiCategory", "salvetti_poset", "toric_salvetti",
+    "SalvettiPoset", "salvetti_poset", "salvetti_below", "toric_salvetti",
     "is_thick", "cw_census", "orbit_chain_counts",
 ]
 
@@ -32,25 +32,12 @@ class SalvettiPoset:
         fid, _ = self.elements[i]
         return self.lifted.dim - self.lifted.faces[fid].dim
 
-    def leq(self, i, j):
-        """Element i bounds element j in the unsubdivided complex."""
-        f1, c1 = self.elements[i]
-        f2, c2 = self.elements[j]
-        if not self.lifted.leq(f2, f1):
-            return False
-        sig1 = self.lifted.faces[c1].sign_vector
-        sig2 = self.lifted.faces[c2].sign_vector
-        return all(sig1[h] == sig2[h] for h in self.lifted.zero_set(f1))
-
     def relation_pairs(self):
         """All strict order pairs (i, j), grade-increasing."""
-        n_el = len(self.elements)
-        grades = [self.grade(i) for i in range(n_el)]
         pairs = []
-        for i in range(n_el):
-            for j in range(n_el):
-                if grades[i] < grades[j] and self.leq(i, j):
-                    pairs.append((i, j))
+        for i, e in enumerate(self.elements):
+            js = (self.index.get(t) for t in salvetti_below(self.lifted, e))
+            pairs.extend((i, j) for j in sorted(j for j in js if j is not None))
         return pairs
 
     def as_category(self):
@@ -79,6 +66,17 @@ class SalvettiPoset:
                                labels=list(self.elements))
 
 
+def salvetti_below(lifted, element):
+    """The pairs [F2, C2] that [F1, C1] bounds: F2 a face of F1, and C2 a
+    chamber at F2 agreeing with C1 on every hyperplane through F1."""
+    f1, c1 = element
+    faces = lifted.faces
+    sig1 = faces[c1].sign_vector
+    zero1 = lifted.zero_set(f1)
+    return [(f2, c2) for f2 in lifted.lowers[f1] for c2 in lifted.chambers_above(f2)
+            if all(sig1[h] == faces[c2].sign_vector[h] for h in zero1)]
+
+
 def salvetti_poset(lifted, truncated=True):
     """Pairs [F, C] of the lift.
 
@@ -99,145 +97,22 @@ def salvetti_poset(lifted, truncated=True):
     return SalvettiPoset(lifted, elements)
 
 
-class SalvettiObject:
-    __slots__ = ("index", "fid", "cid", "codim")
-
-    def __init__(self, index, fid, cid, codim):
-        self.index = index
-        self.fid = fid                  # canonical face representative
-        self.cid = cid                  # chamber adjacent to it
-        self.codim = codim
-
-    def __repr__(self):
-        return "SalvettiObject(%d, [%d,%d], codim=%d)" % (
-            self.index, self.fid, self.cid, self.codim)
-
-
-class SalvettiMorphism:
-    __slots__ = ("mid", "src", "tgt", "shift", "rep")
-
-    def __init__(self, mid, src, tgt, shift, rep):
-        self.mid = mid
-        self.src = src
-        self.tgt = tgt
-        self.shift = shift
-        self.rep = rep                  # (fid1, cid1, fid2, cid2), source side canonical
-
-    @property
-    def is_identity(self):
-        return self.rep[0] == self.rep[2] and self.rep[1] == self.rep[3]
-
-
-class SalvettiCategory:
-    """The quotient of the lifted Salvetti poset by the translation lattice."""
-
-    def __init__(self, lifted, fc, objects, obj_index, morphisms, by_rep, table):
-        self.lifted = lifted
-        self.face_category = fc
-        self.objects = objects
-        self.obj_index = obj_index      # canonical pair (fid, cid) -> object index
-        self.morphisms = morphisms
-        self.by_rep = by_rep            # rep tuple -> morphism id
-        self.table = table
-
-    def object_of_pair(self, fid, cid):
-        """Object index and shift for an arbitrary in-window pair [F, C]."""
-        orbit, u = self.face_category.orbit_of[fid]
-        cf = self.face_category.orbits[orbit].canonical_fid
-        if any(u):
-            cc = self.lifted.locate(_shifted(self.lifted.faces[cid].barycenter, u, -1))
-        else:
-            cc = cid
-        try:
-            return self.obj_index[(cf, cc)], u
-        except KeyError:
-            raise InternalError("pair (%d, %d) has no canonical object" % (fid, cid)) from None
-
-    def census(self):
-        counts = {}
-        for o in self.objects:
-            counts[o.codim] = counts.get(o.codim, 0) + 1
-        return [counts.get(c, 0) for c in range(self.lifted.dim + 1)]
-
-    def as_category(self):
-        grades = [o.codim for o in self.objects]
-        identities = [None] * len(self.objects)
-        morphs = []
-        for m in self.morphisms:
-            morphs.append((m.src, m.tgt))
-            if m.is_identity:
-                identities[m.src] = m.mid
-        if any(i is None for i in identities):
-            raise InternalError("missing identity morphism")
-        return AcyclicCategory(grades, morphs, identities, self.table,
-                               labels=[(o.fid, o.cid) for o in self.objects])
-
-
 def toric_salvetti(lifted, fc):
     """Quotient Salvetti category; objects are orbits of pairs [F, C].
 
-    Morphism orbits are canonicalized on their source side: the source
-    pair uses the canonical face, the target pair is whatever translate
-    the relation reaches, recorded together with its shift.
+    Each orbit is keyed by its pair over a canonical face of `fc`, graded
+    by the codimension of F; morphisms follow `salvetti_below`.
     """
-    if not lifted.window.covers_quotient_core():
-        raise WindowError("window must contain [-1,2]^n", suggestion=1)
     faces = lifted.faces
-    n = lifted.dim
-    objects = []
-    obj_index = {}
-    for orbit in fc.orbits:
-        cf = orbit.canonical_fid
-        for cid in lifted.chambers_above(cf):
-            idx = len(objects)
-            objects.append(SalvettiObject(idx, cf, cid, n - faces[cf].dim))
-            obj_index[(cf, cid)] = idx
-
-    cat = SalvettiCategory(lifted, fc, objects, obj_index, [], {}, {})
-    morphisms = cat.morphisms
-    by_rep = cat.by_rep
-
-    def add_morphism(src, tgt, shift, rep):
-        mid = len(morphisms)
-        morphisms.append(SalvettiMorphism(mid, src, tgt, shift, rep))
-        by_rep[rep] = mid
-        return mid
-
-    for obj in objects:
-        f1, c1 = obj.fid, obj.cid
-        add_morphism(obj.index, obj.index, (0,) * n, (f1, c1, f1, c1))
-        sig1 = faces[c1].sign_vector
-        zero1 = lifted.zero_set(f1)
-        for f2 in sorted(lifted.lowers[f1]):
+    for (f1,) in fc.objects:
+        for f2 in lifted.lowers[f1]:
             # a lower face inside the box boundary has invisible chambers
             if not lifted.window.contains(faces[f2].barycenter, strict=True):
                 raise WindowError(
                     "face %d below canonical face %d lies in the window boundary"
                     % (f2, f1), suggestion=lifted.window_suggestion())
-            for c2 in lifted.chambers_above(f2):
-                sig2 = faces[c2].sign_vector
-                if all(sig1[h] == sig2[h] for h in zero1):
-                    tgt, shift = cat.object_of_pair(f2, c2)
-                    add_morphism(obj.index, tgt, shift, (f1, c1, f2, c2))
-
-    # composition: lift the second factor along the first factor's shift
-    nonid = [m for m in morphisms if not m.is_identity]
-    by_src = {}
-    for m in nonid:
-        by_src.setdefault(m.src, []).append(m)
-    table = cat.table
-    for m1 in nonid:
-        u = m1.shift
-        for m2 in by_src.get(m1.tgt, ()):
-            _, _, f3, c3 = m2.rep
-            if any(u):
-                f3 = lifted.locate(_shifted(faces[f3].barycenter, u))
-                c3 = lifted.locate(_shifted(faces[c3].barycenter, u))
-            comp = by_rep.get((m1.rep[0], m1.rep[1], f3, c3))
-            if comp is None:
-                raise InternalError("Salvetti composition fell outside the star")
-            table[(m2.mid, m1.mid)] = comp
-    return cat
+    pairs = [(cf, cid) for (cf,) in fc.objects for cid in lifted.chambers_above(cf)]
+    return PeriodicCategory(lifted, pairs, lambda e: salvetti_below(lifted, e))
 
 
 def is_thick(fc):
@@ -274,35 +149,12 @@ def orbit_chain_counts(lifted, max_dim):
     cat = sal.as_category()
     chains = nerve_chains(cat, max_dim)
 
-    memo = {}
-
-    def canonical_obj(i, u):
-        got = memo.get((i, u))
-        if got is None:
-            fid, cid = sal.elements[i]
-            if not any(u):
-                got = (fid, cid)
-            else:
-                got = (lifted.locate(_shifted(faces[fid].barycenter, u, -1)),
-                       lifted.locate(_shifted(faces[cid].barycenter, u, -1)))
-            memo[(i, u)] = got
-        return got
-
-    counts = []
-    seen0 = set()
-    for i in range(len(sal.elements)):
-        fid, _ = sal.elements[i]
-        u = _floor_vec(faces[fid].barycenter)
-        seen0.add(canonical_obj(i, u))
-    counts.append(len(seen0))
+    counts = [len({lifted.canonical(e)[0] for e in sal.elements})]
     for k in range(1, len(chains)):
         seen = set()
         for chain in chains[k]:
-            first = cat.source(chain[0])
-            fid, _ = sal.elements[first]
-            u = _floor_vec(faces[fid].barycenter)
-            key = [canonical_obj(cat.source(m), u) for m in chain]
-            key.append(canonical_obj(cat.target(chain[-1]), u))
-            seen.add(tuple(key))
+            objs = [cat.source(chain[0])] + [cat.target(m) for m in chain]
+            flat = tuple(f for i in objs for f in sal.elements[i])
+            seen.add(lifted.canonical(flat)[0])
         counts.append(len(seen))
     return counts

@@ -6,8 +6,7 @@ from toricarr.errors import SpecError, WindowError
 from toricarr.arrangement import (AffineHyperplane, Window, parse_spec,
                                   lift_to_window)
 from toricarr.cells import (enumerate_faces, quotient_faces, layers,
-                            project_pi_F, opposite_chamber, chamber_fiber,
-                            conforms)
+                            opposite_chamber, chamber_fiber)
 from toricarr.category import check_acyclic
 
 
@@ -60,19 +59,12 @@ def test_sign_vectors_strict_on_barycenter(catalog):
             assert (v > 0) - (v < 0) == s
 
 
-def test_covering_relations_step_one_dimension(catalog):
-    lifted = catalog("grid").lifted
-    for lo, hi in lifted.covering_relations():
-        assert lifted.faces[hi].dim == lifted.faces[lo].dim + 1
-        assert conforms(lifted.faces[lo].sign_vector, lifted.faces[hi].sign_vector)
-
-
 # -- quotient
 
 def test_quotient_circle_with_one_point(catalog):
     fc = catalog("one_point").fc
     assert fc.census() == [1, 1]
-    nonid = [m for m in fc.morphisms if not m.is_identity]
+    nonid = fc.morphisms[len(fc.objects):]
     assert len(nonid) == 2
     assert sorted(m.shift for m in nonid) == [(0,), (1,)]
 
@@ -89,7 +81,7 @@ def test_quotient_grid_is_poset(catalog):
 def test_quotient_euler_vanishes(catalog):
     for name in ("one_point", "two_points", "diagonals", "grid", "coord3"):
         fc = catalog(name).fc
-        assert sum((-1) ** o.dim for o in fc.orbits) == 0
+        assert sum((-1) ** d * c for d, c in enumerate(fc.census())) == 0
 
 
 def test_quotient_category_axioms(catalog):
@@ -128,7 +120,7 @@ def test_layers_diagonals(catalog):
     pipe = catalog("diagonals")
     lp = layers(pipe.spec, pipe.lifted)
     assert lp.census() == {2: 1, 1: 2, 0: 2}
-    top = lp.top_index()
+    top = max(range(len(lp.layers)), key=lambda i: lp.layers[i].dim)
     below_top = {a for a, b in lp.relations if b == top}
     assert len(below_top) == 4
     # each point layer sits inside both circle layers
@@ -146,21 +138,23 @@ def test_layers_empty_arrangement():
 
 # -- local operations
 
+def project(lifted, fid, g):
+    """Signs of face g on the hyperplanes through face fid."""
+    return tuple(lifted.faces[g].sign_vector[i] for i in sorted(lifted.zero_set(fid)))
+
+
 def test_project_chamber_is_constant(catalog):
     lifted = catalog("diagonals").lifted
     cid = lifted.chamber_ids[0]
-    proj = project_pi_F(lifted, cid)
-    assert set(proj.values()) == {()}
+    assert {project(lifted, cid, g) for g in (cid,) + lifted.uppers[cid]} == {()}
 
 
 def test_project_vertex_separates_quadrants(catalog):
     lifted = catalog("diagonals").lifted
     vertex = next(f.id for f in lifted.faces
                   if f.dim == 0 and f.barycenter == (0, 0))
-    proj = project_pi_F(lifted, vertex)
-    chambers = [g for g in proj
-                if lifted.faces[g].dim == 2]
-    images = {proj[g] for g in chambers}
+    chambers = lifted.chambers_above(vertex)
+    images = {project(lifted, vertex, g) for g in chambers}
     assert len(chambers) == 4
     assert len(images) == 4
 
@@ -222,18 +216,14 @@ def test_quotient_functorial_on_lifted_incidences(catalog):
     fc = catalog("diagonals").fc
     lifted = fc.lifted
     cat = fc.as_category()
-    for k, orbit in enumerate(fc.orbits):
-        g = orbit.canonical_fid
+    for k, (g,) in enumerate(fc.objects):
         for mid_fid in lifted.lowers[g]:
             for low_fid in lifted.lowers[mid_fid]:
-                m2 = fc.by_rep[(mid_fid, g)]
+                m1 = fc.by_rep[(k, (mid_fid,))]
                 # translate the lower incidence into canonical position
-                o_mid, u_mid = fc.orbit_of[mid_fid]
-                cf_mid = fc.orbits[o_mid].canonical_fid
-                from toricarr.cells import _shifted
-                low_can = lifted.locate(
-                    _shifted(lifted.faces[low_fid].barycenter, u_mid, -1))
-                m1 = fc.by_rep[(low_can, cf_mid)]
-                composed = cat.compose(fc.morphisms[m2].mid, fc.morphisms[m1].mid)
-                direct = fc.by_rep[(low_fid, g)]
+                o_mid, u_mid = fc.key((mid_fid,))
+                low_can = lifted.translate(low_fid, tuple(-x for x in u_mid))
+                m2 = fc.by_rep[(o_mid, (low_can,))]
+                composed = cat.compose(m2, m1)
+                direct = fc.by_rep[(k, (low_fid,))]
                 assert composed == direct

@@ -126,3 +126,40 @@ def test_layers_command(tmp_path):
     assert res.returncode == 0
     report = json.loads(res.stdout)
     assert report["counts_by_dim"] == {"0": 1, "1": 1}
+
+
+# a chamber orbit of this arrangement has no whole translate in the
+# default window; the face census must not silently drop it
+SPEC_G2_00 = ('{"rank":2,"hypersurfaces":[{"chi":[-1,2],"q":"1/4"},'
+              '{"chi":[-1,2],"q":"0"},{"chi":[0,-1],"q":"1/3"}]}')
+
+
+def test_missing_face_orbit_needs_larger_window(tmp_path):
+    path = write_spec(tmp_path, SPEC_G2_00)
+    for cmd in (["faces"], ["homology", "--space", "face"]):
+        res = run_cli(cmd + [path, "--format", "json"])
+        assert res.returncode == 2
+        assert "try again with --window 2" in res.stderr
+    res = run_cli(["faces", path, "--window", "2", "--format", "json"])
+    assert res.returncode == 0
+    assert json.loads(res.stdout)["census"] == [2, 4, 2]
+
+
+def test_max_dim_truncates_reports_not_homology(tmp_path):
+    # the grid's complement has Betti numbers (1, 6, 9) and Euler number 4
+    path = write_spec(tmp_path, SPEC_GRID)
+    res = run_cli(["homology", path, "--max-dim", "1", "--format", "json"])
+    assert res.returncode == 0
+    report = json.loads(res.stdout)
+    assert [h["betti"] for h in report["homology"]] == [1, 6]
+    assert report["chain_counts"] == [36, 160]
+    assert report["euler"] == 4
+    res = run_cli(["homology", path, "--max-dim", "0", "--format", "json"])
+    assert [h["betti"] for h in json.loads(res.stdout)["homology"]] == [1]
+    res = run_cli(["salvetti", path, "--max-dim", "1", "--format", "json"])
+    report = json.loads(res.stdout)
+    assert report["nerve_chain_counts"] == [36, 160]
+    assert report["euler_nerve"] == report["euler_cw"] == 4
+    res = run_cli(["homology", path, "--max-dim", "-1"])
+    assert res.returncode == 1
+    assert "--max-dim" in res.stderr

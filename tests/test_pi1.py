@@ -1,3 +1,4 @@
+import json
 from fractions import Fraction
 
 import pytest
@@ -7,7 +8,7 @@ from toricarr.arrangement import AffineHyperplane, Window
 from toricarr.cells import enumerate_faces
 from toricarr.category import nerve_chains, boundary_matrices, homology
 from toricarr.pi1 import (GroupPresentation, abelianize, simplify_presentation,
-                          quotient_without_meridians, chamber_graph,
+                          quotient_without_meridians,
                           positive_minimal_path, omega_paths, sigma,
                           delta_word, gamma_delta_word, h_of_G,
                           relations_for_G, presentation,
@@ -21,18 +22,7 @@ def face_at(lifted, dim, bary):
                 if f.dim == dim and f.barycenter == bary)
 
 
-# -- chamber graph and minimal paths
-
-def test_chamber_graph_line(catalog):
-    lifted = catalog("one_point").lifted
-    edges = chamber_graph(lifted)
-    assert sorted(edges) == sorted(lifted.chamber_ids)
-    total = sum(len(v) for v in edges.values())
-    # each interior vertex joins its two neighbours in both directions
-    n_walls = sum(1 for f in lifted.faces
-                  if f.dim == 0 and len(lifted.chambers_above(f.id)) == 2)
-    assert total == 2 * n_walls
-
+# -- minimal paths
 
 def test_minimal_path_trivial(catalog):
     lifted = catalog("one_point").lifted
@@ -79,7 +69,7 @@ def test_omega_unit_line(catalog):
     ctx = catalog("one_point").ctx
     word = ctx.omega((1,))
     assert len(word) == 1
-    assert word[0].ref() == (ctx.fc.orbits[0].index, (1,)) or \
+    assert word[0].ref() == (ctx.codim1_orbits[0], (1,)) or \
         word[0].shift == (1,)
     assert word[0].sign == 1
 
@@ -143,7 +133,7 @@ def test_delta_empty_for_base_adjacent_faces(catalog):
     ctx = catalog("one_point").ctx
     lifted = ctx.lifted
     v0 = face_at(lifted, 0, (0,))
-    orbit, shift = ctx.fc.orbit_of[v0]
+    orbit, shift = ctx.fc.key((v0,))
     assert shift == (0,)
     assert delta_word(ctx, (orbit, shift)) == ()
 
@@ -152,7 +142,7 @@ def test_delta_shifted_vertex_is_conjugated_meridian(catalog):
     ctx = catalog("one_point").ctx
     lifted = ctx.lifted
     v1 = face_at(lifted, 0, (1,))
-    ref = ctx.fc.orbit_of[v1]
+    ref = ctx.fc.key((v1,))
     assert ref[1] == (1,)
     word = delta_word(ctx, ref)
     gamma = ctx.gamma_gen(ref[0])
@@ -162,7 +152,7 @@ def test_delta_shifted_vertex_is_conjugated_meridian(catalog):
 def test_gamma_delta_reduces_to_meridian_at_base(catalog):
     ctx = catalog("one_point").ctx
     v0 = face_at(ctx.lifted, 0, (0,))
-    ref = ctx.fc.orbit_of[v0]
+    ref = ctx.fc.key((v0,))
     assert gamma_delta_word(ctx, ref) == (ctx.gamma_gen(ref[0]),)
 
 
@@ -203,7 +193,7 @@ def test_h_of_g_rejects_wrong_codim(catalog):
 
 def test_relations_count_diagonals(catalog):
     ctx = catalog("diagonals").ctx
-    vertices = sorted(o.canonical_fid for o in ctx.fc.orbits if o.dim == 0)
+    vertices = sorted(f for f in ctx.fc.orbits if ctx.lifted.faces[f].dim == 0)
     assert len(vertices) == 2
     for v in vertices:
         rels = relations_for_G(ctx, v)
@@ -315,16 +305,14 @@ def test_base_point_genericity(catalog):
         assert ctx.lifted.faces[ctx.c0].dim == ctx.n
 
 
-def test_context_fundamental_region_faces(catalog):
-    ctx = catalog("one_point").ctx
-    assert ctx.c0 in ctx.q_faces
-    dims = {ctx.lifted.faces[f].dim for f in ctx.q_faces}
-    assert dims == {0, 1}
-
-
-def test_context_omega_faces(catalog):
-    ctx = catalog("one_point").ctx
-    refs = ctx.omega_faces
-    assert refs
-    orbit = ctx.codim1_orbits[0]
-    assert all(o == orbit for o, _ in refs)
+def test_base_point_search_is_unbounded():
+    # q = 1/p puts a wall through the candidate base point 1/p for each
+    # of the first fifteen primes
+    from toricarr.arrangement import parse_spec
+    from toricarr.pi1 import _choose_base_point
+    primes = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47)
+    spec = parse_spec(json.dumps({"rank": 1, "hypersurfaces": [
+        {"chi": [1], "q": "1/%d" % p} for p in primes]}))
+    assert _choose_base_point(spec) == (Fraction(1, 53),)
+    pres = presentation(spec)
+    assert abelianize(pres) == (16, [])
