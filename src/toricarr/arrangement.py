@@ -195,7 +195,7 @@ def parse_spec(text):
     if "rank" not in doc or "hypersurfaces" not in doc:
         raise SpecError("document needs 'rank' and 'hypersurfaces'")
     rank_ = doc["rank"]
-    if not isinstance(rank_, int) or rank_ < 1:
+    if type(rank_) is not int or rank_ < 1:  # JSON true/false are ints too
         raise SpecError("'rank' must be a positive integer")
     hs = doc["hypersurfaces"]
     if not isinstance(hs, list):
@@ -205,7 +205,7 @@ def parse_spec(text):
         if not isinstance(item, dict) or "chi" not in item or "q" not in item:
             raise SpecError("hypersurface %d needs 'chi' and 'q'" % i)
         chi = item["chi"]
-        if (not isinstance(chi, list) or not all(isinstance(a, int) for a in chi)):
+        if not isinstance(chi, list) or not all(type(a) is int for a in chi):
             raise SpecError("hypersurface %d: 'chi' must be a list of integers" % i)
         qraw = item["q"]
         if not isinstance(qraw, str):

@@ -57,49 +57,6 @@ class AffineFace:
             ", cut" if self.boundary_cut else "")
 
 
-def _fm_feasible(rows, nvars):
-    """Exact Fourier-Motzkin feasibility for rows (coeffs, rhs, strict).
-
-    Each row states coeffs . t >= rhs (strict: >).  Returns True when a
-    rational solution exists.
-    """
-
-    def prune(rws):
-        kept = {}
-        for a, b, s in rws:
-            if all(x == 0 for x in a):
-                if b > 0 or (s and b == 0):
-                    return None
-                continue
-            scale = next(abs(x) for x in a if x != 0)
-            key = (tuple(x / scale for x in a), b / scale)
-            kept[key] = kept.get(key, False) or s
-        return [(a, b, s) for (a, b), s in kept.items()]
-
-    rows = prune(rows)
-    if rows is None:
-        return False
-    for var in range(nvars):
-        pos, neg, rest = [], [], []
-        for a, b, s in rows:
-            if a[var] > 0:
-                pos.append((a, b, s))
-            elif a[var] < 0:
-                neg.append((a, b, s))
-            else:
-                rest.append((a, b, s))
-        new = rest
-        for ap, bp, sp in pos:
-            for an, bn, sn in neg:
-                cp, cn = ap[var], -an[var]
-                a2 = tuple(cn * x + cp * y for x, y in zip(ap, an))
-                new.append((a2, cn * bp + cp * bn, sp or sn))
-        rows = prune(new)
-        if rows is None:
-            return False
-    return True
-
-
 class LiftedFacePoset:
     """All faces of the windowed lift with their incidence structure."""
 
@@ -214,7 +171,8 @@ def enumerate_faces(hyperplanes, window):
     Emits every sign class meeting the closed box.  Flats are found by
     closing the hyperplane set under intersection; faces on a flat are
     found by a depth-first sweep over feasible strict sign assignments,
-    certified by exact vertex averages of the clipped regions.
+    certified by exact vertex averages of the clipped regions.  Averages
+    of clipped vertices on the box walls also decide `boundary_cut`.
     """
     n = window.dim
     m = len(hyperplanes)
@@ -314,6 +272,22 @@ def enumerate_faces(hyperplanes, window):
                     return False
             return True
 
+        # the face's closure leaves the box exactly when the face meets a
+        # wall x_j = b along which x_j varies on the flat; the wall's share
+        # of the clipped vertices includes every vertex of that wall face
+        # of the clipped closure, so their average lies in its relative
+        # interior, which is either wholly inside the face or wholly
+        # inside one hyperplane
+        walls = [(j, b) for j in range(n) if any(v[j] != 0 for v in basis)
+                 for b in (window.lo[j], window.hi[j])]
+
+        def boundary_cut(cs, assigned):
+            for j, b in walls:
+                on_wall = [ci for ci in cs if cand[ci][j] == b]
+                if on_wall and strict_ok(averaged(on_wall), assigned):
+                    return True
+            return False
+
         stack = [(0, cands0, averaged(cands0), [])]
         while stack:
             depth, cs, witness, assigned = stack.pop()
@@ -324,7 +298,8 @@ def enumerate_faces(hyperplanes, window):
                 sig = [0] * m
                 for hidx, s in assigned:
                     sig[hidx] = s
-                raw.append((tuple(sig), flat_id, d, bary, tuple(cs)))
+                raw.append((tuple(sig), flat_id, d, bary, tuple(cs),
+                            boundary_cut(cs, assigned)))
                 continue
             hidx = others[depth]
             wv = hyperplanes[hidx].value(witness)
@@ -344,11 +319,9 @@ def enumerate_faces(hyperplanes, window):
     raw.sort(key=lambda r: (r[2], r[3]))
     faces = []
     by_signs = {}
-    for fid, (sig, flat_id, d, bary, verts) in enumerate(raw):
-        faces.append(AffineFace(fid, sig, d, bary, flat_id, False, verts))
+    for fid, (sig, flat_id, d, bary, verts, cut) in enumerate(raw):
+        faces.append(AffineFace(fid, sig, d, bary, flat_id, cut, verts))
         by_signs[sig] = fid
-
-    _flag_boundary_cut(faces, flats, hyperplanes, window, cand)
 
     # closure order: a face's clipped vertices all recur on larger faces,
     # so one shared vertex narrows the candidate uppers
@@ -365,42 +338,6 @@ def enumerate_faces(hyperplanes, window):
 
     return LiftedFacePoset(hyperplanes, window, faces, flats, by_signs,
                            uppers, geo_class, class_rep)
-
-
-def _flag_boundary_cut(faces, flats, hyperplanes, window, cand):
-    """Mark faces whose closure pokes outside the closed box."""
-    n = window.dim
-    on_boundary = [any(x == lo or x == hi
-                       for x, lo, hi in zip(p, window.lo, window.hi))
-                   for p in cand]
-    for f in faces:
-        if not any(on_boundary[ci] for ci in f.vertex_ids):
-            continue  # clipped closure avoids the boundary entirely
-        zero, point, basis = flats[f.flat_id]
-        d = len(basis)
-        base_rows = []
-        for hidx, s in enumerate(f.sign_vector):
-            if s == 0:
-                continue
-            h = hyperplanes[hidx]
-            coeffs = tuple(_dot(h.alpha, b) for b in basis)
-            if all(c == 0 for c in coeffs):
-                continue  # constant on the flat, holds everywhere on it
-            base_rows.append((tuple(s * c for c in coeffs),
-                              s * (h.c - _dot(h.alpha, point)), False))
-        cut = False
-        for j in range(n):
-            coeffs = tuple(b[j] for b in basis)
-            up = base_rows + [(coeffs, window.hi[j] - point[j], True)]
-            if _fm_feasible(up, d):
-                cut = True
-                break
-            down = base_rows + [(tuple(-c for c in coeffs),
-                                 point[j] - window.lo[j], True)]
-            if _fm_feasible(down, d):
-                cut = True
-                break
-        f.boundary_cut = cut
 
 
 # ---------------------------------------------------------------------------

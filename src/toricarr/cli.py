@@ -3,8 +3,9 @@
 Subcommands: validate, faces, layers, salvetti, homology, pi1, check.
 Input is a JSON arrangement document (file path or '-' for stdin); output
 is a deterministic report in text or JSON form on stdout.  Exit codes:
-0 success, 1 malformed input, 2 window too small (a suggested --window
-value is printed on stderr), 3 internal invariant violation.
+0 success, 1 malformed input or command line, 2 window too small (a
+suggested --window value is printed on stderr), 3 internal invariant
+violation.
 """
 
 import argparse
@@ -177,21 +178,24 @@ def cmd_pi1(spec, args):
 def cmd_check(spec, args):
     """Run the arrangement through every structural invariant we know."""
     results = {}
+    diagnostics = {}
     work, _, window, lifted = _prepare(spec, args.window)
     n = work.rank
     fc = quotient_faces(lifted)
     results["face_euler_zero"] = _alternating(fc.census()) == 0
-    ok, diags = check_acyclic(fc.as_category())
-    results["face_category_acyclic"] = ok
-    chains_f, cc_f, h_f = _nerve_homology(fc.as_category(), n, n)
+    fcat = fc.as_category()
+    results["face_category_acyclic"], diagnostics["face_category_acyclic"] = \
+        check_acyclic(fcat)
+    chains_f, cc_f, h_f = _nerve_homology(fcat, n, n)
     results["face_nerve_dd_zero"] = verify_dd_zero(cc_f)
     results["torus_recovery"] = all(
         h_f[k] == (comb(n, k), []) for k in range(n + 1))
     z = toric_salvetti(lifted, fc)
-    ok, diags = check_acyclic(z.as_category())
-    results["salvetti_category_acyclic"] = ok
+    zcat = z.as_category()
+    results["salvetti_category_acyclic"], diagnostics["salvetti_category_acyclic"] = \
+        check_acyclic(zcat)
     counts, chi = cw_census(z)
-    chains_z, cc_z, h_z = _nerve_homology(z.as_category(), n, n)
+    chains_z, cc_z, h_z = _nerve_homology(zcat, n, n)
     results["salvetti_nerve_dd_zero"] = verify_dd_zero(cc_z)
     results["euler_cw_matches_nerve"] = chi == euler_characteristic(chains_z)
     results["connected"] = h_z[0] == (1, [])
@@ -210,10 +214,11 @@ def cmd_check(spec, args):
     z2 = toric_salvetti(lifted2, fc2)
     results["window_stable_censuses"] = (fc2.census() == fc.census()
                                          and z2.census() == z.census())
-    verdict = all(results.values())
-    if not verdict:
-        raise InternalError("invariant check failed: %s" %
-                            [k for k, v in results.items() if not v])
+    failed = [k for k, v in results.items() if not v]
+    if failed:
+        lines = ["invariant check failed: %s" % ", ".join(failed)]
+        lines += ["%s: %s" % (k, d) for k in failed for d in diagnostics.get(k, ())]
+        raise InternalError("\n  ".join(lines))
     return {
         "arrangement": spec_to_json_dict(work),
         "window": args.window,
@@ -263,6 +268,13 @@ COMMANDS = {
 }
 
 
+def nonnegative(text):
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError("must be nonnegative, got %d" % value)
+    return value
+
+
 def build_parser():
     ap = argparse.ArgumentParser(
         prog="toricarr",
@@ -275,9 +287,10 @@ def build_parser():
         p.add_argument("--window", type=int, default=1, metavar="K",
                        help="use the box [-K, K+1]^n (default 1)")
         p.add_argument("--format", choices=("text", "json"), default="text")
-        p.add_argument("--max-dim", type=int, default=None, dest="max_dim",
-                       help="report nerve chains and homology in degrees "
-                            "0..D only (default: the rank)")
+        if name in ("salvetti", "homology"):
+            p.add_argument("--max-dim", type=nonnegative, metavar="D",
+                           help="report nerve chains and homology in degrees "
+                                "0..D only (default: the rank)")
         if name == "homology":
             p.add_argument("--space", choices=("face", "salvetti"),
                            default="salvetti")
@@ -287,12 +300,13 @@ def build_parser():
 
 
 def run(argv):
-    ap = build_parser()
-    args = ap.parse_args(argv)
+    try:
+        args = build_parser().parse_args(argv)
+    except SystemExit as e:
+        # argparse exits 2 on a usage error, but 2 means "window too small"
+        return 1 if e.code else 0
     started = time.monotonic()
     try:
-        if args.max_dim is not None and args.max_dim < 0:
-            raise SpecError("--max-dim must be nonnegative")
         spec = _load_spec(args.input)
         report = COMMANDS[args.command](spec, args)
     except SpecError as e:

@@ -45,6 +45,15 @@ def test_parse_rejects(doc):
         parse_spec(doc)
 
 
+@pytest.mark.parametrize("doc", [
+    '{"rank":true,"hypersurfaces":[{"chi":[1],"q":"0"}]}',
+    '{"rank":1,"hypersurfaces":[{"chi":[true],"q":"0"}]}',
+])
+def test_parse_rejects_json_booleans(doc):
+    with pytest.raises(SpecError):
+        parse_spec(doc)
+
+
 def test_spec_roundtrip():
     doc = '{"rank":2,"hypersurfaces":[{"chi":[1,1],"q":"1/3"}]}'
     spec = parse_spec(doc)

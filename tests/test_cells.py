@@ -1,3 +1,4 @@
+import json
 from fractions import Fraction
 
 import pytest
@@ -9,6 +10,9 @@ from toricarr.cells import (enumerate_faces, quotient_faces, layers,
                             opposite_chamber, chamber_fiber)
 from toricarr.category import check_acyclic
 
+from conftest import CATALOG
+from test_cli import SPEC_G2_00
+
 
 def line_arrangement(cs, window):
     hps = [AffineHyperplane((1,), c, 0, k) for k, c in enumerate(cs)]
@@ -18,6 +22,19 @@ def line_arrangement(cs, window):
 def crossing_lines(window):
     hps = [AffineHyperplane((1, 0), 0, 0, 0), AffineHyperplane((0, 1), 0, 1, 0)]
     return enumerate_faces(hps, window)
+
+
+# the first three draws of the benchmark's generator family 1, and g2_00
+GENERATED = {
+    "g1_00": '{"rank":2,"hypersurfaces":[{"chi":[-1,0],"q":"1/3"},'
+             '{"chi":[-1,1],"q":"1/2"},{"chi":[0,-1],"q":"1/4"}]}',
+    "g1_01": '{"rank":2,"hypersurfaces":[{"chi":[1,0],"q":"0"},'
+             '{"chi":[1,-1],"q":"1/4"}]}',
+    "g1_02": '{"rank":1,"hypersurfaces":[{"chi":[2],"q":"0"},{"chi":[2],"q":"1/3"}]}',
+    "g2_00": SPEC_G2_00,
+}
+CUT_CASES = dict({name: json.dumps(doc) for name, doc in CATALOG.items()
+                  if name != "coord3"}, **GENERATED)
 
 
 # -- enumeration
@@ -35,6 +52,22 @@ def test_enumerate_requires_spanning():
         enumerate_faces([], Window([-1], [2]))
     with pytest.raises(SpecError):
         enumerate_faces([AffineHyperplane((1, 0), 0, 0, 0)], Window.standard(2))
+
+
+@pytest.mark.parametrize("name", CUT_CASES)
+def test_boundary_cut_agrees_with_larger_window(name):
+    # a window-1 face is cut exactly when the window-2 face containing it
+    # is cut there or has a vertex outside window 1
+    spec = parse_spec(CUT_CASES[name])
+    small, big = (Window.standard(spec.rank, k) for k in (1, 2))
+    lifted1 = enumerate_faces(lift_to_window(spec, small), small)
+    lifted2 = enumerate_faces(lift_to_window(spec, big), big)
+    for f in lifted1.faces:
+        g = lifted2.locate(f.barycenter)
+        expected = lifted2.faces[g].boundary_cut or any(
+            lifted2.faces[v].dim == 0 and not small.contains(lifted2.faces[v].barycenter)
+            for v in lifted2.lowers[g])
+        assert f.boundary_cut == expected, f
 
 
 def test_diagonals_window_has_diamonds(catalog):

@@ -163,3 +163,23 @@ def test_max_dim_truncates_reports_not_homology(tmp_path):
     res = run_cli(["homology", path, "--max-dim", "-1"])
     assert res.returncode == 1
     assert "--max-dim" in res.stderr
+
+
+def test_max_dim_only_on_nerve_commands(tmp_path):
+    # a usage error exits 1: exit 2 is reserved for "window too small"
+    path = write_spec(tmp_path, SPEC_ONE_POINT)
+    res = run_cli(["faces", path, "--max-dim", "1"])
+    assert res.returncode == 1
+    assert "--max-dim" in res.stderr
+    assert run_cli(["faces", "--help"]).returncode == 0
+
+
+def test_check_failure_reports_diagnostics(tmp_path, monkeypatch, capsys):
+    from toricarr import cli
+    monkeypatch.setattr(cli, "check_acyclic", lambda cat: (False, ["diag"]))
+    path = write_spec(tmp_path, SPEC_ONE_POINT)
+    assert cli.run(["check", path]) == 3
+    err = capsys.readouterr().err
+    assert "face_category_acyclic" in err
+    assert "salvetti_category_acyclic" in err
+    assert "diag" in err
