@@ -9,7 +9,7 @@ hard dimension cap.
 """
 
 from .errors import InternalError
-from .exact import IntMatrix, snf
+from .exact import SparseMatrix, snf
 
 
 class AcyclicCategory:
@@ -147,7 +147,7 @@ class ChainComplex:
             return self.boundaries[k - 1]
         rows = self.counts[k - 1] if 0 <= k - 1 < len(self.counts) else 0
         cols = self.counts[k] if 0 <= k < len(self.counts) else 0
-        return IntMatrix.zero(rows, cols)
+        return SparseMatrix.zero(rows, cols)
 
     @property
     def top_degree(self):
@@ -159,31 +159,32 @@ def boundary_matrices(chains, cat):
 
     d(m1, ..., mk) alternates over dropping the first morphism, composing
     each inner pair, and dropping the last.  All faces stay nondegenerate
-    because grades are strictly monotone along chains.
+    and pairwise distinct because grades are strictly monotone along
+    chains, so each boundary is a SparseMatrix whose columns hold k+1
+    entries, all +-1.
     """
     index = [{c: i for i, c in enumerate(deg)} for deg in chains]
     boundaries = []
     for k in range(1, len(chains)):
-        rows = len(chains[k - 1])
-        cols = len(chains[k])
-        entries = [0] * (rows * cols)
-        for col, chain in enumerate(chains[k]):
+        columns = []
+        for chain in chains[k]:
+            col = {}
             if k == 1:
                 m = chain[0]
-                entries[cat.target(m) * cols + col] += 1
-                entries[cat.source(m) * cols + col] -= 1
-                continue
-            for j in range(k + 1):
-                if j == 0:
-                    face = chain[1:]
-                elif j == k:
-                    face = chain[:-1]
-                else:
-                    comp = cat.compose(chain[j], chain[j - 1])
-                    face = chain[:j - 1] + (comp,) + chain[j + 1:]
-                row = index[k - 1][face]
-                entries[row * cols + col] += 1 if j % 2 == 0 else -1
-        boundaries.append(IntMatrix(rows, cols, entries))
+                col[cat.target(m)] = 1
+                col[cat.source(m)] = -1
+            else:
+                for j in range(k + 1):
+                    if j == 0:
+                        face = chain[1:]
+                    elif j == k:
+                        face = chain[:-1]
+                    else:
+                        comp = cat.compose(chain[j], chain[j - 1])
+                        face = chain[:j - 1] + (comp,) + chain[j + 1:]
+                    col[index[k - 1][face]] = 1 if j % 2 == 0 else -1
+            columns.append(col)
+        boundaries.append(SparseMatrix(len(chains[k - 1]), len(chains[k]), columns))
     return ChainComplex([len(d) for d in chains], boundaries)
 
 
@@ -214,14 +215,18 @@ def euler_characteristic(chains):
 
 
 def verify_dd_zero(cc):
-    """True when consecutive boundaries compose to zero, degree by degree."""
-    from .exact import mat_mul
+    """True when consecutive boundaries compose to zero, degree by degree.
+
+    Each column of d_{k-1} d_k is formed as a sparse sum of the columns
+    of d_{k-1}; the check stops at the first nonzero one.
+    """
     for k in range(2, cc.top_degree + 1):
-        a = cc.boundary(k - 1)
-        b = cc.boundary(k)
-        if a.cols == 0 or b.cols == 0:
-            continue
-        prod = mat_mul(a, b)
-        if any(prod.entries):
-            return False
+        a = cc.boundary(k - 1).columns
+        for col in cc.boundary(k).columns:
+            prod = {}
+            for r, x in col.items():
+                for i, y in a[r].items():
+                    prod[i] = prod.get(i, 0) + x * y
+            if any(prod.values()):
+                return False
     return True

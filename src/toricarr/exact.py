@@ -63,16 +63,28 @@ class IntMatrix:
         return "IntMatrix(%r)" % (self.tolists(),)
 
 
-def mat_mul(a, b):
-    if a.cols != b.rows:
-        raise ValueError("shape mismatch")
-    bl = b.tolists()
-    out = []
-    for i in range(a.rows):
-        ra = a.row(i)
-        out.append([sum(ra[k] * bl[k][j] for k in range(a.cols))
-                    for j in range(b.cols)])
-    return IntMatrix.from_rows(out) if out else IntMatrix.zero(0, b.cols)
+class SparseMatrix:
+    """An integer matrix stored by columns: `columns[j]` maps a row index
+    to the nonzero entry of column j in that row."""
+
+    __slots__ = ("rows", "cols", "columns")
+
+    def __init__(self, rows, cols, columns):
+        if len(columns) != cols:
+            raise ValueError("column count does not match shape")
+        self.rows = rows
+        self.cols = cols
+        self.columns = columns
+
+    @classmethod
+    def from_dense(cls, m):
+        return cls(m.rows, m.cols,
+                   [{i: m.entries[i * m.cols + j] for i in range(m.rows)
+                     if m.entries[i * m.cols + j]} for j in range(m.cols)])
+
+    @classmethod
+    def zero(cls, rows, cols):
+        return cls(rows, cols, [{} for _ in range(cols)])
 
 
 def hnf(m):
@@ -220,15 +232,78 @@ def snf_with_transforms(m):
     return d, IntMatrix.from_rows(u), IntMatrix.from_rows(v)
 
 
+def _eliminate_units(columns, nrows):
+    """Eliminate +-1 pivots from a column-sparse matrix in place.
+
+    A pivot a[r][c] = +-1 clears the rest of row r by column operations,
+    after which row r and column c split off as a direct summand [+-1]
+    and are removed.  Both steps are unimodular, so the Smith form of the
+    input is [1] * count followed by the Smith form of what is left.  The
+    pivot row is the row held by the fewest columns, which keeps the
+    number of column operations and the fill-in small.  Returns count.
+    """
+    import heapq  # not needed at start-up
+    held = [set() for _ in range(nrows)]
+    for j, col in enumerate(columns):
+        for i in col:
+            held[i].add(j)
+    # rows by how many columns hold them; an entry goes stale when its row
+    # changes, and a changed row is pushed again
+    queue = [(len(h), i) for i, h in enumerate(held) if h]
+    heapq.heapify(queue)
+    count = 0
+    while queue:
+        n, r = heapq.heappop(queue)
+        if n != len(held[r]):
+            continue
+        units = [j for j in held[r] if columns[j][r] in (1, -1)]
+        if not units:
+            continue
+        c = min(units, key=lambda j: (len(columns[j]), j))
+        pivot = columns[c]
+        p = pivot[r]
+        for j in held[r] - {c}:
+            col = columns[j]
+            q = col[r] * p
+            for i, x in pivot.items():
+                y = col.get(i, 0) - q * x
+                if y:
+                    col[i] = y
+                    held[i].add(j)
+                else:
+                    del col[i]
+                    held[i].discard(j)
+        for i in pivot:
+            held[i].discard(c)
+            if held[i]:
+                heapq.heappush(queue, (len(held[i]), i))
+        columns[c] = {}
+        count += 1
+    return count
+
+
 def snf(m):
     """Smith normal form: returns (D, invariant_factors).
 
-    D is diagonal with d1 | d2 | ...; the invariant factors are the
-    nonzero diagonal entries.
+    `m` is an IntMatrix or a SparseMatrix.  The +-1 pivots are eliminated
+    by sparse unimodular operations first; the dense
+    snf_with_transforms then runs only on the block they leave.  The
+    invariant factors d1 | d2 | ... are the nonzero diagonal entries of
+    the Smith form D, returned as a SparseMatrix of the shape of m.
     """
-    d, _, _ = snf_with_transforms(m)
-    factors = [d[i, i] for i in range(min(d.rows, d.cols)) if d[i, i] != 0]
-    return d, factors
+    if isinstance(m, IntMatrix):
+        m = SparseMatrix.from_dense(m)
+    columns = [dict(col) for col in m.columns]
+    factors = [1] * _eliminate_units(columns, m.rows)
+    live = [col for col in columns if col]
+    if live:
+        rows = sorted({i for col in live for i in col})
+        d, _, _ = snf_with_transforms(
+            IntMatrix.from_rows([[col.get(i, 0) for col in live] for i in rows]))
+        factors += [d[i, i] for i in range(min(d.rows, d.cols)) if d[i, i] != 0]
+    diagonal = [{i: f} for i, f in enumerate(factors)]
+    diagonal += [{} for _ in range(m.cols - len(factors))]
+    return SparseMatrix(m.rows, m.cols, diagonal), factors
 
 
 def inv_unimodular(m):

@@ -1,8 +1,9 @@
 import pytest
 
 from toricarr.errors import InternalError
-from toricarr.category import (AcyclicCategory, check_acyclic, nerve_chains,
-                               boundary_matrices, homology,
+from toricarr.exact import SparseMatrix
+from toricarr.category import (AcyclicCategory, ChainComplex, check_acyclic,
+                               nerve_chains, boundary_matrices, homology,
                                euler_characteristic, verify_dd_zero)
 
 
@@ -71,7 +72,8 @@ def test_boundary_single_morphism():
     cat = interval_category()
     chains = nerve_chains(cat, 1)
     cc = boundary_matrices(chains, cat)
-    assert cc.boundary(1).tolists() == [[-1], [1]]
+    d1 = cc.boundary(1)
+    assert (d1.rows, d1.cols, d1.columns) == (2, 1, [{0: -1, 1: 1}])
 
 
 def test_boundary_two_chain():
@@ -79,16 +81,31 @@ def test_boundary_two_chain():
     chains = nerve_chains(cat, 2)
     assert chains[2] == [(3, 4)]
     cc = boundary_matrices(chains, cat)
-    col = [cc.boundary(2)[i, 0] for i in range(3)]
+    d2 = cc.boundary(2)
     # d(a->b->c) = (b->c) - (a->c) + (a->b), in chain order (3,), (4,), (5,)
     assert chains[1] == [(3,), (4,), (5,)]
-    assert col == [1, 1, -1]
+    assert (d2.rows, d2.cols, d2.columns) == (3, 1, [{0: 1, 1: 1, 2: -1}])
 
 
 def test_dd_zero_small():
     cat = chain_of_two()
     chains = nerve_chains(cat, 2)
     assert verify_dd_zero(boundary_matrices(chains, cat))
+
+
+def test_dd_nonzero_detected():
+    # d1 = [[1, 0]], d2 = [[1], [0]]: d1 d2 = [[1]]
+    cc = ChainComplex([1, 2, 1], [SparseMatrix(1, 2, [{0: 1}, {}]),
+                                  SparseMatrix(2, 1, [{0: 1}])])
+    assert verify_dd_zero(cc) is False
+
+
+def test_homology_torsion_of_projective_plane():
+    # cellular RP^2: one cell per degree, d1 = [[0]], d2 = [[2]]
+    cc = ChainComplex([1, 1, 1], [SparseMatrix(1, 1, [{}]),
+                                  SparseMatrix(1, 1, [{0: 2}])])
+    assert verify_dd_zero(cc)
+    assert homology(cc) == [(1, []), (0, [2]), (0, [])]
 
 
 def test_homology_interval():

@@ -3,12 +3,19 @@ from fractions import Fraction
 from hypothesis import given, settings, strategies as st
 
 from toricarr.exact import (IntMatrix, hnf, snf, snf_with_transforms,
-                            solve_affine, mat_mul, rank,
+                            solve_affine, rank,
                             inv_unimodular, saturation_basis)
 
 
 def mat(rows):
     return IntMatrix.from_rows(rows)
+
+
+def mat_mul(a, b):
+    assert a.cols == b.rows
+    return IntMatrix(a.rows, b.cols,
+                     [sum(a[i, k] * b[k, j] for k in range(a.cols))
+                      for i in range(a.rows) for j in range(b.cols)])
 
 
 def assert_unimodular(u):
@@ -83,7 +90,14 @@ def test_snf_worked_example():
 def test_snf_zero():
     d, factors = snf(IntMatrix.zero(2, 3))
     assert factors == []
-    assert d == IntMatrix.zero(2, 3)
+    assert (d.rows, d.cols, d.columns) == (2, 3, [{}, {}, {}])
+
+
+def test_snf_unit_elimination_leaves_torsion():
+    # the +-1 pivots leave the block [[-2]] for the dense Smith form
+    d, factors = snf(mat([[1, 1], [1, -1]]))
+    assert factors == [1, 2]
+    assert d.columns == [{0: 1}, {1: 2}]
 
 
 @settings(max_examples=120, deadline=None)
@@ -104,6 +118,7 @@ def test_snf_transform_properties(rows):
             assert b % a == 0
         else:
             assert b == 0
+    assert snf(m)[1] == [x for x in diag if x != 0]
 
 
 # -- affine solving

@@ -35,7 +35,8 @@ COMMANDS = {
 CASES = [(name, cmd) for name in ("one_point", "two_points", "three_points")
          for cmd in COMMANDS] + \
         [(name, cmd) for name in ("diagonals", "grid")
-         for cmd in COMMANDS if cmd != "check"]
+         for cmd in COMMANDS if cmd != "check"] + \
+        [("grid", "check"), ("coord3", "homology")]
 
 
 def run_case(tmp_dir, name, cmd):
