@@ -126,10 +126,6 @@ class AffineHyperplane:
         self.source = source
         self.shift = shift
 
-    def value(self, point):
-        """<alpha, point> - c; its sign locates a point against the plane."""
-        return sum(a * x for a, x in zip(self.alpha, point)) - self.c
-
     def __repr__(self):
         return "AffineHyperplane(alpha=%r, c=%s, source=%d, shift=%d)" % (
             self.alpha, self.c, self.source, self.shift)

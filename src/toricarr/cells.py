@@ -60,9 +60,10 @@ class AffineFace:
 class LiftedFacePoset:
     """All faces of the windowed lift with their incidence structure."""
 
-    def __init__(self, hyperplanes, window, faces, flats, by_signs,
+    def __init__(self, hyperplanes, table, window, faces, flats, by_signs,
                  uppers, geo_class, class_rep):
         self.hyperplanes = hyperplanes
+        self.table = table              # SignTable of the candidate vertices
         self.window = window
         self.faces = faces
         self.flats = flats              # (zero frozenset, point, basis)
@@ -105,8 +106,7 @@ class LiftedFacePoset:
         if not self.window.contains(point):
             raise WindowError("point %s escapes the window" % (tuple(map(str, point)),),
                               suggestion=self.window_suggestion())
-        sig = tuple(_sign(h.value(point)) for h in self.hyperplanes)
-        fid = self.by_signs.get(sig)
+        fid = self.by_signs.get(self.table.signs(point))
         if fid is None:
             raise WindowError("no face enumerated at %s" % (tuple(map(str, point)),),
                               suggestion=self.window_suggestion())
@@ -165,14 +165,64 @@ def _sign(x):
     return (x > 0) - (x < 0)
 
 
+class SignTable:
+    """The hyperplanes as integer values over a fixed list of points.
+
+    `scale` is one positive integer D that clears the denominators of the
+    points and of the hyperplane constants, so `coords[i]` = D * points[i]
+    and `values[h][i]` = D * (<alpha_h, points[i]> - c_h) are integers.
+    A value is affine in the point: its value at an average of points is
+    the average of theirs, and its sign the sign of an integer sum.
+    """
+
+    def __init__(self, hyperplanes, points):
+        scale = math.lcm(*(x.denominator for p in points for x in p),
+                         *(h.c.denominator for h in hyperplanes))
+        index = {}
+        self.normal_of = [index.setdefault(h.alpha, len(index)) for h in hyperplanes]
+        self.normals = list(index)
+        self.scale = scale
+        self.consts = [h.c.numerator * (scale // h.c.denominator) for h in hyperplanes]
+        self.coords = [tuple(x.numerator * (scale // x.denominator) for x in p)
+                       for p in points]
+        dots = [[_dot(a, p) for p in self.coords] for a in self.normals]
+        self.values = [[v - c for v in dots[k]]
+                       for k, c in zip(self.normal_of, self.consts)]
+
+    def signs_at_average(self, ids, assigned):
+        """True when the average of the points `ids` has the strict sign s
+        on every hyperplane h of the (h, s) pairs `assigned`."""
+        values = self.values
+        return all(_sign(sum(map(values[h].__getitem__, ids))) == s
+                   for h, s in assigned)
+
+    def average(self, ids):
+        """The exact average of the points `ids`."""
+        den = self.scale * len(ids)
+        return tuple(Q(sum(xs), den) for xs in zip(*map(self.coords.__getitem__, ids)))
+
+    def signs(self, point):
+        """Sign vector of any exact point on every hyperplane."""
+        den = math.lcm(*(x.denominator for x in point))
+        num = [x.numerator * (den // x.denominator) for x in point]
+        dots = [self.scale * _dot(a, num) for a in self.normals]
+        return tuple(_sign(dots[k] - c * den)
+                     for k, c in zip(self.normal_of, self.consts))
+
+
 def enumerate_faces(hyperplanes, window):
     """Stratify the window by the hyperplane list.
 
-    Emits every sign class meeting the closed box.  Flats are found by
-    closing the hyperplane set under intersection; faces on a flat are
-    found by a depth-first sweep over feasible strict sign assignments,
-    certified by exact vertex averages of the clipped regions.  Averages
-    of clipped vertices on the box walls also decide `boundary_cut`.
+    Emits every sign class meeting the closed box.  Every sign is decided
+    in integers: the candidate vertices (all n-plane intersections in the
+    box, walls included) and the hyperplanes are scaled by one integer
+    into a `SignTable`, and the sign at an average of candidates is the
+    sign of an integer column sum.  Flats are found by closing the
+    hyperplane set under intersection; each carries the candidates on it,
+    and a flat with none misses the box.  Faces on a flat are found by a
+    depth-first sweep over feasible strict sign assignments, certified by
+    averages of the clipped regions' vertices.  Averages of clipped
+    vertices on the box walls also decide `boundary_cut`.
     """
     n = window.dim
     m = len(hyperplanes)
@@ -206,71 +256,63 @@ def enumerate_faces(hyperplanes, window):
     cand = sorted(pts)
     if not cand:
         raise InternalError("window contains no arrangement vertices")
-    vals = [tuple(h.value(p) for h in hyperplanes) for p in cand]
+    table = SignTable(hyperplanes, cand)
+    values = table.values
+    signs_ok = table.signs_at_average
 
-    # flats: closure of the hyperplane list under intersection, inside box
-    flats = []
-    flat_index = {}
+    def parallel(basis):
+        """Per distinct normal: is it orthogonal to every direction?"""
+        return [all(_dot(a, b) == 0 for b in basis) for a in table.normals]
 
-    def containing_set(point, basis):
-        out = set()
-        for i, h in enumerate(hyperplanes):
-            if h.value(point) == 0 and all(_dot(h.alpha, b) == 0 for b in basis):
-                out.add(i)
-        return frozenset(out)
-
-    def flat_cands(zero):
-        return [ci for ci in range(len(cand))
-                if all(vals[ci][i] == 0 for i in zero)]
-
+    # flats: closure of the hyperplane list under intersection, inside box;
+    # a vertex of flat & box is cut out by n of the planes, so every flat
+    # meeting the box holds a candidate
     origin = tuple(Q(0) for _ in range(n))
     ident = tuple(kernel_basis([], n))
-    flats.append((frozenset(), origin, ident))
-    flat_index[frozenset()] = 0
+    flats = [(frozenset(), origin, ident)]
+    cands_of = [list(range(len(cand)))]
+    flat_index = {frozenset(): 0}
     head = 0
     while head < len(flats):
         zero, point, basis = flats[head]
+        cands = cands_of[head]
         head += 1
         if len(basis) == 0:
             continue
+        par = parallel(basis)
         for hidx in range(m):
-            if hidx in zero:
+            if hidx in zero or par[table.normal_of[hidx]]:
                 continue
-            h = hyperplanes[hidx]
-            if all(_dot(h.alpha, b) == 0 for b in basis):
-                continue  # parallel to the flat
-            rows = [hyperplanes[i].alpha for i in sorted(zero)] + [h.alpha]
-            rhs = [hyperplanes[i].c for i in sorted(zero)] + [h.c]
-            sol = solve_affine(rows, rhs)
-            if sol is None:
-                continue
-            p2, b2 = sol
-            zero2 = containing_set(p2, b2)
+            col = values[hidx]
+            cands2 = [ci for ci in cands if col[ci] == 0]
+            if not cands2:
+                continue  # misses the box entirely
+            rows = [hyperplanes[i].alpha for i in sorted(zero)] + [hyperplanes[hidx].alpha]
+            rhs = [hyperplanes[i].c for i in sorted(zero)] + [hyperplanes[hidx].c]
+            p2, b2 = solve_affine(rows, rhs)
+            # a hyperplane parallel to the flat holds it or misses it
+            par2 = parallel(b2)
+            zero2 = frozenset(i for i in range(m) if par2[table.normal_of[i]]
+                              and values[i][cands2[0]] == 0)
             if zero2 in flat_index:
                 continue
-            if not flat_cands(zero2):
-                continue  # misses the box entirely
             flat_index[zero2] = len(flats)
             flats.append((zero2, p2, tuple(b2)))
+            cands_of.append(cands2)
 
-    # faces per flat: DFS over strict sign assignments
+    # the candidates on each box wall
+    on_wall = {}
+    for j in range(n):
+        for b in (window.lo[j], window.hi[j]):
+            on_wall[j, b] = {ci for ci, p in enumerate(cand) if p[j] == b}
+
+    # faces per flat: DFS over strict sign assignments; a region's witness
+    # is a list of candidates whose average has the region's strict signs
     raw = []
     for flat_id, (zero, point, basis) in enumerate(flats):
-        cands0 = flat_cands(zero)
-        if not cands0:
-            continue
+        cands0 = cands_of[flat_id]
         others = [i for i in range(m) if i not in zero]
         d = len(basis)
-
-        def averaged(cis):
-            k = len(cis)
-            return tuple(sum(cand[ci][j] for ci in cis) / k for j in range(n))
-
-        def strict_ok(z, assigned):
-            for hidx, s in assigned:
-                if _sign(hyperplanes[hidx].value(z)) != s:
-                    return False
-            return True
 
         # the face's closure leaves the box exactly when the face meets a
         # wall x_j = b along which x_j varies on the flat; the wall's share
@@ -278,43 +320,43 @@ def enumerate_faces(hyperplanes, window):
         # of the clipped closure, so their average lies in its relative
         # interior, which is either wholly inside the face or wholly
         # inside one hyperplane
-        walls = [(j, b) for j in range(n) if any(v[j] != 0 for v in basis)
+        walls = [on_wall[j, b] for j in range(n) if any(v[j] != 0 for v in basis)
                  for b in (window.lo[j], window.hi[j])]
 
         def boundary_cut(cs, assigned):
-            for j, b in walls:
-                on_wall = [ci for ci in cs if cand[ci][j] == b]
-                if on_wall and strict_ok(averaged(on_wall), assigned):
+            for wall in walls:
+                cs_wall = [ci for ci in cs if ci in wall]
+                if cs_wall and signs_ok(cs_wall, assigned):
                     return True
             return False
 
-        stack = [(0, cands0, averaged(cands0), [])]
+        stack = [(0, cands0, cands0, [])]
         while stack:
             depth, cs, witness, assigned = stack.pop()
             if depth == len(others):
-                bary = averaged(cs)
-                if not strict_ok(bary, assigned):
+                if not signs_ok(cs, assigned):
                     raise InternalError("barycenter escaped its own face")
                 sig = [0] * m
                 for hidx, s in assigned:
                     sig[hidx] = s
-                raw.append((tuple(sig), flat_id, d, bary, tuple(cs),
+                raw.append((tuple(sig), flat_id, d, table.average(cs), tuple(cs),
                             boundary_cut(cs, assigned)))
                 continue
             hidx = others[depth]
-            wv = hyperplanes[hidx].value(witness)
+            col = values[hidx]
+            wv = sum(map(col.__getitem__, witness))
             for s in (1, -1):
-                cs2 = [ci for ci in cs if s * vals[ci][hidx] >= 0]
+                cs2 = [ci for ci in cs if s * col[ci] >= 0]
                 if not cs2:
                     continue
+                assigned2 = assigned + [(hidx, s)]
                 if s * wv > 0:
                     w2 = witness
+                elif signs_ok(cs2, assigned2):
+                    w2 = cs2
                 else:
-                    w2 = averaged(cs2)
-                    if _sign(hyperplanes[hidx].value(w2)) != s or \
-                            not strict_ok(w2, assigned):
-                        continue
-                stack.append((depth + 1, cs2, w2, assigned + [(hidx, s)]))
+                    continue
+                stack.append((depth + 1, cs2, w2, assigned2))
 
     raw.sort(key=lambda r: (r[2], r[3]))
     faces = []
@@ -336,7 +378,7 @@ def enumerate_faces(hyperplanes, window):
                if faces[g].dim > f.dim and conforms(f.sign_vector, faces[g].sign_vector)]
         uppers[f.id] = tuple(sorted(ups))
 
-    return LiftedFacePoset(hyperplanes, window, faces, flats, by_signs,
+    return LiftedFacePoset(hyperplanes, table, window, faces, flats, by_signs,
                            uppers, geo_class, class_rep)
 
 

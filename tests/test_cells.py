@@ -84,12 +84,41 @@ def test_diagonals_window_has_diamonds(catalog):
         assert dims == [0, 0, 0, 0, 1, 1, 1, 1]
 
 
-def test_sign_vectors_strict_on_barycenter(catalog):
-    lifted = catalog("diagonals").lifted
+def reference_signs(hyperplanes, point):
+    """Signs of <alpha, point> - c in Fraction arithmetic."""
+    out = []
+    for h in hyperplanes:
+        v = sum(a * Fraction(x) for a, x in zip(h.alpha, point)) - h.c
+        out.append((v > 0) - (v < 0))
+    return tuple(out)
+
+
+def test_sign_vectors_strict_on_barycenter():
+    for name, doc in CUT_CASES.items():
+        spec = parse_spec(doc)
+        for k in (1, 2):
+            window = Window.standard(spec.rank, k)
+            lifted = enumerate_faces(lift_to_window(spec, window), window)
+            for f in lifted.faces:
+                assert reference_signs(lifted.hyperplanes, f.barycenter) == \
+                    f.sign_vector, (name, k, f)
+                assert lifted.locate(f.barycenter) == f.id, (name, k, f)
+    # x = 7/3 misses the box, so no candidate vertex has a denominator 3
+    lifted = line_arrangement([0, Fraction(7, 3)], Window([-1], [2]))
     for f in lifted.faces:
-        for h, s in zip(lifted.hyperplanes, f.sign_vector):
-            v = h.value(f.barycenter)
-            assert (v > 0) - (v < 0) == s
+        assert reference_signs(lifted.hyperplanes, f.barycenter) == f.sign_vector, f
+
+
+def test_locate_clears_large_denominators(catalog):
+    # no candidate vertex has a denominator 53 or 59
+    lifted = catalog("three_points").lifted
+    fid = lifted.locate((Fraction(1, 53),))
+    assert lifted.faces[fid].barycenter == (Fraction(1, 8),)
+    lifted = catalog("diagonals").lifted
+    point = (Fraction(1, 53), Fraction(-7, 59))
+    fid = lifted.locate(point)
+    assert lifted.faces[fid].sign_vector == reference_signs(lifted.hyperplanes, point)
+    assert lifted.faces[fid].dim == 2
 
 
 # -- quotient

@@ -1,9 +1,11 @@
 """Golden outputs of the command line: `--format json` stdout and exit code.
 
-Each case runs `cli.run` in-process at `--window 1` on a catalog
-arrangement and compares the exit code and the exact stdout bytes with
-the files under `tests/golden/`.  To rewrite the goldens from the
-current code (only when an output change is intended):
+Each case runs `cli.run` in-process on an arrangement document at one
+`--window` and compares the exit code and the exact stdout bytes with
+the files under `tests/golden/`.  The documents are the catalog, a
+three-wall rank-2 arrangement with the angle 2/3 (every catalog angle has
+a power-of-two denominator), and `g2_00`, which needs window 2.  To rewrite the goldens from the current
+code (only when an output change is intended):
 
     PYTHONPATH=src python tests/test_golden.py
 """
@@ -18,6 +20,7 @@ import pytest
 from toricarr import cli
 
 from conftest import CATALOG
+from test_cli import SPEC_G2_00
 
 GOLDEN = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden")
 
@@ -32,20 +35,36 @@ COMMANDS = {
     "check": ["check"],
 }
 
-CASES = [(name, cmd) for name in ("one_point", "two_points", "three_points")
+DOCS = dict(CATALOG,
+            three_walls={"rank": 2, "hypersurfaces": [
+                {"chi": [1, -1], "q": "0"}, {"chi": [1, -2], "q": "2/3"},
+                {"chi": [1, 2], "q": "0"}]},
+            g2_00=json.loads(SPEC_G2_00))
+
+# (document, command, window)
+CASES = [(name, cmd, 1) for name in ("one_point", "two_points", "three_points")
          for cmd in COMMANDS] + \
-        [(name, cmd) for name in ("diagonals", "grid")
+        [(name, cmd, 1) for name in ("diagonals", "grid")
          for cmd in COMMANDS if cmd != "check"] + \
-        [("grid", "check"), ("coord3", "homology")]
+        [("grid", "check", 1), ("coord3", "homology", 1),
+         ("three_walls", "faces", 1), ("three_walls", "homology", 1),
+         ("three_walls", "pi1", 2), ("g2_00", "faces", 1), ("g2_00", "faces", 2)]
 
 
-def run_case(tmp_dir, name, cmd):
-    path = os.path.join(tmp_dir, name + ".json")
+def case_name(name, cmd, window):
+    """Golden file stem; window 1 is the default and goes unnamed."""
+    stem = "%s.%s" % (name, cmd)
+    return stem if window == 1 else "%s.w%d" % (stem, window)
+
+
+def run_case(tmp_dir, doc, cmd, window):
+    path = os.path.join(tmp_dir, "spec.json")
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(CATALOG[name], fh)
+        json.dump(doc, fh)
     out = io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
-        code = cli.run(COMMANDS[cmd] + [path, "--format", "json"])
+        code = cli.run(COMMANDS[cmd] + [path, "--window", str(window),
+                                        "--format", "json"])
     return code, out.getvalue()
 
 
@@ -54,10 +73,11 @@ def _exit_codes():
         return json.load(fh)
 
 
-@pytest.mark.parametrize("name,cmd", CASES, ids=["%s-%s" % c for c in CASES])
-def test_golden(tmp_path, name, cmd):
-    code, stdout = run_case(str(tmp_path), name, cmd)
-    case = "%s.%s" % (name, cmd)
+@pytest.mark.parametrize("name,cmd,window", CASES,
+                         ids=[case_name(*c).replace(".", "-") for c in CASES])
+def test_golden(tmp_path, name, cmd, window):
+    code, stdout = run_case(str(tmp_path), DOCS[name], cmd, window)
+    case = case_name(name, cmd, window)
     with open(os.path.join(GOLDEN, case + ".stdout"), encoding="utf-8") as fh:
         expected = fh.read()
     assert code == _exit_codes()[case]
@@ -69,9 +89,9 @@ def write_goldens():
     os.makedirs(GOLDEN, exist_ok=True)
     codes = {}
     with tempfile.TemporaryDirectory() as tmp_dir:
-        for name, cmd in CASES:
-            case = "%s.%s" % (name, cmd)
-            codes[case], stdout = run_case(tmp_dir, name, cmd)
+        for name, cmd, window in CASES:
+            case = case_name(name, cmd, window)
+            codes[case], stdout = run_case(tmp_dir, DOCS[name], cmd, window)
             with open(os.path.join(GOLDEN, case + ".stdout"), "w",
                       encoding="utf-8") as fh:
                 fh.write(stdout)
