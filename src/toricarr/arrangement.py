@@ -8,6 +8,7 @@ hyperplanes <alpha, x> = q + k over all integers k; a rational window box
 truncates that family to a finite list.
 """
 
+import itertools
 import json
 from fractions import Fraction
 import math
@@ -178,6 +179,34 @@ class Window:
 
     def __repr__(self):
         return "Window(%s, %s)" % (list(self.lo), list(self.hi))
+
+
+def window_cap(spec):
+    """The largest `--window` K a command needs: ceil(e) + 1.
+
+    Take n of the essentialized characters whose matrix A is invertible.
+    The lifts of those n hypersurfaces cut R^n into the parallelepipeds
+    A^-1 (y + [0,1]^n), over which x_i spans sum_j |(A^-1)_ij|; let e(A)
+    be the largest of these spans.  Every chamber of the whole
+    arrangement lies in one cell of such a sub-arrangement, so it spans
+    at most e = min_A e(A) along every axis, and a chamber meeting the
+    unit cube lies in [-ceil(e), ceil(e) + 1]^n.  The extra unit leaves
+    room for the chambers the Salvetti and pi1 steps reach from those.
+    """
+    work, _ = essentialize(spec)
+    n = work.rank
+    normals = sorted({min(chi.alpha, tuple(-a for a in chi.alpha))
+                      for chi, _ in work.hypersurfaces})
+    units = [[int(i == j) for i in range(n)] for j in range(n)]
+    e = None
+    for rows in itertools.combinations(normals, n):
+        inverse_cols = [solve_affine(rows, unit) for unit in units]
+        if any(sol is None or sol[1] for sol in inverse_cols):
+            continue  # A is singular
+        e_a = max((sum(abs(col[i]) for col, _ in inverse_cols)
+                   for i in range(n)), default=0)
+        e = e_a if e is None else min(e, e_a)
+    return math.ceil(e) + 1
 
 
 def parse_spec(text):

@@ -2,20 +2,25 @@
 
 Subcommands: validate, faces, layers, salvetti, homology, pi1, check.
 Input is a JSON arrangement document (file path or '-' for stdin); output
-is a deterministic report in text or JSON form on stdout.  Exit codes:
-0 success, 1 malformed input or command line, 2 window too small (a
-suggested --window value is printed on stderr), 3 internal invariant
-violation.
+is a deterministic report in text or JSON form on stdout.  Without
+--window, a command runs at K = 1, 2, ... in this process until one
+answers; the arrangement's `window_cap` bounds K, and the report's
+"window" is the K used.  Exit codes: 0 success, 1 malformed input or
+command line (an explicit --window above the cap included), 2 window too
+small (only with an explicit --window; a suggested --window value is
+printed on stderr), 3 internal invariant violation (a window error at
+the cap included).
 """
 
 import argparse
+import gc
 import json
 import sys
 import time
 
 from .errors import SpecError, WindowError, InternalError
 from .arrangement import (parse_spec, spec_to_json_dict, is_essential,
-                          essentialize, Window, lift_to_window)
+                          essentialize, Window, lift_to_window, window_cap)
 from .cells import enumerate_faces, quotient_faces, layers
 from .category import (check_acyclic, nerve_chains, boundary_matrices,
                        homology, euler_characteristic, verify_dd_zero)
@@ -284,8 +289,11 @@ def build_parser():
     for name in COMMANDS:
         p = sub.add_parser(name)
         p.add_argument("input", help="JSON arrangement file, or - for stdin")
-        p.add_argument("--window", type=int, default=1, metavar="K",
-                       help="use the box [-K, K+1]^n (default 1)")
+        p.add_argument("--window", type=int, metavar="K",
+                       help="use the box [-K, K+1]^n; K may not exceed the "
+                            "arrangement's cap ceil(e)+1 (default: the "
+                            "smallest K that works, found in-process up to "
+                            "the cap)")
         p.add_argument("--format", choices=("text", "json"), default="text")
         if name in ("salvetti", "homology"):
             p.add_argument("--max-dim", type=nonnegative, metavar="D",
@@ -299,6 +307,29 @@ def build_parser():
     return ap
 
 
+def _answer(spec, args):
+    """Run the command at the explicit --window, or else at K = 1, 2, ...
+    until it answers.  A window error at the cap is a bug."""
+    command = COMMANDS[args.command]
+    cap = window_cap(spec)
+    explicit = args.window is not None
+    if explicit and args.window > cap:
+        raise SpecError("--window %d is above this arrangement's cap %d; "
+                        "use a window from 1 to %d" % (args.window, cap, cap))
+    for k in [args.window] if explicit else range(1, cap + 1):
+        args.window = k
+        try:
+            return command(spec, args)
+        except WindowError as e:
+            if k >= cap:
+                raise InternalError("window error at the cap %d: %s"
+                                    % (cap, e)) from None
+            if explicit:
+                e.suggestion = min(max(e.suggestion or 0, k + 1), cap)
+                raise
+        gc.collect()  # free the failed attempt's cyclic garbage before the next
+
+
 def run(argv):
     try:
         args = build_parser().parse_args(argv)
@@ -308,15 +339,13 @@ def run(argv):
     started = time.monotonic()
     try:
         spec = _load_spec(args.input)
-        report = COMMANDS[args.command](spec, args)
+        report = _answer(spec, args)
     except SpecError as e:
         print("error: %s" % e, file=sys.stderr)
         return 1
     except WindowError as e:
         print("error: %s" % e, file=sys.stderr)
-        suggestion = e.suggestion if e.suggestion else args.window + 1
-        print("try again with --window %d" % max(suggestion, args.window + 1),
-              file=sys.stderr)
+        print("try again with --window %d" % e.suggestion, file=sys.stderr)
         return 2
     except InternalError as e:
         print("internal error: %s" % e, file=sys.stderr)

@@ -7,7 +7,7 @@ import pytest
 from toricarr.errors import SpecError
 from toricarr.arrangement import (parse_spec, spec_to_json_dict, is_essential,
                                   essentialize, restrict, lift_to_window,
-                                  ArrangementSpec, Window)
+                                  window_cap, ArrangementSpec, Window)
 
 
 def make(rank, pairs):
@@ -176,6 +176,30 @@ def test_window_validation():
         Window([Fraction(1, 2)], [2])
     w = Window.standard(2, 2)
     assert w.lo == (-2, -2) and w.hi == (3, 3)
+
+
+@pytest.mark.parametrize("pairs,cap", [
+    # coordinate grid: A = I, e = 1
+    ([((1, 0), 0), ((1, 0), Fraction(1, 2)), ((0, 1), 0),
+      ((0, 1), Fraction(1, 2))], 2),
+    # sheared pair: A^-1 = [[1, 0], [-1, 1]], e = 2
+    ([((1, 0), 0), ((1, 1), 0)], 3),
+    # three walls: e = 3 on {(1,-1), (1,-2)}, e = 1 on {(1,-1), (1,2)}
+    ([((1, -1), 0), ((1, -2), Fraction(2, 3)), ((1, 2), 0)], 2),
+    # two walls: A^-1 = [[2, 1], [1, 1]] up to sign, e = 3
+    ([((-1, 1), Fraction(1, 4)), ((1, -2), 0)], 4),
+])
+def test_window_cap(pairs, cap):
+    assert window_cap(make(2, pairs)) == cap
+
+
+def test_window_cap_uses_essentialized_characters():
+    # no three of these characters are independent; essentialized, they
+    # are the sheared pair (1, 0), (1, 1)
+    spec = make(3, [((0, 1, 0), 0), ((0, 1, 1), Fraction(1, 2))])
+    work, _ = essentialize(spec)
+    assert [chi.alpha for chi, _ in work.hypersurfaces] == [(1, 0), (1, 1)]
+    assert window_cap(spec) == 3
 
 
 def test_restrict_uses_integer_span():

@@ -101,15 +101,16 @@ def test_exit_one_on_missing_file():
 
 def test_exit_two_when_window_too_small(tmp_path):
     # the sheared pair has a canonical chamber whose closure reaches the
-    # default window boundary, so the quotient needs --window 2
+    # boundary of window 1, so the quotient needs --window 2
     path = write_spec(tmp_path, SPEC_SHEARED)
-    res = run_cli(["salvetti", path])
+    res = run_cli(["salvetti", path, "--window", "1"])
     assert res.returncode == 2
     assert "--window" in res.stderr
     res2 = run_cli(["salvetti", path, "--window", "2", "--format", "json"])
     assert res2.returncode == 0
     report = json.loads(res2.stdout)
     assert report["face_census"][0] > 0
+    assert run_cli(["salvetti", path, "--format", "json"]).stdout == res2.stdout
 
 
 def test_text_format_mentions_fields(tmp_path):
@@ -128,8 +129,8 @@ def test_layers_command(tmp_path):
     assert report["counts_by_dim"] == {"0": 1, "1": 1}
 
 
-# a chamber orbit of this arrangement has no whole translate in the
-# default window; the face census must not silently drop it
+# a chamber orbit of this arrangement has no whole translate in
+# window 1; the face census must not silently drop it
 SPEC_G2_00 = ('{"rank":2,"hypersurfaces":[{"chi":[-1,2],"q":"1/4"},'
               '{"chi":[-1,2],"q":"0"},{"chi":[0,-1],"q":"1/3"}]}')
 
@@ -137,12 +138,13 @@ SPEC_G2_00 = ('{"rank":2,"hypersurfaces":[{"chi":[-1,2],"q":"1/4"},'
 def test_missing_face_orbit_needs_larger_window(tmp_path):
     path = write_spec(tmp_path, SPEC_G2_00)
     for cmd in (["faces"], ["homology", "--space", "face"]):
-        res = run_cli(cmd + [path, "--format", "json"])
+        res = run_cli(cmd + [path, "--window", "1", "--format", "json"])
         assert res.returncode == 2
         assert "try again with --window 2" in res.stderr
     res = run_cli(["faces", path, "--window", "2", "--format", "json"])
     assert res.returncode == 0
     assert json.loads(res.stdout)["census"] == [2, 4, 2]
+    assert run_cli(["faces", path, "--format", "json"]).stdout == res.stdout
 
 
 def test_max_dim_truncates_reports_not_homology(tmp_path):
@@ -183,3 +185,32 @@ def test_check_failure_reports_diagnostics(tmp_path, monkeypatch, capsys):
     assert "face_category_acyclic" in err
     assert "salvetti_category_acyclic" in err
     assert "diag" in err
+
+
+def test_window_above_cap_exits_one_at_once(tmp_path):
+    # without the cap this call lifts 200002 points and does not finish
+    path = write_spec(tmp_path, SPEC_ONE_POINT)
+    res = subprocess.run([sys.executable, "-m", "toricarr", "faces", path,
+                          "--window", "100000"],
+                         capture_output=True, text=True, timeout=30)
+    assert res.returncode == 1
+    assert res.stdout == ""
+    assert "cap 2" in res.stderr
+
+
+# passes `check` only at window 4, which is this arrangement's cap
+SPEC_TWO_WALL = ('{"rank":2,"hypersurfaces":[{"chi":[-1,1],"q":"1/4"},'
+                 '{"chi":[1,-2],"q":"0"}]}')
+
+
+def test_default_window_reaches_a_tight_cap(tmp_path):
+    from toricarr.arrangement import parse_spec, window_cap
+    assert window_cap(parse_spec(SPEC_TWO_WALL)) == 4
+    path = write_spec(tmp_path, SPEC_TWO_WALL)
+    res = run_cli(["check", path, "--format", "json"])
+    assert res.returncode == 0
+    report = json.loads(res.stdout)
+    assert report["window"] == 4 and report["verdict"] == "pass"
+    res = run_cli(["check", path, "--window", "3"])
+    assert res.returncode == 2
+    assert "try again with --window 4" in res.stderr

@@ -1,9 +1,9 @@
 """The `check` invariant battery on generated arrangements.
 
 Rank 1 and rank 2, at most three walls, character entries in [-2, 2]
-and angles in {0, 1/2, 1/3, 1/4}.  Each draw runs `toricarr check` at
-windows 1, 2 and 3 until one answers: it must pass, or say "window too
-small" (exit 2) at the last window, and never exit 1 or 3.
+and angles in {0, 1/2, 1/3, 1/4}.  Each draw runs `toricarr check`
+without `--window`: it must pass at a window no larger than the
+arrangement's cap.
 """
 
 import contextlib
@@ -15,8 +15,8 @@ import tempfile
 from hypothesis import given, settings, strategies as st
 
 from toricarr import cli
+from toricarr.arrangement import parse_spec, window_cap
 
-WINDOWS = (1, 2, 3)
 Q_VALUES = ("0", "1/2", "1/3", "1/4")
 
 
@@ -30,24 +30,24 @@ def arrangements(draw):
             "hypersurfaces": [{"chi": list(c), "q": q} for c, q in walls]}
 
 
-def check_exit_codes(doc):
-    """Exit codes of `check` at growing windows, up to the first answer."""
-    codes = []
+def check_report(doc):
+    """Exit code and JSON stdout of `check` with the default window."""
+    out = io.StringIO()
     with tempfile.TemporaryDirectory() as tmp_dir:
         path = os.path.join(tmp_dir, "spec.json")
         with open(path, "w", encoding="utf-8") as fh:
             json.dump(doc, fh)
-        for k in WINDOWS:
-            with contextlib.redirect_stdout(io.StringIO()), \
-                    contextlib.redirect_stderr(io.StringIO()):
-                codes.append(cli.run(["check", path, "--window", str(k)]))
-            if codes[-1] != 2:
-                break
-    return codes
+        with contextlib.redirect_stdout(out), \
+                contextlib.redirect_stderr(io.StringIO()):
+            code = cli.run(["check", path, "--format", "json"])
+    return code, out.getvalue()
 
 
 @settings(max_examples=10, deadline=None, derandomize=True, database=None)
 @given(arrangements())
 def test_check_battery_on_generated_arrangements(doc):
-    codes = check_exit_codes(doc)
-    assert codes[-1] == 0 or codes == [2] * len(WINDOWS), (doc, codes)
+    code, stdout = check_report(doc)
+    assert code == 0, (doc, code)
+    report = json.loads(stdout)
+    assert report["verdict"] == "pass"
+    assert report["window"] <= window_cap(parse_spec(json.dumps(doc))), doc
