@@ -9,10 +9,10 @@ integral homology and a finite presentation of the fundamental group.
 """
 
 from .errors import SpecError, WindowError, InternalError
-from .exact import IntMatrix, SparseMatrix, hnf, snf, solve_affine
+from .exact import SparseMatrix, hnf, snf, solve_affine
 from .arrangement import (Character, AngleQ, ArrangementSpec, AffineHyperplane,
                           Window, parse_spec, is_essential, essentialize,
-                          restrict, lift_to_window)
+                          lift_to_window)
 from .cells import (AffineFace, LiftedFacePoset, PeriodicCategory, FaceCategory,
                     LayerPoset, enumerate_faces, quotient_faces, layers,
                     opposite_chamber, chamber_fiber)
@@ -21,7 +21,7 @@ from .category import (AcyclicCategory, ChainComplex, check_acyclic,
                        euler_characteristic)
 from .salvetti import (SalvettiPoset, salvetti_poset, salvetti_below,
                        toric_salvetti, is_thick, cw_census)
-from .pi1 import (GroupPresentation, Pi1Context, presentation, abelianize,
+from .pi1 import (GroupPresentation, Pi1Context, abelianize,
                   simplify_presentation, positive_minimal_path,
                   omega_paths, sigma, delta_word, h_of_G, relations_for_G)
 

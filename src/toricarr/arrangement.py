@@ -14,7 +14,7 @@ from fractions import Fraction
 import math
 
 from .errors import SpecError
-from .exact import IntMatrix, hnf, rank, saturation_basis, solve_affine
+from .exact import rank, saturation_basis, solve_affine
 
 Q = Fraction
 
@@ -70,8 +70,8 @@ class AngleQ:
 class ArrangementSpec:
     """A rank together with pairwise-distinct (character, angle) pairs.
 
-    Rank 0 is allowed only for the degenerate empty arrangement that a
-    trivial restriction produces.
+    Rank 0 is allowed only for the degenerate empty arrangement that
+    essentializing an arrangement without hypersurfaces produces.
     """
 
     def __init__(self, rank_, hypersurfaces):
@@ -95,10 +95,6 @@ class ArrangementSpec:
             pairs.append((chi, a))
         self.rank = rank_
         self.hypersurfaces = tuple(pairs)
-
-    def character_matrix(self):
-        return IntMatrix.from_rows([chi.alpha for chi, _ in self.hypersurfaces]) \
-            if self.hypersurfaces else IntMatrix.zero(0, self.rank)
 
     def __eq__(self, other):
         return (isinstance(other, ArrangementSpec) and self.rank == other.rank
@@ -258,7 +254,7 @@ def is_essential(spec):
         return True
     if not spec.hypersurfaces:
         return False
-    return rank(spec.character_matrix()) == spec.rank
+    return rank([chi.alpha for chi, _ in spec.hypersurfaces]) == spec.rank
 
 
 def essentialize(spec):
@@ -269,7 +265,7 @@ def essentialize(spec):
     comes back unchanged with the identity basis.
     """
     if is_essential(spec):
-        ident = IntMatrix.identity(spec.rank).tolists()
+        ident = [[int(i == j) for j in range(spec.rank)] for i in range(spec.rank)]
         return spec, ident
     basis = saturation_basis([chi.alpha for chi, _ in spec.hypersurfaces], spec.rank)
     r = len(basis)
@@ -283,36 +279,6 @@ def essentialize(spec):
         assert all(c.denominator == 1 for c in y)
         new_pairs.append((Character([c.numerator for c in y]), a))
     return ArrangementSpec(r, new_pairs), basis
-
-
-def restrict(spec, gamma_rows):
-    """Sub-arrangement of characters inside the integer row span of gamma.
-
-    The result is rewritten in coordinates of the span's HNF basis; a
-    trivial gamma yields the empty rank-0 arrangement.
-    """
-    gamma_rows = [list(r) for r in gamma_rows]
-    for row in gamma_rows:
-        if len(row) != spec.rank:
-            raise SpecError("gamma rows must have length %d" % spec.rank)
-    nonzero = [r for r in gamma_rows if any(r)]
-    if not nonzero:
-        return ArrangementSpec(0, [])
-    h, _ = hnf(IntMatrix.from_rows(nonzero))
-    basis = [list(h.row(i)) for i in range(h.rows) if any(h.row(i))]
-    r = len(basis)
-    cols = [[basis[i][j] for i in range(r)] for j in range(spec.rank)]
-    new_pairs = []
-    for chi, a in spec.hypersurfaces:
-        sol = solve_affine(cols, list(chi.alpha), r)
-        if sol is None:
-            continue
-        y, kern = sol
-        if kern:
-            continue  # cannot happen: basis rows are independent
-        if all(c.denominator == 1 for c in y):
-            new_pairs.append((Character([c.numerator for c in y]), a))
-    return ArrangementSpec(r, new_pairs)
 
 
 def lift_to_window(spec, window):

@@ -19,7 +19,7 @@ from itertools import combinations
 import math
 
 from .errors import SpecError, WindowError, InternalError
-from .exact import IntMatrix, rank, solve_affine, kernel_basis, saturation_basis, hnf
+from .exact import rank, solve_affine, kernel_basis, integer_kernel, hnf
 from .category import AcyclicCategory
 from .arrangement import geometric_key
 
@@ -88,28 +88,17 @@ class LiftedFacePoset:
     def zero_set(self, fid):
         return self.flats[self.faces[fid].flat_id][0]
 
-    def flat_of(self, fid):
-        _, point, basis = self.flats[self.faces[fid].flat_id]
-        return point, basis
-
     def leq(self, f1, f2):
         """True when face f1 lies in the closure of face f2."""
         return conforms(self.faces[f1].sign_vector, self.faces[f2].sign_vector)
 
-    def window_suggestion(self):
-        k = max([1] + [math.ceil(-lo) for lo in self.window.lo]
-                + [math.ceil(hi - 1) for hi in self.window.hi])
-        return k + 1
-
     def locate(self, point):
         """Face containing an exact point, via its sign vector."""
         if not self.window.contains(point):
-            raise WindowError("point %s escapes the window" % (tuple(map(str, point)),),
-                              suggestion=self.window_suggestion())
+            raise WindowError("point %s escapes the window" % (tuple(map(str, point)),))
         fid = self.by_signs.get(self.table.signs(point))
         if fid is None:
-            raise WindowError("no face enumerated at %s" % (tuple(map(str, point)),),
-                              suggestion=self.window_suggestion())
+            raise WindowError("no face enumerated at %s" % (tuple(map(str, point)),))
         return fid
 
     def translate(self, fid, u):
@@ -226,7 +215,7 @@ def enumerate_faces(hyperplanes, window):
     """
     n = window.dim
     m = len(hyperplanes)
-    if m == 0 or rank(IntMatrix.from_rows([h.alpha for h in hyperplanes])) < n:
+    if m == 0 or rank([h.alpha for h in hyperplanes]) < n:
         raise SpecError("hyperplane normals must span the ambient space")
 
     geo_class = {}
@@ -405,8 +394,7 @@ class PeriodicCategory:
 
     def __init__(self, lifted, elements, below):
         if not lifted.window.covers_quotient_core():
-            raise WindowError("window must contain [-1,2]^n to canonicalize orbits",
-                              suggestion=1)
+            raise WindowError("window must contain [-1,2]^n to canonicalize orbits")
         n = lifted.dim
         self.lifted = lifted
         self.objects = list(elements)
@@ -444,8 +432,7 @@ class PeriodicCategory:
         k = self.index.get(canonical)
         if k is None:
             raise WindowError("the orbit of %s has no whole representative in the "
-                              "window" % (element,),
-                              suggestion=lifted.window_suggestion())
+                              "window" % (element,))
         bary = lifted.faces[element[0]].barycenter
         if lifted.faces[canonical[0]].barycenter != \
                 tuple(x - s for x, s in zip(bary, u)):
@@ -511,8 +498,7 @@ def quotient_faces(lifted):
         if arriving[k] != len(lifted.uppers[fid]):
             raise WindowError("face %d has %d cofaces but %d incidence orbits reach "
                               "it: some face orbit has no whole representative in "
-                              "the window" % (fid, len(lifted.uppers[fid]), arriving[k]),
-                              suggestion=lifted.window_suggestion())
+                              "the window" % (fid, len(lifted.uppers[fid]), arriving[k]))
     return fc
 
 
@@ -546,23 +532,17 @@ class LayerPoset:
 
 
 def _normal_lattice(basis, n):
-    """Integer basis of the characters vanishing on the direction space."""
-    if not basis:
-        return [[int(i == j) for j in range(n)] for i in range(n)]
-    rat = kernel_basis([list(b) for b in basis], n)
+    """HNF basis of the characters vanishing on the direction space."""
     scaled = []
-    for row in rat:
-        den = 1
-        for x in row:
-            den = den * x.denominator // math.gcd(den, x.denominator)
+    for row in basis:
+        den = math.lcm(*(x.denominator for x in row))
         scaled.append([int(x * den) for x in row])
-    return saturation_basis(scaled, n)
+    return integer_kernel(scaled, n)
 
 
 def _column_hnf(rows):
     """HNF basis of the lattice spanned by the rows (as vectors)."""
-    h, _ = hnf(IntMatrix.from_rows(rows))
-    return [list(h.row(i)) for i in range(h.rows) if any(h.row(i))]
+    return [row for row in hnf(rows)[0] if any(row)]
 
 
 def _reduce_mod_lattice(vec, hbasis):
@@ -575,14 +555,9 @@ def _reduce_mod_lattice(vec, hbasis):
     return tuple(v)
 
 
-def layers(spec, lifted=None):
+def layers(spec, lifted):
     """Connected components of hypersurface intersections on the torus."""
     n = spec.rank
-    if not spec.hypersurfaces:
-        top = Layer(0, n, ("top",), None)
-        return LayerPoset([top], [])
-    if lifted is None:
-        raise SpecError("layers of a nonempty arrangement need the lifted poset")
     recs = {}
     for flat_id, (zero, point, basis) in enumerate(lifted.flats):
         a_rows = _normal_lattice(basis, n)
@@ -643,8 +618,7 @@ def opposite_chamber(lifted, cid, fid):
                 for i, s in enumerate(lifted.faces[cid].sign_vector))
     got = lifted.by_signs.get(sig)
     if got is None:
-        raise WindowError("opposite chamber of (%d, %d) escapes the window" % (cid, fid),
-                          suggestion=lifted.window_suggestion())
+        raise WindowError("opposite chamber of (%d, %d) escapes the window" % (cid, fid))
     return got
 
 
@@ -660,6 +634,5 @@ def chamber_fiber(lifted, cid, fid):
     sig = tuple(csig[i] if i in zero else fsig[i] for i in range(len(csig)))
     got = lifted.by_signs.get(sig)
     if got is None:
-        raise WindowError("fiber chamber of (%d, %d) escapes the window" % (cid, fid),
-                          suggestion=lifted.window_suggestion())
+        raise WindowError("fiber chamber of (%d, %d) escapes the window" % (cid, fid))
     return got

@@ -97,13 +97,6 @@ def cmd_faces(spec, args):
 
 
 def cmd_layers(spec, args):
-    work, _ = essentialize(spec)
-    if not work.hypersurfaces:
-        lp = layers(work)
-        return {"arrangement": spec_to_json_dict(spec),
-                "layers": [{"index": l.index, "dim": l.dim} for l in lp.layers],
-                "counts_by_dim": {str(l.dim): 1 for l in lp.layers},
-                "relations": []}
     work, _, window, lifted = _prepare(spec, args.window)
     lp = layers(work, lifted)
     return {
@@ -309,7 +302,8 @@ def build_parser():
 
 def _answer(spec, args):
     """Run the command at the explicit --window, or else at K = 1, 2, ...
-    until it answers.  A window error at the cap is a bug."""
+    until it answers.  A window error at the cap is a bug; below it,
+    K + 1 is the window to try next."""
     command = COMMANDS[args.command]
     cap = window_cap(spec)
     explicit = args.window is not None
@@ -325,7 +319,6 @@ def _answer(spec, args):
                 raise InternalError("window error at the cap %d: %s"
                                     % (cap, e)) from None
             if explicit:
-                e.suggestion = min(max(e.suggestion or 0, k + 1), cap)
                 raise
         gc.collect()  # free the failed attempt's cyclic garbage before the next
 
@@ -345,7 +338,7 @@ def run(argv):
         return 1
     except WindowError as e:
         print("error: %s" % e, file=sys.stderr)
-        print("try again with --window %d" % e.suggestion, file=sys.stderr)
+        print("try again with --window %d" % (args.window + 1), file=sys.stderr)
         return 2
     except InternalError as e:
         print("internal error: %s" % e, file=sys.stderr)

@@ -12,10 +12,6 @@ class SpecError(ValueError):
 class WindowError(RuntimeError):
     """The truncation window is too small for the requested computation."""
 
-    def __init__(self, message, suggestion=None):
-        super().__init__(message)
-        self.suggestion = suggestion  # suggested --window value, if known
-
 
 class InternalError(RuntimeError):
     """A should-be-impossible state; indicates a bug, not bad input."""

@@ -9,60 +9,6 @@ divisibility.
 from fractions import Fraction
 
 
-class IntMatrix:
-    """An immutable integer matrix stored row-major."""
-
-    __slots__ = ("rows", "cols", "entries")
-
-    def __init__(self, rows, cols, entries):
-        entries = tuple(int(e) for e in entries)
-        if len(entries) != rows * cols:
-            raise ValueError("entry count does not match shape")
-        object.__setattr__(self, "rows", rows)
-        object.__setattr__(self, "cols", cols)
-        object.__setattr__(self, "entries", entries)
-
-    def __setattr__(self, *a):
-        raise AttributeError("IntMatrix is immutable")
-
-    @classmethod
-    def from_rows(cls, rows_list):
-        rows_list = [list(r) for r in rows_list]
-        r = len(rows_list)
-        c = len(rows_list[0]) if r else 0
-        if any(len(row) != c for row in rows_list):
-            raise ValueError("ragged rows")
-        return cls(r, c, [e for row in rows_list for e in row])
-
-    @classmethod
-    def identity(cls, n):
-        return cls(n, n, [1 if i == j else 0 for i in range(n) for j in range(n)])
-
-    @classmethod
-    def zero(cls, rows, cols):
-        return cls(rows, cols, [0] * (rows * cols))
-
-    def row(self, i):
-        return self.entries[i * self.cols:(i + 1) * self.cols]
-
-    def tolists(self):
-        return [list(self.row(i)) for i in range(self.rows)]
-
-    def __getitem__(self, ij):
-        i, j = ij
-        return self.entries[i * self.cols + j]
-
-    def __eq__(self, other):
-        return (isinstance(other, IntMatrix) and self.rows == other.rows
-                and self.cols == other.cols and self.entries == other.entries)
-
-    def __hash__(self):
-        return hash((self.rows, self.cols, self.entries))
-
-    def __repr__(self):
-        return "IntMatrix(%r)" % (self.tolists(),)
-
-
 class SparseMatrix:
     """An integer matrix stored by columns: `columns[j]` maps a row index
     to the nonzero entry of column j in that row."""
@@ -77,26 +23,21 @@ class SparseMatrix:
         self.columns = columns
 
     @classmethod
-    def from_dense(cls, m):
-        return cls(m.rows, m.cols,
-                   [{i: m.entries[i * m.cols + j] for i in range(m.rows)
-                     if m.entries[i * m.cols + j]} for j in range(m.cols)])
-
-    @classmethod
     def zero(cls, rows, cols):
         return cls(rows, cols, [{} for _ in range(cols)])
 
 
 def hnf(m):
-    """Row Hermite normal form.
+    """Row Hermite normal form of a list of integer rows m.
 
-    Returns (H, U) with U unimodular and U*m = H.  H is in row-echelon
-    Hermite form: pivots positive, entries above a pivot reduced into
-    [0, pivot), zero rows at the bottom.
+    Returns (H, U) as lists of rows with U unimodular and U*m = H.  H is
+    in row-echelon Hermite form: pivots positive, entries above a pivot
+    reduced into [0, pivot), zero rows at the bottom.
     """
-    a = m.tolists()
-    rows, cols = m.rows, m.cols
-    u = IntMatrix.identity(rows).tolists()
+    a = [list(r) for r in m]
+    rows = len(a)
+    cols = len(a[0]) if a else 0
+    u = [[int(i == j) for j in range(rows)] for i in range(rows)]
 
     def row_op(i, j, q):
         # row_i -= q * row_j
@@ -140,96 +81,76 @@ def hnf(m):
             r += 1
             if r == rows:
                 break
-    return IntMatrix.from_rows(a), IntMatrix.from_rows(u)
+    return a, u
 
 
-def rank(m):
-    h, _ = hnf(m)
-    return sum(1 for i in range(h.rows) if any(h.row(i)))
+def rank(rows):
+    return sum(1 for row in hnf(rows)[0] if any(row))
 
 
-def snf_with_transforms(m):
-    """Smith normal form with transforms: returns (D, U, V), U*m*V = D.
+def integer_kernel(rows, n):
+    """HNF basis of the integer kernel {x in Z^n : <row, x> = 0 for all rows}.
+
+    With U*rows^T = H from `hnf`, the rows of U beside the zero rows of H
+    are a basis of the kernel: U is unimodular and the nonzero rows of H
+    are independent (Cohen, A Course in Computational Algebraic Number
+    Theory, section 2.4).
+    """
+    h, u = hnf([[row[j] for row in rows] for j in range(n)])
+    return hnf([ui for ui, hi in zip(u, h) if not any(hi)])[0]
+
+
+def _smith_factors(a):
+    """Nonzero invariant factors d1 | d2 | ... of a dense integer matrix,
+    given as a list of rows and reduced in place.
 
     Pivoting always picks the smallest nonzero absolute value in the
     remaining block, which keeps intermediate entries tame.  A pivot is
     only accepted once it divides every entry of the remaining block, so
-    the divisibility chain d1 | d2 | ... holds by construction.
+    the divisibility chain holds by construction.
     """
-    a = m.tolists()
-    rows, cols = m.rows, m.cols
-    u = IntMatrix.identity(rows).tolists()
-    v = IntMatrix.identity(cols).tolists()
-
-    def row_op(i, j, q):
-        a[i] = [x - q * y for x, y in zip(a[i], a[j])]
-        u[i] = [x - q * y for x, y in zip(u[i], u[j])]
-
-    def col_op(i, j, q):
-        # col_i -= q * col_j
-        for row in a:
-            row[i] -= q * row[j]
-        for row in v:
-            row[i] -= q * row[j]
-
-    def row_swap(i, j):
-        a[i], a[j] = a[j], a[i]
-        u[i], u[j] = u[j], u[i]
-
-    def col_swap(i, j):
-        for row in a:
-            row[i], row[j] = row[j], row[i]
-        for row in v:
-            row[i], row[j] = row[j], row[i]
-
-    k = min(rows, cols)
+    rows, cols = len(a), len(a[0])
+    factors = []
     t = 0
-    while t < k:
+    while t < min(rows, cols):
         # smallest nonzero entry of the block a[t:, t:] becomes the pivot
-        best = None
-        for i in range(t, rows):
-            for j in range(t, cols):
-                if a[i][j] != 0 and (best is None or abs(a[i][j]) < abs(a[best[0]][best[1]])):
-                    best = (i, j)
+        best = min(((abs(a[i][j]), i, j) for i in range(t, rows)
+                    for j in range(t, cols) if a[i][j] != 0), default=None)
         if best is None:
             break
-        i, j = best
-        if i != t:
-            row_swap(t, i)
-        if j != t:
-            col_swap(t, j)
+        _, i, j = best
+        a[t], a[i] = a[i], a[t]
+        for row in a:
+            row[t], row[j] = row[j], row[t]
         if a[t][t] < 0:
             a[t] = [-x for x in a[t]]
-            u[t] = [-x for x in u[t]]
+        p = a[t][t]
         clean = True
         for i in range(t + 1, rows):
             if a[i][t] != 0:
-                row_op(i, t, a[i][t] // a[t][t])
+                q = a[i][t] // p
+                a[i] = [x - q * y for x, y in zip(a[i], a[t])]
                 if a[i][t] != 0:
                     clean = False
         for j in range(t + 1, cols):
             if a[t][j] != 0:
-                col_op(j, t, a[t][j] // a[t][t])
+                q = a[t][j] // p
+                for row in a:
+                    row[j] -= q * row[t]
                 if a[t][j] != 0:
                     clean = False
         if not clean:
             continue
         # pivot must divide the whole remaining block, else fold the
         # offending row in and re-reduce
-        bad = None
-        for i in range(t + 1, rows):
-            for j in range(t + 1, cols):
-                if a[i][j] % a[t][t] != 0:
-                    bad = i
-                    break
-            if bad is not None:
-                break
+        bad = next((i for i in range(t + 1, rows)
+                    if any(x % p for x in a[i][t + 1:])), None)
         if bad is not None:
-            row_op(t, bad, -1)
+            a[t] = [x + y for x, y in zip(a[t], a[bad])]
             continue
+        factors.append(p)
         t += 1
-    d = IntMatrix.from_rows(a)
-    return d, IntMatrix.from_rows(u), IntMatrix.from_rows(v)
+    return factors
 
 
 def _eliminate_units(columns, nrows):
@@ -283,54 +204,23 @@ def _eliminate_units(columns, nrows):
 
 
 def snf(m):
-    """Smith normal form: returns (D, invariant_factors).
+    """Smith normal form of a SparseMatrix: returns (D, invariant_factors).
 
-    `m` is an IntMatrix or a SparseMatrix.  The +-1 pivots are eliminated
-    by sparse unimodular operations first; the dense
-    snf_with_transforms then runs only on the block they leave.  The
-    invariant factors d1 | d2 | ... are the nonzero diagonal entries of
-    the Smith form D, returned as a SparseMatrix of the shape of m.
+    The +-1 pivots are eliminated by sparse unimodular operations first;
+    the dense Smith form then runs only on the block they leave and
+    computes only its invariant factors.  The invariant factors
+    d1 | d2 | ... are the nonzero diagonal entries of the Smith form D,
+    returned as a SparseMatrix of the shape of m.
     """
-    if isinstance(m, IntMatrix):
-        m = SparseMatrix.from_dense(m)
     columns = [dict(col) for col in m.columns]
     factors = [1] * _eliminate_units(columns, m.rows)
     live = [col for col in columns if col]
     if live:
         rows = sorted({i for col in live for i in col})
-        d, _, _ = snf_with_transforms(
-            IntMatrix.from_rows([[col.get(i, 0) for col in live] for i in rows]))
-        factors += [d[i, i] for i in range(min(d.rows, d.cols)) if d[i, i] != 0]
+        factors += _smith_factors([[col.get(i, 0) for col in live] for i in rows])
     diagonal = [{i: f} for i, f in enumerate(factors)]
     diagonal += [{} for _ in range(m.cols - len(factors))]
     return SparseMatrix(m.rows, m.cols, diagonal), factors
-
-
-def inv_unimodular(m):
-    """Exact inverse of a unimodular integer matrix (again integral)."""
-    n = m.rows
-    if n != m.cols:
-        raise ValueError("not square")
-    a = [[Fraction(x) for x in m.row(i)] + [Fraction(int(i == j)) for j in range(n)]
-         for i in range(n)]
-    for col in range(n):
-        piv = next((r for r in range(col, n) if a[r][col] != 0), None)
-        if piv is None:
-            raise ValueError("singular matrix")
-        a[col], a[piv] = a[piv], a[col]
-        inv = a[col][col]
-        a[col] = [x / inv for x in a[col]]
-        for r in range(n):
-            if r != col and a[r][col] != 0:
-                f = a[r][col]
-                a[r] = [x - f * y for x, y in zip(a[r], a[col])]
-    out = []
-    for i in range(n):
-        row = a[i][n:]
-        if any(x.denominator != 1 for x in row):
-            raise ValueError("matrix is not unimodular")
-        out.append([x.numerator for x in row])
-    return IntMatrix.from_rows(out)
 
 
 def solve_affine(a_rows, b, ncols=None):
@@ -389,24 +279,10 @@ def kernel_basis(a_rows, ncols):
 
 
 def saturation_basis(char_rows, n):
-    """Integer basis of the saturation of the row span inside Z^n.
+    """HNF basis of the saturation of the row span inside Z^n.
 
-    The saturation is {x in Z^n : k*x in span for some k >= 1}.  Returned
-    as a list of integer rows; empty when the span is trivial.
+    The saturation {x in Z^n : k*x in span for some k >= 1} is the integer
+    kernel of the integer kernel of the rows; empty when the span is
+    trivial.
     """
-    nonzero = [list(r) for r in char_rows if any(r)]
-    if not nonzero:
-        return []
-    m = IntMatrix.from_rows(nonzero)
-    h, _ = hnf(m)
-    basis = [list(h.row(i)) for i in range(h.rows) if any(h.row(i))]
-    r = len(basis)
-    hm = IntMatrix.from_rows(basis)
-    _, _, v = snf_with_transforms(hm)
-    vinv = inv_unimodular(v)
-    # rows of V^-1 scaled by the invariant factors span the same rational
-    # space as the lattice; dropping the factors saturates it
-    sat = [list(vinv.row(i)) for i in range(r)]
-    # renormalise to a canonical HNF basis for determinism
-    hs, _ = hnf(IntMatrix.from_rows(sat))
-    return [list(hs.row(i)) for i in range(hs.rows) if any(hs.row(i))]
+    return integer_kernel(integer_kernel(char_rows, n), n)

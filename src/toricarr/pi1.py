@@ -15,10 +15,9 @@ from functools import cmp_to_key
 import math
 
 from .errors import SpecError, WindowError, InternalError
-from .exact import snf, IntMatrix, kernel_basis
-from .arrangement import Window, lift_to_window, is_essential, geometric_key
-from .cells import (enumerate_faces, quotient_faces, chamber_fiber,
-                    opposite_chamber, _dot)
+from .exact import SparseMatrix, snf, kernel_basis
+from .arrangement import geometric_key
+from .cells import chamber_fiber, opposite_chamber, _dot
 
 Q = Fraction
 
@@ -82,15 +81,13 @@ class GroupPresentation:
 def abelianize(pres):
     """First homology of the presented group: (betti, torsion factors)."""
     g = len(pres.names)
-    if not pres.relators:
-        return g, []
-    rows = []
+    columns = []
     for r in pres.relators:
-        row = [0] * g
+        col = Counter()
         for x in r:
-            row[abs(x) - 1] += 1 if x > 0 else -1
-        rows.append(row)
-    _, factors = snf(IntMatrix.from_rows(rows))
+            col[abs(x) - 1] += 1 if x > 0 else -1
+        columns.append({i: c for i, c in col.items() if c})
+    _, factors = snf(SparseMatrix(g, len(columns), columns))
     return g - len(factors), [d for d in factors if d > 1]
 
 
@@ -205,7 +202,7 @@ def positive_minimal_path(lifted, c_from, c_to):
             break
         if found is None:
             raise WindowError("no positive minimal path between chambers %d and %d"
-                              % (c_from, c_to), suggestion=lifted.window_suggestion())
+                              % (c_from, c_to))
         steps.append((found[0], x))
         x = found[1]
     return steps
@@ -255,8 +252,7 @@ class Pi1Context:
 
     def _orbit_ref(self, fid):
         if self.lifted.faces[fid].boundary_cut:
-            raise WindowError("crossed face %d has no orbit data in the window" % fid,
-                              suggestion=self.lifted.window_suggestion())
+            raise WindowError("crossed face %d has no orbit data in the window" % fid)
         return self.fc.key((fid,))
 
     def crossing_of_face(self, fid, sign=1):
@@ -480,8 +476,7 @@ def relations_for_G(ctx, canonical_gfid):
             refs = cand
             break
     if refs is None:
-        raise WindowError("no expansion star with nonnegative shifts fits the window",
-                          suggestion=lifted.window_suggestion())
+        raise WindowError("no expansion star with nonnegative shifts fits the window")
     words = [gamma_delta_word(ctx, ref) for ref in refs]
     two_k = len(words)
     k = two_k // 2
@@ -500,19 +495,6 @@ def relations_for_G(ctx, canonical_gfid):
 
 def build_context(spec, lifted, fc):
     return Pi1Context(spec, lifted, fc)
-
-
-def presentation(spec, window=None):
-    """Presentation of the fundamental group of the arrangement complement."""
-    if not is_essential(spec):
-        raise SpecError("presentation needs an essential arrangement")
-    n = spec.rank
-    if window is None:
-        window = Window.standard(n)
-    lifted = enumerate_faces(lift_to_window(spec, window), window)
-    fc = quotient_faces(lifted)
-    ctx = build_context(spec, lifted, fc)
-    return presentation_from_context(ctx)
 
 
 def presentation_from_context(ctx):

@@ -110,7 +110,7 @@ def toric_salvetti(lifted, fc):
             if not lifted.window.contains(faces[f2].barycenter, strict=True):
                 raise WindowError(
                     "face %d below canonical face %d lies in the window boundary"
-                    % (f2, f1), suggestion=lifted.window_suggestion())
+                    % (f2, f1))
     pairs = [(cf, cid) for (cf,) in fc.objects for cid in lifted.chambers_above(cf)]
     return PeriodicCategory(lifted, pairs, lambda e: salvetti_below(lifted, e))
 

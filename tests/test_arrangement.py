@@ -6,7 +6,7 @@ import pytest
 
 from toricarr.errors import SpecError
 from toricarr.arrangement import (parse_spec, spec_to_json_dict, is_essential,
-                                  essentialize, restrict, lift_to_window,
+                                  essentialize, lift_to_window,
                                   window_cap, ArrangementSpec, Window)
 
 
@@ -104,35 +104,6 @@ def test_essentialize_idempotent():
     assert twice == once
 
 
-# -- restriction
-
-def test_restrict_full_lattice_is_identity():
-    spec = make(2, [((1, 1), 0), ((1, -1), 0)])
-    assert restrict(spec, [[1, 0], [0, 1]]) == spec
-
-
-def test_restrict_trivial_lattice():
-    spec = make(2, [((1, 1), 0)])
-    out = restrict(spec, [[0, 0]])
-    assert out.rank == 0
-    assert out.hypersurfaces == ()
-
-
-def test_restrict_diagonal():
-    spec = make(2, [((1, 1), 0), ((1, -1), 0)])
-    out = restrict(spec, [[1, 1]])
-    assert out.rank == 1
-    assert len(out.hypersurfaces) == 1
-    assert out.hypersurfaces[0][0].alpha == (1,)
-
-
-def test_restrict_idempotent_on_own_lattice():
-    spec = make(2, [((1, 1), 0), ((1, -1), 0)])
-    out = restrict(spec, [[1, 1]])
-    again = restrict(out, [[1]])
-    assert again == out
-
-
 # -- lifting
 
 def test_lift_unit_circle():
@@ -200,12 +171,3 @@ def test_window_cap_uses_essentialized_characters():
     work, _ = essentialize(spec)
     assert [chi.alpha for chi, _ in work.hypersurfaces] == [(1, 0), (1, 1)]
     assert window_cap(spec) == 3
-
-
-def test_restrict_uses_integer_span():
-    # (1,1) lies in the rational span of (2,2) but not the integer span
-    spec = make(2, [((1, 1), 0), ((2, 2), Fraction(1, 3))])
-    out = restrict(spec, [[2, 2]])
-    assert out.rank == 1
-    assert [chi.alpha for chi, _ in out.hypersurfaces] == [(1,)]
-    assert out.hypersurfaces[0][1].q == Fraction(1, 3)

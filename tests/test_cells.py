@@ -192,12 +192,6 @@ def test_layers_diagonals(catalog):
             assert len(ups) == 3
 
 
-def test_layers_empty_arrangement():
-    from toricarr.arrangement import ArrangementSpec
-    lp = layers(ArrangementSpec(2, []))
-    assert [l.dim for l in lp.layers] == [2]
-
-
 # -- local operations
 
 def project(lifted, fid, g):

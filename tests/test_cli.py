@@ -129,6 +129,18 @@ def test_layers_command(tmp_path):
     assert report["counts_by_dim"] == {"0": 1, "1": 1}
 
 
+def test_layers_rejects_arrangement_without_hypersurfaces(tmp_path):
+    # the only layer is the torus itself, of dimension 2, which the rank-0
+    # essentialization cannot report; exit 1 as `faces` does
+    path = write_spec(tmp_path, '{"rank":2,"hypersurfaces":[]}')
+    layers = run_cli(["layers", path, "--format", "json"])
+    faces = run_cli(["faces", path, "--format", "json"])
+    assert layers.returncode == faces.returncode == 1
+    assert layers.stdout == ""
+    assert layers.stderr == faces.stderr
+    assert "no hypersurfaces" in layers.stderr
+
+
 # a chamber orbit of this arrangement has no whole translate in
 # window 1; the face census must not silently drop it
 SPEC_G2_00 = ('{"rank":2,"hypersurfaces":[{"chi":[-1,2],"q":"1/4"},'

@@ -1,28 +1,56 @@
 from fractions import Fraction
+from itertools import combinations
+from math import gcd, prod
 
 from hypothesis import given, settings, strategies as st
 
-from toricarr.exact import (IntMatrix, hnf, snf, snf_with_transforms,
-                            solve_affine, rank,
-                            inv_unimodular, saturation_basis)
+from toricarr.exact import (SparseMatrix, hnf, snf, solve_affine, rank,
+                            integer_kernel, saturation_basis)
 
 
-def mat(rows):
-    return IntMatrix.from_rows(rows)
+def sparse(rows):
+    """The row list as a column-sparse matrix."""
+    cols = len(rows[0]) if rows else 0
+    return SparseMatrix(len(rows), cols,
+                        [{i: row[j] for i, row in enumerate(rows) if row[j]}
+                         for j in range(cols)])
 
 
 def mat_mul(a, b):
-    assert a.cols == b.rows
-    return IntMatrix(a.rows, b.cols,
-                     [sum(a[i, k] * b[k, j] for k in range(a.cols))
-                      for i in range(a.rows) for j in range(b.cols)])
+    return [[sum(x * y for x, y in zip(row, col)) for col in zip(*b)] for row in a]
+
+
+def det(rows):
+    """Determinant of a square integer matrix by Fraction elimination."""
+    a = [[Fraction(x) for x in row] for row in rows]
+    d = Fraction(1)
+    for c in range(len(a)):
+        piv = next((r for r in range(c, len(a)) if a[r][c] != 0), None)
+        if piv is None:
+            return 0
+        if piv != c:
+            a[c], a[piv] = a[piv], a[c]
+            d = -d
+        d *= a[c][c]
+        for r in range(c + 1, len(a)):
+            f = a[r][c] / a[c][c]
+            a[r] = [x - f * y for x, y in zip(a[r], a[c])]
+    return d
 
 
 def assert_unimodular(u):
-    # inv_unimodular raises unless the inverse is integral
-    ident = IntMatrix.identity(u.rows)
-    inv = inv_unimodular(u)
-    assert mat_mul(u, inv) == ident and mat_mul(inv, u) == ident
+    assert all(type(x) is int for row in u for x in row)
+    assert det(u) in (1, -1)
+
+
+def minors_gcd(rows, k):
+    """gcd of the k x k minors: the product d1 ... dk of the first k
+    invariant factors, or 0 beyond the rank."""
+    g = 0
+    for rs in combinations(range(len(rows)), k):
+        for cs in combinations(range(len(rows[0])), k):
+            g = gcd(g, int(det([[rows[i][j] for j in cs] for i in rs])))
+    return g
 
 
 small_matrices = st.integers(1, 4).flatmap(
@@ -35,13 +63,13 @@ small_matrices = st.integers(1, 4).flatmap(
 # -- Hermite normal form
 
 def test_hnf_identity():
-    ident = IntMatrix.identity(2)
+    ident = [[1, 0], [0, 1]]
     h, u = hnf(ident)
     assert h == ident and u == ident
 
 
 def test_hnf_worked_example():
-    m = mat([[2, 4], [1, 3]])
+    m = [[2, 4], [1, 3]]
     h, u = hnf(m)
     assert mat_mul(u, m) == h
     assert_unimodular(u)
@@ -49,53 +77,53 @@ def test_hnf_worked_example():
 
 
 def test_hnf_zero_matrix():
-    m = IntMatrix.zero(2, 2)
+    m = [[0, 0], [0, 0]]
     h, u = hnf(m)
     assert h == m
-    assert u == IntMatrix.identity(2)
+    assert u == [[1, 0], [0, 1]]
 
 
 @settings(max_examples=120, deadline=None)
 @given(small_matrices)
 def test_hnf_transform_properties(rows):
-    m = mat(rows)
-    h, u = hnf(m)
-    assert mat_mul(u, m) == h
+    h, u = hnf(rows)
+    assert mat_mul(u, rows) == h
     assert_unimodular(u)
-    # echelon shape: pivot columns strictly increase, zero rows trail
+    # echelon shape: pivot columns strictly increase, zero rows trail,
+    # pivots are positive and reduce the entries above them
     pivots = []
-    for i in range(h.rows):
-        row = h.row(i)
+    for i, row in enumerate(h):
         nz = next((j for j, x in enumerate(row) if x), None)
         if nz is None:
-            assert all(not any(h.row(k)) for k in range(i, h.rows))
+            assert not any(any(r) for r in h[i:])
             break
         assert not pivots or nz > pivots[-1]
         assert row[nz] > 0
+        assert all(0 <= h[k][nz] < row[nz] for k in range(i))
         pivots.append(nz)
 
 
 # -- Smith normal form
 
 def test_snf_diag_ones():
-    _, factors = snf(mat([[1, 0], [0, 1]]))
+    _, factors = snf(sparse([[1, 0], [0, 1]]))
     assert factors == [1, 1]
 
 
 def test_snf_worked_example():
-    d, factors = snf(mat([[2, 0], [0, 3]]))
+    d, factors = snf(sparse([[2, 0], [0, 3]]))
     assert factors == [1, 6]
 
 
 def test_snf_zero():
-    d, factors = snf(IntMatrix.zero(2, 3))
+    d, factors = snf(SparseMatrix.zero(2, 3))
     assert factors == []
     assert (d.rows, d.cols, d.columns) == (2, 3, [{}, {}, {}])
 
 
 def test_snf_unit_elimination_leaves_torsion():
     # the +-1 pivots leave the block [[-2]] for the dense Smith form
-    d, factors = snf(mat([[1, 1], [1, -1]]))
+    d, factors = snf(sparse([[1, 1], [1, -1]]))
     assert factors == [1, 2]
     assert d.columns == [{0: 1}, {1: 2}]
 
@@ -103,22 +131,16 @@ def test_snf_unit_elimination_leaves_torsion():
 @settings(max_examples=120, deadline=None)
 @given(small_matrices)
 def test_snf_transform_properties(rows):
-    m = mat(rows)
-    d, u, v = snf_with_transforms(m)
-    assert mat_mul(mat_mul(u, m), v) == d
-    assert_unimodular(u)
-    assert_unimodular(v)
-    for i in range(d.rows):
-        for j in range(d.cols):
-            if i != j:
-                assert d[i, j] == 0
-    diag = [d[i, i] for i in range(min(d.rows, d.cols))]
-    for a, b in zip(diag, diag[1:]):
-        if a != 0:
-            assert b % a == 0
-        else:
-            assert b == 0
-    assert snf(m)[1] == [x for x in diag if x != 0]
+    d, factors = snf(sparse(rows))
+    assert (d.rows, d.cols) == (len(rows), len(rows[0]))
+    assert d.columns == [{i: f} for i, f in enumerate(factors)] + \
+        [{}] * (d.cols - len(factors))
+    assert all(f > 0 for f in factors)
+    assert all(b % a == 0 for a, b in zip(factors, factors[1:]))
+    # independent reference: d1 ... dk is the gcd of the k x k minors
+    for k in range(1, min(len(rows), len(rows[0])) + 1):
+        expected = prod(factors[:k]) if k <= len(factors) else 0
+        assert minors_gcd(rows, k) == expected
 
 
 # -- affine solving
@@ -154,7 +176,7 @@ def test_solve_substitutes_back(rows, b):
             assert sum(Fraction(a) * x for a, x in zip(row, vec)) == 0
 
 
-# -- lattice saturation
+# -- integer kernels and lattice saturation
 
 def test_saturation_scales_down():
     assert saturation_basis([[2, 2]], 2) == [[1, 1]]
@@ -164,6 +186,24 @@ def test_saturation_full_rank():
     assert saturation_basis([[1, 0], [0, 1]], 2) == [[1, 0], [0, 1]]
 
 
-def test_inv_unimodular_roundtrip():
-    u = mat([[1, 2], [0, 1]])
-    assert mat_mul(u, inv_unimodular(u)) == IntMatrix.identity(2)
+@settings(max_examples=120, deadline=None)
+@given(small_matrices)
+def test_integer_kernel_and_saturation(rows):
+    n = len(rows[0])
+    kernel = integer_kernel(rows, n)
+    assert all(sum(a * x for a, x in zip(row, vec)) == 0
+               for row in rows for vec in kernel)
+    # n - rank rows, the rank found by Fraction elimination
+    assert len(kernel) == len(solve_affine(rows, [0] * len(rows))[1])
+    if kernel:
+        # every invariant factor 1: the kernel lattice is saturated
+        assert set(snf(sparse(kernel))[1]) == {1}
+    sat = saturation_basis(rows, n)
+    for row in rows:
+        if not sat:
+            assert not any(row)
+            continue
+        # integer coordinates in the saturation basis
+        sol = solve_affine([list(col) for col in zip(*sat)], row)
+        assert sol is not None and not sol[1]
+        assert all(x.denominator == 1 for x in sol[0])

@@ -4,8 +4,11 @@ Each case runs `cli.run` in-process on an arrangement document at one
 `--window` and compares the exit code and the exact stdout bytes with
 the files under `tests/golden/`.  The documents are the catalog, a
 three-wall rank-2 arrangement with the angle 2/3 (every catalog angle has
-a power-of-two denominator), and `g2_00`, which needs window 2.  To rewrite the goldens from the current
-code (only when an output change is intended):
+a power-of-two denominator), `g2_00`, which needs window 2, a
+three-wall arrangement whose flats have non-integral direction vectors,
+and a non-essential rank-3 arrangement; the last two pin the
+essentialization basis and the layer lattices.  To rewrite the goldens
+from the current code (only when an output change is intended):
 
     PYTHONPATH=src python tests/test_golden.py
 """
@@ -39,7 +42,13 @@ DOCS = dict(CATALOG,
             three_walls={"rank": 2, "hypersurfaces": [
                 {"chi": [1, -1], "q": "0"}, {"chi": [1, -2], "q": "2/3"},
                 {"chi": [1, 2], "q": "0"}]},
-            g2_00=json.loads(SPEC_G2_00))
+            g2_00=json.loads(SPEC_G2_00),
+            three_walls_2={"rank": 2, "hypersurfaces": [
+                {"chi": [2, -2], "q": "2/3"}, {"chi": [-1, 1], "q": "0"},
+                {"chi": [2, -1], "q": "2/3"}]},
+            nonessential={"rank": 3, "hypersurfaces": [
+                {"chi": [2, 2, 0], "q": "0"}, {"chi": [0, 2, 2], "q": "1/2"},
+                {"chi": [2, 0, -2], "q": "1/3"}]})
 
 # (document, command, window)
 CASES = [(name, cmd, 1) for name in ("one_point", "two_points", "three_points")
@@ -48,7 +57,9 @@ CASES = [(name, cmd, 1) for name in ("one_point", "two_points", "three_points")
          for cmd in COMMANDS if cmd != "check"] + \
         [("grid", "check", 1), ("coord3", "homology", 1),
          ("three_walls", "faces", 1), ("three_walls", "homology", 1),
-         ("three_walls", "pi1", 2), ("g2_00", "faces", 1), ("g2_00", "faces", 2)]
+         ("three_walls", "pi1", 2), ("g2_00", "faces", 1), ("g2_00", "faces", 2)] + \
+        [("three_walls_2", "layers", 1)] + \
+        [("nonessential", cmd, 1) for cmd in ("validate", "layers", "homology")]
 
 
 def case_name(name, cmd, window):

@@ -4,14 +4,14 @@ from fractions import Fraction
 import pytest
 
 from toricarr.errors import SpecError
-from toricarr.arrangement import AffineHyperplane, Window
-from toricarr.cells import enumerate_faces
+from toricarr.arrangement import AffineHyperplane, Window, lift_to_window
+from toricarr.cells import enumerate_faces, quotient_faces
 from toricarr.category import nerve_chains, boundary_matrices, homology
 from toricarr.pi1 import (GroupPresentation, abelianize, simplify_presentation,
                           quotient_without_meridians,
                           positive_minimal_path, omega_paths, sigma,
                           delta_word, gamma_delta_word, h_of_G,
-                          relations_for_G, presentation,
+                          relations_for_G, build_context,
                           presentation_from_context, free_reduce, invert_word,
                           Crossing)
 
@@ -289,8 +289,7 @@ def test_simplify_preserves_abelianization(catalog):
 
 
 def test_presentation_top_level(catalog):
-    spec = catalog("two_points").spec
-    pres = presentation(spec)
+    pres = presentation_from_context(catalog("two_points").ctx)
     assert len(pres.names) == 3
     assert simplify_presentation(pres).relators == ()
 
@@ -314,5 +313,8 @@ def test_base_point_search_is_unbounded():
     spec = parse_spec(json.dumps({"rank": 1, "hypersurfaces": [
         {"chi": [1], "q": "1/%d" % p} for p in primes]}))
     assert _choose_base_point(spec) == (Fraction(1, 53),)
-    pres = presentation(spec)
+    window = Window.standard(1)
+    lifted = enumerate_faces(lift_to_window(spec, window), window)
+    pres = presentation_from_context(
+        build_context(spec, lifted, quotient_faces(lifted)))
     assert abelianize(pres) == (16, [])
