@@ -14,7 +14,7 @@ from fractions import Fraction
 import math
 
 from .errors import SpecError
-from .exact import rank, saturation_basis, solve_affine
+from .exact import adjugate, rank, saturation_basis, solve_affine
 
 Q = Fraction
 
@@ -183,7 +183,8 @@ def window_cap(spec):
     Take n of the essentialized characters whose matrix A is invertible.
     The lifts of those n hypersurfaces cut R^n into the parallelepipeds
     A^-1 (y + [0,1]^n), over which x_i spans sum_j |(A^-1)_ij|; let e(A)
-    be the largest of these spans.  Every chamber of the whole
+    be the largest of these spans, read off the integer adjugate as
+    max_i sum_j |adj(A)_ij| / |det A|.  Every chamber of the whole
     arrangement lies in one cell of such a sub-arrangement, so it spans
     at most e = min_A e(A) along every axis, and a chamber meeting the
     unit cube lies in [-ceil(e), ceil(e) + 1]^n.  The extra unit leaves
@@ -193,14 +194,12 @@ def window_cap(spec):
     n = work.rank
     normals = sorted({min(chi.alpha, tuple(-a for a in chi.alpha))
                       for chi, _ in work.hypersurfaces})
-    units = [[int(i == j) for i in range(n)] for j in range(n)]
     e = None
     for rows in itertools.combinations(normals, n):
-        inverse_cols = [solve_affine(rows, unit) for unit in units]
-        if any(sol is None or sol[1] for sol in inverse_cols):
-            continue  # A is singular
-        e_a = max((sum(abs(col[i]) for col, _ in inverse_cols)
-                   for i in range(n)), default=0)
+        det, adj = adjugate(rows)
+        if det == 0:
+            continue
+        e_a = Fraction(max((sum(map(abs, row)) for row in adj), default=0), abs(det))
         e = e_a if e is None else min(e, e_a)
     return math.ceil(e) + 1
 

@@ -15,11 +15,11 @@ barycenter in [0,1)^n, morphisms are orbits of incidences.
 
 from collections import namedtuple
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, product
 import math
 
 from .errors import SpecError, WindowError, InternalError
-from .exact import rank, solve_affine, kernel_basis, integer_kernel, hnf
+from .exact import adjugate, rank, integer_kernel, hnf
 from .category import AcyclicCategory
 from .arrangement import geometric_key
 
@@ -199,19 +199,185 @@ class SignTable:
                      for k, c in zip(self.normal_of, self.consts))
 
 
+def candidate_vertices(hyperplanes, window):
+    """Every point of the closed box cut out by n independent planes among
+    the hyperplanes and the box walls, sorted.
+
+    The planes are grouped by integer normal.  Each n-tuple A of distinct
+    normals gets one determinant and one adjugate, and a singular tuple is
+    skipped once.  With every constant scaled by one integer D, a choice c
+    of one constant per normal gives the point adj(A) (D c) / (D det A):
+    the numerators and the box test are integer arithmetic, and Fractions
+    are built only for the points inside the box.
+    """
+    n = window.dim
+    consts = {}
+    for h in hyperplanes:
+        consts.setdefault(h.alpha, set()).add(h.c)
+    for j in range(n):
+        wall = tuple(int(i == j) for i in range(n))
+        consts.setdefault(wall, set()).update((window.lo[j], window.hi[j]))
+    scale = math.lcm(*(c.denominator for cs in consts.values() for c in cs))
+
+    def scaled(c):
+        return c.numerator * (scale // c.denominator)
+
+    lo = [scaled(x) for x in window.lo]
+    hi = [scaled(x) for x in window.hi]
+    points = set()
+    for rows in combinations(consts, n):
+        det, adj = adjugate(rows)
+        if det == 0:
+            continue
+        if det < 0:
+            det, adj = -det, [[-x for x in row] for row in adj]
+        lo_d = [x * det for x in lo]
+        hi_d = [x * det for x in hi]
+        # each constant contributes its scaled value times its column of adj
+        shares = [[tuple(scaled(c) * row[i] for row in adj) for c in consts[a]]
+                  for i, a in enumerate(rows)]
+        den = det * scale
+        for choice in product(*shares):
+            num = [sum(xs) for xs in zip(*choice)]
+            if all(a <= x <= b for a, x, b in zip(lo_d, num, hi_d)):
+                points.add(tuple(Q(x, den) for x in num))
+    return sorted(points)
+
+
+def _direction(normals, ids, n):
+    """(basis, parallel, pivot_cols, transform, det, adj): the direction of
+    the flats cut out by hyperplanes with the normals `normals[k]` for k
+    in `ids` (sorted).
+
+    With A the matrix of those normals and H = U A its Hermite form
+    (`exact.hnf`), the r nonzero rows of H are invertible on the pivot
+    columns P; `det` and `adj` belong to that block H_P and `transform`
+    is the first r rows of U.  The reduced row echelon form of A is
+    adj H / det, so `basis`, its kernel basis, has for each free column f
+    the vector that is 1 at f and -adj H_f / det on P.  A flat with the
+    constants c on A has the reduced form's particular solution as its
+    point: adj (U c) / det on P and 0 elsewhere.  `parallel[k]` is True
+    when normals[k] lies in the span of A.
+    """
+    h, u = hnf([normals[k] for k in ids])
+    h = [row for row in h if any(row)]
+    cols = [next(j for j, x in enumerate(row) if x) for row in h]
+    det, adj = adjugate([[row[j] for j in cols] for row in h])
+    scaled = []
+    for f in range(n):
+        if f in cols:
+            continue
+        v = [0] * n
+        v[f] = det
+        at_f = [row[f] for row in h]
+        for row, col in zip(adj, cols):
+            v[col] = -_dot(row, at_f)
+        scaled.append(v)
+    basis = tuple(tuple(Q(x, det) for x in v) for v in scaled)
+    parallel = [all(_dot(a, v) == 0 for v in scaled) for a in normals]
+    return basis, parallel, cols, u[:len(h)], det, adj
+
+
+def _faces_on_flat(table, window, flat_id, basis, cands0, cutting, weak, forced,
+                   on_wall):
+    """The faces on one flat, as (sign vector, flat id, dim, barycenter,
+    vertex ids, boundary_cut) tuples: a DFS over strict signs on the
+    cutting hyperplanes, where a region's witness is a list of candidates
+    whose average has the region's strict signs.  `weak` and `forced` are
+    (hyperplane, sign) pairs of the forced hyperplanes with and without a
+    zero on the flat's candidates; only the weak signs need checking."""
+    n = window.dim
+    values = table.values
+    signs_ok = table.signs_at_average
+    d = len(basis)
+
+    # the face's closure leaves the box exactly when the face meets a
+    # wall x_j = b along which x_j varies on the flat; the wall's share
+    # of the clipped vertices includes every vertex of that wall face
+    # of the clipped closure, so their average lies in its relative
+    # interior, which is either wholly inside the face or wholly
+    # inside one hyperplane
+    walls = [on_wall[j, b] for j in range(n) if any(v[j] != 0 for v in basis)
+             for b in (window.lo[j], window.hi[j])]
+
+    def boundary_cut(cs, assigned):
+        for wall in walls:
+            cs_wall = [ci for ci in cs if ci in wall]
+            if cs_wall and signs_ok(cs_wall, assigned):
+                return True
+        return False
+
+    base = [0] * len(values)
+    for hidx, s in forced:
+        base[hidx] = s
+    out = []
+    stack = [(0, cands0, cands0, [])]
+    while stack:
+        depth, cs, witness, assigned = stack.pop()
+        if depth == len(cutting):
+            if not signs_ok(cs, assigned):
+                raise InternalError("barycenter escaped its own face")
+            if not signs_ok(cs, weak):
+                continue
+            assigned = assigned + weak
+            sig = list(base)
+            for hidx, s in assigned:
+                sig[hidx] = s
+            out.append((tuple(sig), flat_id, d, table.average(cs), tuple(cs),
+                        boundary_cut(cs, assigned)))
+            continue
+        hidx = cutting[depth]
+        col = values[hidx]
+        wv = sum(map(col.__getitem__, witness))
+        for s in (1, -1):
+            cs2 = [ci for ci in cs if s * col[ci] >= 0]
+            if not cs2:
+                continue
+            assigned2 = assigned + [(hidx, s)]
+            if s * wv > 0:
+                w2 = witness
+            elif signs_ok(cs2, assigned2):
+                w2 = cs2
+            else:
+                continue
+            stack.append((depth + 1, cs2, w2, assigned2))
+    return out
+
+
 def enumerate_faces(hyperplanes, window):
     """Stratify the window by the hyperplane list.
 
     Emits every sign class meeting the closed box.  Every sign is decided
-    in integers: the candidate vertices (all n-plane intersections in the
-    box, walls included) and the hyperplanes are scaled by one integer
-    into a `SignTable`, and the sign at an average of candidates is the
-    sign of an integer column sum.  Flats are found by closing the
-    hyperplane set under intersection; each carries the candidates on it,
-    and a flat with none misses the box.  Faces on a flat are found by a
-    depth-first sweep over feasible strict sign assignments, certified by
-    averages of the clipped regions' vertices.  Averages of clipped
-    vertices on the box walls also decide `boundary_cut`.
+    in integers: the candidate vertices (`candidate_vertices`) and the
+    hyperplanes are scaled by one integer into a `SignTable`, and the
+    sign at an average of candidates is the sign of an integer column sum.
+
+    Flats are found by closing the hyperplane set under intersection; each
+    carries the candidates on it, and a flat with none misses the box.  A
+    flat's direction depends only on the set of its hyperplanes' normals,
+    so its kernel basis, parallel mask and pivot adjugate are computed
+    once per normal set (`_direction`), and a new flat's point comes from
+    that adjugate.
+
+    Faces on a flat are found by a depth-first sweep over strict sign
+    assignments, certified by averages of the clipped regions' vertices.
+    A strict sign vector on the flat is a face exactly when the average
+    of its weakly signed candidates has its strict signs: the closure of
+    a nonempty face, clipped to the box, is the hull of those candidates,
+    and their average lies in its relative interior.  The same test
+    decides every prefix of the sign vector, so a prefix that fails has
+    no face below it and the sweep prunes it.  Before the sweep, each
+    other hyperplane is classified by its values on the flat's candidates:
+    - cutting: both strict signs occur; the sweep branches on it;
+    - forced: one strict sign occurs, besides zeros.  Every face has that
+      sign, and weak signs on it keep every candidate, so a leaf of the
+      sweep over the cutting hyperplanes is a face exactly when the same
+      average also has the forced signs.  A forced hyperplane without a
+      zero there has its sign at every average and needs no check;
+    - dead: zero on every candidate.  The clipped flat lies in the
+      hyperplane and carries no face.
+    Averages of clipped vertices on the box walls also decide
+    `boundary_cut`.
     """
     n = window.dim
     m = len(hyperplanes)
@@ -228,66 +394,64 @@ def enumerate_faces(hyperplanes, window):
             class_rep.append(i)
         geo_class[i] = seen_geo[key]
 
-    planes = [(tuple(Q(a) for a in h.alpha), h.c) for h in hyperplanes]
-    for j in range(n):
-        e = tuple(Q(int(i == j)) for i in range(n))
-        planes.append((e, window.lo[j]))
-        planes.append((e, window.hi[j]))
-
-    # candidate points: all vertex-like intersections inside the box
-    pts = set()
-    for combo in combinations(range(len(planes)), n):
-        sol = solve_affine([planes[i][0] for i in combo],
-                           [planes[i][1] for i in combo])
-        if sol is not None and not sol[1]:
-            if window.contains(sol[0]):
-                pts.add(sol[0])
-    cand = sorted(pts)
+    cand = candidate_vertices(hyperplanes, window)
     if not cand:
         raise InternalError("window contains no arrangement vertices")
     table = SignTable(hyperplanes, cand)
     values = table.values
-    signs_ok = table.signs_at_average
+    normal_of = table.normal_of
+    with_normal = [[] for _ in table.normals]
+    for i, k in enumerate(normal_of):
+        with_normal[k].append(i)
+    directions = {}
 
-    def parallel(basis):
-        """Per distinct normal: is it orthogonal to every direction?"""
-        return [all(_dot(a, b) == 0 for b in basis) for a in table.normals]
+    def direction(key):
+        got = directions.get(key)
+        if got is None:
+            got = directions[key] = _direction(table.normals, sorted(key), n)
+        return got
 
     # flats: closure of the hyperplane list under intersection, inside box;
     # a vertex of flat & box is cut out by n of the planes, so every flat
-    # meeting the box holds a candidate
-    origin = tuple(Q(0) for _ in range(n))
-    ident = tuple(kernel_basis([], n))
-    flats = [(frozenset(), origin, ident)]
+    # meeting the box holds a candidate.  keys[f] is the normal set of f.
+    flats = [(frozenset(), tuple(Q(0) for _ in range(n)), direction(frozenset())[0])]
     cands_of = [list(range(len(cand)))]
+    keys = [frozenset()]
     flat_index = {frozenset(): 0}
     head = 0
     while head < len(flats):
-        zero, point, basis = flats[head]
+        basis = flats[head][2]
         cands = cands_of[head]
+        key = keys[head]
         head += 1
-        if len(basis) == 0:
+        if not basis:
             continue
-        par = parallel(basis)
+        # a hyperplane parallel to the flat holds it or misses it
+        par = direction(key)[1]
         for hidx in range(m):
-            if hidx in zero or par[table.normal_of[hidx]]:
+            if par[normal_of[hidx]]:
                 continue
             col = values[hidx]
             cands2 = [ci for ci in cands if col[ci] == 0]
             if not cands2:
                 continue  # misses the box entirely
-            rows = [hyperplanes[i].alpha for i in sorted(zero)] + [hyperplanes[hidx].alpha]
-            rhs = [hyperplanes[i].c for i in sorted(zero)] + [hyperplanes[hidx].c]
-            p2, b2 = solve_affine(rows, rhs)
-            # a hyperplane parallel to the flat holds it or misses it
-            par2 = parallel(b2)
-            zero2 = frozenset(i for i in range(m) if par2[table.normal_of[i]]
-                              and values[i][cands2[0]] == 0)
+            key2 = key | {normal_of[hidx]}
+            basis2, par2, cols2, transform, det, adj = direction(key2)
+            on = cands2[0]
+            zero2 = frozenset(i for k, p in enumerate(par2) if p
+                              for i in with_normal[k] if values[i][on] == 0)
             if zero2 in flat_index:
                 continue
+            const_of = {normal_of[i]: table.consts[i] for i in zero2}
+            cs = [const_of[k] for k in sorted(key2)]
+            uc = [_dot(row, cs) for row in transform]
+            point = [Q(0)] * n
+            for row, j in zip(adj, cols2):
+                point[j] = Q(_dot(row, uc), det * table.scale)
             flat_index[zero2] = len(flats)
-            flats.append((zero2, p2, tuple(b2)))
+            flats.append((zero2, tuple(point), basis2))
             cands_of.append(cands2)
+            keys.append(frozenset(const_of))
 
     # the candidates on each box wall
     on_wall = {}
@@ -295,59 +459,33 @@ def enumerate_faces(hyperplanes, window):
         for b in (window.lo[j], window.hi[j]):
             on_wall[j, b] = {ci for ci, p in enumerate(cand) if p[j] == b}
 
-    # faces per flat: DFS over strict sign assignments; a region's witness
-    # is a list of candidates whose average has the region's strict signs
+    # faces per flat: classify the other hyperplanes on the flat's
+    # candidates, then sweep the cutting ones unless one is dead
     raw = []
-    for flat_id, (zero, point, basis) in enumerate(flats):
+    for flat_id, (zero, _, basis) in enumerate(flats):
         cands0 = cands_of[flat_id]
-        others = [i for i in range(m) if i not in zero]
-        d = len(basis)
-
-        # the face's closure leaves the box exactly when the face meets a
-        # wall x_j = b along which x_j varies on the flat; the wall's share
-        # of the clipped vertices includes every vertex of that wall face
-        # of the clipped closure, so their average lies in its relative
-        # interior, which is either wholly inside the face or wholly
-        # inside one hyperplane
-        walls = [on_wall[j, b] for j in range(n) if any(v[j] != 0 for v in basis)
-                 for b in (window.lo[j], window.hi[j])]
-
-        def boundary_cut(cs, assigned):
-            for wall in walls:
-                cs_wall = [ci for ci in cs if ci in wall]
-                if cs_wall and signs_ok(cs_wall, assigned):
-                    return True
-            return False
-
-        stack = [(0, cands0, cands0, [])]
-        while stack:
-            depth, cs, witness, assigned = stack.pop()
-            if depth == len(others):
-                if not signs_ok(cs, assigned):
-                    raise InternalError("barycenter escaped its own face")
-                sig = [0] * m
-                for hidx, s in assigned:
-                    sig[hidx] = s
-                raw.append((tuple(sig), flat_id, d, table.average(cs), tuple(cs),
-                            boundary_cut(cs, assigned)))
+        cutting, weak, forced = [], [], []
+        for hidx in range(m):
+            if hidx in zero:
                 continue
-            hidx = others[depth]
             col = values[hidx]
-            wv = sum(map(col.__getitem__, witness))
-            for s in (1, -1):
-                cs2 = [ci for ci in cs if s * col[ci] >= 0]
-                if not cs2:
-                    continue
-                assigned2 = assigned + [(hidx, s)]
-                if s * wv > 0:
-                    w2 = witness
-                elif signs_ok(cs2, assigned2):
-                    w2 = cs2
-                else:
-                    continue
-                stack.append((depth + 1, cs2, w2, assigned2))
+            low = min(map(col.__getitem__, cands0))
+            high = max(map(col.__getitem__, cands0))
+            if low < 0 < high:
+                cutting.append(hidx)
+            elif low > 0 or high < 0:
+                forced.append((hidx, 1 if low > 0 else -1))
+            elif low or high:
+                weak.append((hidx, 1 if high > 0 else -1))
+            else:
+                break  # dead
+        else:
+            raw += _faces_on_flat(table, window, flat_id, basis, cands0,
+                                  cutting, weak, forced, on_wall)
 
-    raw.sort(key=lambda r: (r[2], r[3]))
+    # by dimension, then barycenter: rounding to float is monotone, so the
+    # floats order it as the Fractions do, and the Fractions break ties
+    raw.sort(key=lambda r: (r[2], [(float(x), x) for x in r[3]]))
     faces = []
     by_signs = {}
     for fid, (sig, flat_id, d, bary, verts, cut) in enumerate(raw):
@@ -360,12 +498,17 @@ def enumerate_faces(hyperplanes, window):
     for f in faces:
         for ci in f.vertex_ids:
             at_vertex.setdefault(ci, []).append(f.id)
+    # `conforms` on bit masks of the + and - hyperplanes: lower's masks
+    # lie inside upper's.  at_vertex lists ids in order, so uppers are
+    # sorted.
+    bits = [1 << i for i in range(m)]
+    pos = [sum(b for b, s in zip(bits, f.sign_vector) if s > 0) for f in faces]
+    neg = [sum(b for b, s in zip(bits, f.sign_vector) if s < 0) for f in faces]
     uppers = {}
     for f in faces:
-        cands_up = at_vertex[f.vertex_ids[0]]
-        ups = [g for g in cands_up
-               if faces[g].dim > f.dim and conforms(f.sign_vector, faces[g].sign_vector)]
-        uppers[f.id] = tuple(sorted(ups))
+        p, q = pos[f.id], neg[f.id]
+        uppers[f.id] = tuple(g for g in at_vertex[f.vertex_ids[0]]
+                             if faces[g].dim > f.dim and not p & ~pos[g] and not q & ~neg[g])
 
     return LiftedFacePoset(hyperplanes, table, window, faces, flats, by_signs,
                            uppers, geo_class, class_rep)
@@ -549,7 +692,7 @@ def _reduce_mod_lattice(vec, hbasis):
     v = list(vec)
     for row in hbasis:
         piv = next(j for j, x in enumerate(row) if x != 0)
-        t = math.floor(v[piv] / row[piv])
+        t = v[piv] // row[piv]
         if t:
             v = [x - t * y for x, y in zip(v, row)]
     return tuple(v)

@@ -88,6 +88,38 @@ def rank(rows):
     return sum(1 for row in hnf(rows)[0] if any(row))
 
 
+def _det(m):
+    """Determinant of a square integer matrix by fraction-free (Bareiss)
+    elimination: every division is exact."""
+    a = [list(r) for r in m]
+    sign, prev = 1, 1
+    for k in range(len(a)):
+        piv = next((i for i in range(k, len(a)) if a[i][k]), None)
+        if piv is None:
+            return 0
+        if piv != k:
+            a[k], a[piv] = a[piv], a[k]
+            sign = -sign
+        for i in range(k + 1, len(a)):
+            a[i] = [(x * a[k][k] - a[i][k] * y) // prev for x, y in zip(a[i], a[k])]
+        prev = a[k][k]
+    return sign * prev
+
+
+def adjugate(rows):
+    """(det A, adj A) of a square integer matrix A given as rows.
+
+    adj A * A = A * adj A = det(A) * I, so a nonsingular A has the inverse
+    adj A / det A with one denominator.  adj A is built from cofactors:
+    adj[i][j] = (-1)^(i+j) times the minor of A without row j and column i.
+    """
+    n = len(rows)
+    adj = [[(-1) ** (i + j) * _det([r[:i] + r[i + 1:] for k, r in enumerate(rows) if k != j])
+            for j in range(n)] for i in range(n)]
+    det = sum(rows[0][j] * adj[j][0] for j in range(n)) if n else 1
+    return det, adj
+
+
 def integer_kernel(rows, n):
     """HNF basis of the integer kernel {x in Z^n : <row, x> = 0 for all rows}.
 

@@ -1,13 +1,17 @@
 import json
 from fractions import Fraction
+from itertools import combinations
 
+from hypothesis import given, settings, strategies as st
 import pytest
 
 from toricarr.errors import SpecError, WindowError
 from toricarr.arrangement import (AffineHyperplane, Window, parse_spec,
                                   lift_to_window)
 from toricarr.cells import (enumerate_faces, quotient_faces, layers,
-                            opposite_chamber, chamber_fiber)
+                            opposite_chamber, chamber_fiber, candidate_vertices,
+                            _reduce_mod_lattice)
+from toricarr.exact import rank, solve_affine
 from toricarr.category import check_acyclic
 
 from conftest import CATALOG
@@ -82,6 +86,80 @@ def test_diagonals_window_has_diamonds(catalog):
         lows = lifted.lowers[f.id]
         dims = sorted(lifted.faces[g].dim for g in lows)
         assert dims == [0, 0, 0, 0, 1, 1, 1, 1]
+
+
+def reference_candidates(hyperplanes, window):
+    """Every point cut out by n independent planes among the hyperplanes
+    and the box walls and lying in the closed box, by one Fraction solve
+    per n-subset of planes."""
+    n = window.dim
+    planes = [(h.alpha, h.c) for h in hyperplanes]
+    for j in range(n):
+        e = tuple(int(i == j) for i in range(n))
+        planes += [(e, window.lo[j]), (e, window.hi[j])]
+    points = set()
+    for combo in combinations(planes, n):
+        sol = solve_affine([a for a, _ in combo], [c for _, c in combo])
+        if sol is not None and not sol[1] and window.contains(sol[0]):
+            points.add(sol[0])
+    return points
+
+
+@st.composite
+def spanning_arrangements(draw, rank_):
+    # two or three walls; small characters in rank 3 keep the reference's
+    # solves few
+    entries = st.integers(-1, 2) if rank_ == 2 else st.integers(-1, 1)
+    chi = st.lists(entries, min_size=rank_, max_size=rank_).filter(any)
+    walls = draw(st.lists(st.tuples(chi.map(tuple), st.sampled_from(("0", "1/2", "1/3"))),
+                          min_size=rank_, max_size=3, unique=True)
+                 .filter(lambda ws: rank([c for c, _ in ws]) == rank_))
+    return {"rank": rank_,
+            "hypersurfaces": [{"chi": list(c), "q": q} for c, q in walls]}
+
+
+@pytest.mark.parametrize("rank_,k", [(2, 1), (2, 2), (3, 1), (3, 2)])
+@settings(max_examples=3, deadline=None, derandomize=True, database=None)
+@given(data=st.data())
+def test_candidates_match_reference(rank_, k, data):
+    doc = data.draw(spanning_arrangements(rank_))
+    spec = parse_spec(json.dumps(doc))
+    window = Window.standard(spec.rank, k)
+    hyperplanes = lift_to_window(spec, window)
+    cand = candidate_vertices(hyperplanes, window)
+    assert set(cand) == reference_candidates(hyperplanes, window), (doc, k)
+    assert cand == sorted(set(cand))
+    if spec.rank == 2:
+        # the sign table holds them scaled to integers
+        table = enumerate_faces(hyperplanes, window).table
+        assert [tuple(Fraction(x, table.scale) for x in p) for p in table.coords] == cand
+
+
+def test_flat_touching_box_at_a_corner_has_no_face(catalog):
+    # x + y = -2 and x + y = 4 meet the box [-1,2]^2 only at a corner,
+    # x - y = -3 and x - y = 3 too, and x -/+ y = 0 passes through it
+    lifted = catalog("diagonals").lifted
+    assert (len(lifted.flats), len(lifted.faces)) == (40, 85)
+    corner_flats = set()
+    for flat_id, (zero, _, _) in enumerate(lifted.flats):
+        planes = {(lifted.hyperplanes[i].alpha, lifted.hyperplanes[i].c) for i in zero}
+        if planes in ({((1, 1), -2)}, {((1, 1), 4)}, {((1, -1), -3)}, {((1, -1), 3)}):
+            corner_flats.add(flat_id)
+    assert len(corner_flats) == 4
+    assert not corner_flats & {f.flat_id for f in lifted.faces}
+
+
+def test_flat_touching_box_at_a_corner_with_strict_signs():
+    # x + y = -2 meets the box [-1,2]^2 only at (-1,-1), off the walls
+    # x = 1/2 + k and y = 1/2 + k, so the corner is a cut 1-face; so is (2,2)
+    spec = parse_spec('{"rank":2,"hypersurfaces":[{"chi":[1,1],"q":"0"},'
+                      '{"chi":[1,0],"q":"1/2"},{"chi":[0,1],"q":"1/2"}]}')
+    window = Window.standard(2, 1)
+    lifted = enumerate_faces(lift_to_window(spec, window), window)
+    assert len(lifted.faces) == 79
+    corners = [f.barycenter for f in lifted.faces
+               if f.dim == 1 and f.boundary_cut and len(f.vertex_ids) == 1]
+    assert corners == [(-1, -1), (2, 2)]
 
 
 def reference_signs(hyperplanes, point):
@@ -190,6 +268,14 @@ def test_layers_diagonals(catalog):
         if l.dim == 0:
             ups = {b for a, b in lp.relations if a == l.index}
             assert len(ups) == 3
+
+
+def test_reduce_mod_lattice_is_exact_on_large_ints():
+    # a float division would round (10**17 + 1) / 3 and floor it to the
+    # wrong multiple
+    assert _reduce_mod_lattice((10**17 + 1,), [[3]]) == (2,)
+    assert _reduce_mod_lattice((Fraction(7, 2), 5), [[2, 1], [0, 3]]) == \
+        (Fraction(3, 2), 1)
 
 
 # -- local operations

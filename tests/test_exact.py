@@ -5,7 +5,7 @@ from math import gcd, prod
 from hypothesis import given, settings, strategies as st
 
 from toricarr.exact import (SparseMatrix, hnf, snf, solve_affine, rank,
-                            integer_kernel, saturation_basis)
+                            integer_kernel, saturation_basis, adjugate)
 
 
 def sparse(rows):
@@ -144,6 +144,25 @@ def test_snf_transform_properties(rows):
 
 
 # -- affine solving
+
+def test_adjugate_worked_example():
+    assert adjugate([[2, 1], [1, 1]]) == (1, [[1, -1], [-1, 2]])
+    assert adjugate([[1, 1], [2, 2]]) == (0, [[2, -1], [-2, 1]])
+    assert adjugate([[5]]) == (5, [[1]])
+    assert adjugate([]) == (1, [])
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.integers(1, 4).flatmap(
+    lambda n: st.lists(st.lists(st.integers(-9, 9), min_size=n, max_size=n),
+                       min_size=n, max_size=n)))
+def test_adjugate_inverts_up_to_det(rows):
+    d, adj = adjugate(rows)
+    assert d == det(rows)
+    scalar = [[d * int(i == j) for j in range(len(rows))] for i in range(len(rows))]
+    assert mat_mul(adj, rows) == scalar
+    assert mat_mul(rows, adj) == scalar
+
 
 def test_solve_point():
     part, basis = solve_affine([[1]], [0])

@@ -48,7 +48,11 @@ DOCS = dict(CATALOG,
                 {"chi": [2, -1], "q": "2/3"}]},
             nonessential={"rank": 3, "hypersurfaces": [
                 {"chi": [2, 2, 0], "q": "0"}, {"chi": [0, 2, 2], "q": "1/2"},
-                {"chi": [2, 0, -2], "q": "1/3"}]})
+                {"chi": [2, 0, -2], "q": "1/3"}]},
+            r3={"rank": 3, "hypersurfaces": [
+                {"chi": [1, 0, 0], "q": "0"}, {"chi": [0, 1, 0], "q": "0"},
+                {"chi": [0, 0, 1], "q": "0"}, {"chi": [1, 1, 0], "q": "1/2"},
+                {"chi": [0, 1, -1], "q": "1/3"}, {"chi": [1, -1, 1], "q": "0"}]})
 
 # (document, command, window)
 CASES = [(name, cmd, 1) for name in ("one_point", "two_points", "three_points")
@@ -59,7 +63,8 @@ CASES = [(name, cmd, 1) for name in ("one_point", "two_points", "three_points")
          ("three_walls", "faces", 1), ("three_walls", "homology", 1),
          ("three_walls", "pi1", 2), ("g2_00", "faces", 1), ("g2_00", "faces", 2)] + \
         [("three_walls_2", "layers", 1)] + \
-        [("nonessential", cmd, 1) for cmd in ("validate", "layers", "homology")]
+        [("nonessential", cmd, 1) for cmd in ("validate", "layers", "homology")] + \
+        [("r3", "faces", 1)]
 
 
 def case_name(name, cmd, window):
