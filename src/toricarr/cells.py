@@ -10,7 +10,9 @@ serve as orbit representatives.
 `PeriodicCategory` quotients a lifted poset by the integer translation
 lattice; the face category and the toric Salvetti category are both
 built with it.  Objects are orbits keyed by the unique translate with
-barycenter in [0,1)^n, morphisms are orbits of incidences.
+barycenter in [0,1)^n, morphisms are orbits of incidences.  A face moves
+by an integer vector through a re-indexing of its sign vector
+(`LiftedFacePoset.translate`).
 """
 
 from collections import namedtuple
@@ -35,18 +37,28 @@ def conforms(lower, upper):
     return all(a == 0 or a == b for a, b in zip(lower, upper))
 
 
-class AffineFace:
-    """One cell of the windowed decomposition."""
+def _scaled(point):
+    """(num, den): an exact point as integers over one denominator, the
+    least common one, so equal points give equal pairs."""
+    den = math.lcm(*(x.denominator for x in point))
+    return [x.numerator * (den // x.denominator) for x in point], den
 
-    __slots__ = ("id", "sign_vector", "dim", "barycenter", "flat_id",
+
+class AffineFace:
+    """One cell of the windowed decomposition.  `cell` is the integer
+    floor of the barycenter: the face lies in the orbit's canonical
+    position when it is zero."""
+
+    __slots__ = ("id", "sign_vector", "dim", "barycenter", "cell", "flat_id",
                  "boundary_cut", "vertex_ids")
 
-    def __init__(self, fid, sign_vector, dim, barycenter, flat_id,
+    def __init__(self, fid, sign_vector, dim, barycenter, cell, flat_id,
                  boundary_cut, vertex_ids):
         self.id = fid
         self.sign_vector = sign_vector
         self.dim = dim
         self.barycenter = barycenter
+        self.cell = cell
         self.flat_id = flat_id
         self.boundary_cut = boundary_cut
         self.vertex_ids = vertex_ids
@@ -80,6 +92,10 @@ class LiftedFacePoset:
             self.lowers[fid] = tuple(sorted(self.lowers[fid]))
         self._star_ok = {}
         self._translated = {}
+        self._lifted_at = {(h.source, h.shift): i for i, h in enumerate(hyperplanes)}
+        self._preimages = {}
+        self._box = [(a.numerator, a.denominator, b.numerator, b.denominator)
+                     for a, b in zip(window.lo, window.hi)]
 
     @property
     def dim(self):
@@ -104,26 +120,68 @@ class LiftedFacePoset:
     def translate(self, fid, u):
         """The face fid + u for an integer vector u, memoised.
 
-        A barycenter lies in the relative interior of its face and the
-        arrangement is periodic, so the shifted barycenter lies in the
-        translated face even when the window clips either of them.
+        The arrangement is periodic: on the lifted hyperplane (source i,
+        shift k) the moved face has the sign that fid has on (i, k -
+        <alpha_i, u>), so its sign vector is a re-indexing of fid's (see
+        `_preimage` for the hyperplanes whose pre-image is not lifted).
+        The barycenter lies in the relative interior of its face, even when
+        the window clips it, so this is the face `locate` finds at the
+        moved barycenter, and `locate`'s `WindowError`s are raised when
+        that point escapes the window or no face was enumerated there.
         """
         key = (fid, u)
         got = self._translated.get(key)
         if got is None:
-            if any(u):
-                got = self.locate(tuple(x + s for x, s in
-                                        zip(self.faces[fid].barycenter, u)))
-            else:
-                got = fid
-            self._translated[key] = got
+            got = self._translated[key] = self._moved(fid, u) if any(u) else fid
+        return got
+
+    def _preimage(self, u):
+        """(pre, fixed) for a shift u: pre[h] is the lifted hyperplane whose
+        sign moves to h, or 0 for the (h, sign) pairs in `fixed`.
+
+        Those are the h = (i, k) whose pre-image (i, k - <alpha_i, u>) is
+        not in the lift.  The lift of source i holds every shift whose
+        hyperplane meets the closed box, a run of shifts that contains k,
+        so such a pre-image misses the box and has one sign on all of it,
+        the moved barycenter included (`_moved` tests the box first): +
+        when its shift lies below the run, that is when <alpha_i, u> > 0,
+        and - when it lies above.
+        """
+        got = self._preimages.get(u)
+        if got is None:
+            pre, fixed = [], []
+            for hidx, h in enumerate(self.hyperplanes):
+                step = _dot(h.alpha, u)
+                p = self._lifted_at.get((h.source, h.shift - step))
+                if p is None:
+                    fixed.append((hidx, 1 if step > 0 else -1))
+                pre.append(p or 0)
+            got = self._preimages[u] = (pre, fixed)
+        return got
+
+    def _moved(self, fid, u):
+        face = self.faces[fid]
+        num, den = _scaled(face.barycenter)
+        num = [x + den * s for x, s in zip(num, u)]
+        if not all(lo * den <= x * lo_d and x * hi_d <= hi * den
+                   for x, (lo, lo_d, hi, hi_d) in zip(num, self._box)):
+            raise WindowError("point %s escapes the window"
+                              % (tuple(str(Q(x, den)) for x in num),))
+        pre, fixed = self._preimage(u)
+        sig = list(map(face.sign_vector.__getitem__, pre))
+        for hidx, s in fixed:
+            sig[hidx] = s
+        got = self.by_signs.get(tuple(sig))
+        if got is None:
+            raise WindowError("no face enumerated at %s"
+                              % (tuple(str(Q(x, den)) for x in num),))
         return got
 
     def canonical(self, element):
         """Split a lifted element, a tuple of face ids, as (translate, u):
-        the translate's first face has its barycenter in [0,1)^n and the
-        element is the translate moved by u."""
-        u = tuple(math.floor(x) for x in self.faces[element[0]].barycenter)
+        the translate's first face has its barycenter in [0,1)^n, its
+        `cell` is zero, and the element is the translate moved by u."""
+        u = self.faces[element[0]].cell
         back = tuple(-s for s in u)
         return tuple(self.translate(f, back) for f in element), u
 
@@ -192,8 +250,7 @@ class SignTable:
 
     def signs(self, point):
         """Sign vector of any exact point on every hyperplane."""
-        den = math.lcm(*(x.denominator for x in point))
-        num = [x.numerator * (den // x.denominator) for x in point]
+        num, den = _scaled(point)
         dots = [self.scale * _dot(a, num) for a in self.normals]
         return tuple(_sign(dots[k] - c * den)
                      for k, c in zip(self.normal_of, self.consts))
@@ -483,13 +540,17 @@ def enumerate_faces(hyperplanes, window):
             raw += _faces_on_flat(table, window, flat_id, basis, cands0,
                                   cutting, weak, forced, on_wall)
 
-    # by dimension, then barycenter: rounding to float is monotone, so the
-    # floats order it as the Fractions do, and the Fractions break ties
-    raw.sort(key=lambda r: (r[2], [(float(x), x) for x in r[3]]))
+    # by dimension, then barycenter, compared in integers as the barycenter
+    # times D * L, with L the lcm of the vertex counts
+    den = table.scale * math.lcm(*{len(r[4]) for r in raw})
+    raw.sort(key=lambda r: (r[2], [x.numerator * (den // x.denominator) for x in r[3]]))
     faces = []
     by_signs = {}
+    cells = {}      # one tuple per distinct cell, shared by its faces
     for fid, (sig, flat_id, d, bary, verts, cut) in enumerate(raw):
-        faces.append(AffineFace(fid, sig, d, bary, flat_id, cut, verts))
+        cell = tuple(x.numerator // x.denominator for x in bary)
+        faces.append(AffineFace(fid, sig, d, bary, cells.setdefault(cell, cell),
+                                flat_id, cut, verts))
         by_signs[sig] = fid
 
     # closure order: a face's clipped vertices all recur on larger faces,
@@ -576,9 +637,9 @@ class PeriodicCategory:
         if k is None:
             raise WindowError("the orbit of %s has no whole representative in the "
                               "window" % (element,))
-        bary = lifted.faces[element[0]].barycenter
-        if lifted.faces[canonical[0]].barycenter != \
-                tuple(x - s for x, s in zip(bary, u)):
+        num, den = _scaled(lifted.faces[element[0]].barycenter)
+        if _scaled(lifted.faces[canonical[0]].barycenter) != \
+                ([x - den * s for x, s in zip(num, u)], den):
             raise InternalError("orbit representative mismatch for %s" % (element,))
         return k, u
 
@@ -631,8 +692,7 @@ def quotient_faces(lifted):
             raise InternalError("cut face below an uncut face")
         return [(f,) for f in lows]
 
-    canonical = [(f.id,) for f in faces
-                 if not f.boundary_cut and all(0 <= b < 1 for b in f.barycenter)]
+    canonical = [(f.id,) for f in faces if not f.boundary_cut and not any(f.cell)]
     fc = FaceCategory(lifted, canonical, below)
     arriving = [0] * len(fc.objects)
     for m in fc.morphisms[len(fc.objects):]:

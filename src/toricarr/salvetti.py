@@ -10,7 +10,7 @@ graded by the codimension of F.
 """
 
 from .errors import WindowError, InternalError
-from .category import AcyclicCategory, nerve_chains
+from .category import AcyclicCategory
 from .cells import PeriodicCategory
 
 __all__ = [
@@ -97,20 +97,26 @@ def salvetti_poset(lifted, truncated=True):
     return SalvettiPoset(lifted, elements)
 
 
+def _check_stars_visible(lifted, canonical):
+    """Raise `WindowError` unless every face below the canonical faces lies
+    inside the open box: a face in the box boundary has invisible
+    chambers."""
+    faces = lifted.faces
+    for f1 in canonical:
+        for f2 in lifted.lowers[f1]:
+            if not lifted.window.contains(faces[f2].barycenter, strict=True):
+                raise WindowError(
+                    "face %d below canonical face %d lies in the window boundary"
+                    % (f2, f1))
+
+
 def toric_salvetti(lifted, fc):
     """Quotient Salvetti category; objects are orbits of pairs [F, C].
 
     Each orbit is keyed by its pair over a canonical face of `fc`, graded
     by the codimension of F; morphisms follow `salvetti_below`.
     """
-    faces = lifted.faces
-    for (f1,) in fc.objects:
-        for f2 in lifted.lowers[f1]:
-            # a lower face inside the box boundary has invisible chambers
-            if not lifted.window.contains(faces[f2].barycenter, strict=True):
-                raise WindowError(
-                    "face %d below canonical face %d lies in the window boundary"
-                    % (f2, f1))
+    _check_stars_visible(lifted, [f for (f,) in fc.objects])
     pairs = [(cf, cid) for (cf,) in fc.objects for cid in lifted.chambers_above(cf)]
     return PeriodicCategory(lifted, pairs, lambda e: salvetti_below(lifted, e))
 
@@ -130,31 +136,61 @@ def cw_census(zcat):
 
 def orbit_chain_counts(lifted, max_dim):
     """Per-degree counts of translation orbits of nerve chains of the
-    lifted Salvetti poset, canonicalized at the chain's source element.
+    lifted Salvetti poset, counted from canonical sources only.
 
-    Elements range over pairs whose face is an honest face of the
-    periodic arrangement (boundary-cut chamber classes are fine: their
-    windowed sign data is exact).  Used to confirm that taking nerves
-    commutes with the quotient.
+    The poset's elements are the pairs [F, C] with F an honest (uncut)
+    face of the periodic arrangement; boundary-cut chambers are fine, as
+    their windowed sign data is exact, and the faces below an uncut face
+    are uncut.  A degree-k chain is a sequence e_0 > e_1 > ... > e_k along
+    `salvetti_below`, which is the whole strict order.  N_0(e) = 1 and
+    N_k(e), the sum of N_{k-1}(t) over the t below e, counts the chains
+    with source e; degree k's count is the sum of N_k(e) over the
+    canonical sources, the e whose face has cell 0.  Counting stops at the
+    first empty degree, as the nerve does.
+
+    Why this is the orbit count.  A chain's orbit has exactly one translate
+    whose source face has cell 0, so distinct chains from canonical
+    sources lie in distinct orbits.  Conversely, let a chain of the window
+    have its source face in cell u, and move it by -u.  Suppose (a) every
+    uncut face has an uncut translate in cell 0, and (b) every face in the
+    closure of an uncut cell-0 face has its barycenter inside the open
+    box, so that every chamber at it was enumerated.  Then the moved
+    source face is uncut by (a), the moved faces below it are uncut, and
+    the moved chambers are in the window by (b).  `salvetti_below` reads
+    only sign vectors, which translation re-indexes, so the moved chain is
+    a chain of the window from a canonical source.  Both conditions are
+    checked, with the window containing [-1,2]^n, which puts the cell-0
+    faces themselves inside the open box; a window that fails them raises
+    `WindowError`, and `quotient_faces` or `toric_salvetti` fails first on
+    such a window.
     """
+    if not lifted.window.covers_quotient_core():
+        raise WindowError("window must contain [-1,2]^n to canonicalize orbits")
     faces = lifted.faces
-    elements = []
+    canonical = []
     for f in faces:
         if f.boundary_cut:
             continue
-        for cid in lifted.chambers_above(f.id):
-            elements.append((f.id, cid))
-    elements.sort()
-    sal = SalvettiPoset(lifted, elements)
-    cat = sal.as_category()
-    chains = nerve_chains(cat, max_dim)
+        if not any(f.cell):
+            canonical.append(f.id)
+        elif faces[lifted.translate(f.id, tuple(-s for s in f.cell))].boundary_cut:
+            raise WindowError("face %d has no whole translate in cell 0" % f.id)
+    _check_stars_visible(lifted, canonical)
+    sources = [(f, cid) for f in canonical for cid in lifted.chambers_above(f)]
+    below = {}
+    stack = list(sources)
+    while stack:
+        e = stack.pop()
+        if e not in below:
+            below[e] = salvetti_below(lifted, e)
+            stack.extend(below[e])
 
-    counts = [len({lifted.canonical(e)[0] for e in sal.elements})]
-    for k in range(1, len(chains)):
-        seen = set()
-        for chain in chains[k]:
-            objs = [cat.source(chain[0])] + [cat.target(m) for m in chain]
-            flat = tuple(f for i in objs for f in sal.elements[i])
-            seen.add(lifted.canonical(flat)[0])
-        counts.append(len(seen))
+    counts = [len(sources)]
+    chains = dict.fromkeys(below, 1)
+    for _ in range(max_dim):
+        chains = {e: sum(map(chains.__getitem__, ts)) for e, ts in below.items()}
+        count = sum(map(chains.__getitem__, sources))
+        if not count:
+            break
+        counts.append(count)
     return counts

@@ -1,6 +1,7 @@
 import json
+import math
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, product
 
 from hypothesis import given, settings, strategies as st
 import pytest
@@ -16,6 +17,7 @@ from toricarr.category import check_acyclic
 
 from conftest import CATALOG
 from test_cli import SPEC_G2_00
+from test_golden import DOCS
 
 
 def line_arrangement(cs, window):
@@ -197,6 +199,63 @@ def test_locate_clears_large_denominators(catalog):
     fid = lifted.locate(point)
     assert lifted.faces[fid].sign_vector == reference_signs(lifted.hyperplanes, point)
     assert lifted.faces[fid].dim == 2
+
+
+def reference_translate(lifted, fid, u):
+    """The face at the moved barycenter, found as `locate` finds it and
+    with the same errors: each sign is <alpha, x> - c with x and c put
+    over one denominator."""
+    point = tuple(x + s for x, s in zip(lifted.faces[fid].barycenter, u))
+    if not lifted.window.contains(point):
+        raise WindowError("point %s escapes the window" % (tuple(map(str, point)),))
+    den = math.lcm(*(x.denominator for x in point))
+    num = [x.numerator * (den // x.denominator) for x in point]
+    sig = []
+    for h in lifted.hyperplanes:
+        v = sum(a * x for a, x in zip(h.alpha, num)) * h.c.denominator - h.c.numerator * den
+        sig.append((v > 0) - (v < 0))
+    got = lifted.by_signs.get(tuple(sig))
+    if got is None:
+        raise WindowError("no face enumerated at %s" % (tuple(map(str, point)),))
+    return got
+
+
+def outcome(fn, *args):
+    try:
+        return fn(*args)
+    except WindowError as e:
+        return str(e)
+
+
+# (name, document, window, step): every step-th face moves.  r3 has 4327
+# faces at window 1 and 18471 at window 2; all of them would take most of
+# the tier-1 time budget
+TRANSLATE_CASES = [(name, doc, k, 1) for name, doc in CUT_CASES.items()
+                   for k in (1, 2)] + [("r3", json.dumps(DOCS["r3"]), 1, 23)]
+
+
+def test_translate_matches_reference_locate():
+    # signs moved from a lifted pre-image, and signs fixed by the side of
+    # the box that a pre-image outside the lift lies on
+    paths = {"lifted": 0, "fixed": 0}
+    for name, doc, k, step in TRANSLATE_CASES:
+        spec = parse_spec(doc)
+        window = Window.standard(spec.rank, k)
+        lifted = enumerate_faces(lift_to_window(spec, window), window)
+        lifted_at = {(h.source, h.shift) for h in lifted.hyperplanes}
+        for u in product((-1, 0, 1), repeat=spec.rank):
+            if not any(u):
+                continue
+            moved = sum((h.source, h.shift - sum(a * s for a, s in zip(h.alpha, u)))
+                        in lifted_at for h in lifted.hyperplanes)
+            for f in lifted.faces[::step]:
+                got = outcome(lifted.translate, f.id, u)
+                assert got == outcome(reference_translate, lifted, f.id, u), \
+                    (name, k, f, u)
+                if isinstance(got, int):
+                    paths["lifted"] += moved
+                    paths["fixed"] += len(lifted.hyperplanes) - moved
+    assert paths["lifted"] and paths["fixed"], paths
 
 
 # -- quotient

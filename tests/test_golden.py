@@ -5,9 +5,10 @@ Each case runs `cli.run` in-process on an arrangement document at one
 the files under `tests/golden/`.  The documents are the catalog, a
 three-wall rank-2 arrangement with the angle 2/3 (every catalog angle has
 a power-of-two denominator), `g2_00`, which needs window 2, a
-three-wall arrangement whose flats have non-integral direction vectors,
-and a non-essential rank-3 arrangement; the last two pin the
-essentialization basis and the layer lattices.  To rewrite the goldens
+three-wall arrangement whose flats have non-integral direction vectors
+and a non-essential rank-3 arrangement, which pin the essentialization
+basis and the layer lattices, and `r3`, a rank-3 arrangement with oblique
+walls, which pins face translation in rank 3.  To rewrite the goldens
 from the current code (only when an output change is intended):
 
     PYTHONPATH=src python tests/test_golden.py
@@ -64,7 +65,7 @@ CASES = [(name, cmd, 1) for name in ("one_point", "two_points", "three_points")
          ("three_walls", "pi1", 2), ("g2_00", "faces", 1), ("g2_00", "faces", 2)] + \
         [("three_walls_2", "layers", 1)] + \
         [("nonessential", cmd, 1) for cmd in ("validate", "layers", "homology")] + \
-        [("r3", "faces", 1)]
+        [("r3", cmd, 1) for cmd in ("faces", "salvetti", "homology")]
 
 
 def case_name(name, cmd, window):
