@@ -19,8 +19,7 @@ from .cells import (AffineFace, LiftedFacePoset, PeriodicCategory, FaceCategory,
 from .category import (AcyclicCategory, ChainComplex, check_acyclic,
                        nerve_chains, boundary_matrices, homology,
                        euler_characteristic)
-from .salvetti import (SalvettiPoset, salvetti_poset, salvetti_below,
-                       toric_salvetti, is_thick, cw_census)
+from .salvetti import salvetti_below, toric_salvetti, is_thick, cw_census
 from .pi1 import (GroupPresentation, Pi1Context, abelianize,
                   simplify_presentation, positive_minimal_path,
                   omega_paths, sigma, delta_word, h_of_G, relations_for_G)

@@ -19,6 +19,7 @@ from collections import namedtuple
 from fractions import Fraction
 from itertools import combinations, product
 import math
+from operator import mul
 
 from .errors import SpecError, WindowError, InternalError
 from .exact import adjugate, rank, integer_kernel, hnf
@@ -29,7 +30,7 @@ Q = Fraction
 
 
 def _dot(a, b):
-    return sum(x * y for x, y in zip(a, b))
+    return sum(map(mul, a, b))
 
 
 def conforms(lower, upper):
@@ -45,23 +46,30 @@ def _scaled(point):
 
 
 class AffineFace:
-    """One cell of the windowed decomposition.  `cell` is the integer
-    floor of the barycenter: the face lies in the orbit's canonical
-    position when it is zero."""
+    """One cell of the windowed decomposition.  The barycenter is stored as
+    integer numerators `num` over `den`, one positive denominator for the
+    whole lift.  `cell` is its integer floor: the face lies in the orbit's
+    canonical position when it is zero."""
 
-    __slots__ = ("id", "sign_vector", "dim", "barycenter", "cell", "flat_id",
+    __slots__ = ("id", "sign_vector", "dim", "num", "den", "cell", "flat_id",
                  "boundary_cut", "vertex_ids")
 
-    def __init__(self, fid, sign_vector, dim, barycenter, cell, flat_id,
+    def __init__(self, fid, sign_vector, dim, num, den, cell, flat_id,
                  boundary_cut, vertex_ids):
         self.id = fid
         self.sign_vector = sign_vector
         self.dim = dim
-        self.barycenter = barycenter
+        self.num = num
+        self.den = den
         self.cell = cell
         self.flat_id = flat_id
         self.boundary_cut = boundary_cut
         self.vertex_ids = vertex_ids
+
+    @property
+    def barycenter(self):
+        """The barycenter as a tuple of Fractions."""
+        return tuple(Q(x, self.den) for x in self.num)
 
     def __repr__(self):
         return "AffineFace(id=%d, dim=%d, bary=%s%s)" % (
@@ -72,11 +80,12 @@ class AffineFace:
 class LiftedFacePoset:
     """All faces of the windowed lift with their incidence structure."""
 
-    def __init__(self, hyperplanes, table, window, faces, flats, by_signs,
+    def __init__(self, hyperplanes, table, window, den, faces, flats, by_signs,
                  uppers, geo_class, class_rep):
         self.hyperplanes = hyperplanes
         self.table = table              # SignTable of the candidate vertices
         self.window = window
+        self.den = den                  # the faces' barycenter denominator
         self.faces = faces
         self.flats = flats              # (zero frozenset, point, basis)
         self.by_signs = by_signs
@@ -94,8 +103,7 @@ class LiftedFacePoset:
         self._translated = {}
         self._lifted_at = {(h.source, h.shift): i for i, h in enumerate(hyperplanes)}
         self._preimages = {}
-        self._box = [(a.numerator, a.denominator, b.numerator, b.denominator)
-                     for a, b in zip(window.lo, window.hi)]
+        self._box = [(int(a * den), int(b * den)) for a, b in zip(window.lo, window.hi)]
 
     @property
     def dim(self):
@@ -112,7 +120,8 @@ class LiftedFacePoset:
         """Face containing an exact point, via its sign vector."""
         if not self.window.contains(point):
             raise WindowError("point %s escapes the window" % (tuple(map(str, point)),))
-        fid = self.by_signs.get(self.table.signs(point))
+        num, den = _scaled(point)
+        fid = self.by_signs.get(self.table.signs([x * self.table.scale for x in num], den))
         if fid is None:
             raise WindowError("no face enumerated at %s" % (tuple(map(str, point)),))
         return fid
@@ -161,10 +170,9 @@ class LiftedFacePoset:
 
     def _moved(self, fid, u):
         face = self.faces[fid]
-        num, den = _scaled(face.barycenter)
-        num = [x + den * s for x, s in zip(num, u)]
-        if not all(lo * den <= x * lo_d and x * hi_d <= hi * den
-                   for x, (lo, lo_d, hi, hi_d) in zip(num, self._box)):
+        den = self.den
+        num = [x + den * s for x, s in zip(face.num, u)]
+        if not all(lo <= x <= hi for x, (lo, hi) in zip(num, self._box)):
             raise WindowError("point %s escapes the window"
                               % (tuple(str(Q(x, den)) for x in num),))
         pre, fixed = self._preimage(u)
@@ -195,11 +203,14 @@ class LiftedFacePoset:
         cached = self._star_ok.get(fid)
         if cached is None:
             f = self.faces[fid]
-            cached = (not f.boundary_cut and
-                      self.window.contains(f.barycenter, strict=True) and
+            cached = (not f.boundary_cut and self.in_open_box(fid) and
                       all(not self.faces[g].boundary_cut for g in self.uppers[fid]))
             self._star_ok[fid] = cached
         return cached
+
+    def in_open_box(self, fid):
+        """The face's barycenter lies inside the open window box."""
+        return all(lo < x < hi for x, (lo, hi) in zip(self.faces[fid].num, self._box))
 
     def chambers_above(self, fid):
         n = self.dim
@@ -208,64 +219,54 @@ class LiftedFacePoset:
         return tuple(g for g in self.uppers[fid] if self.faces[g].dim == n)
 
 
-def _sign(x):
-    return (x > 0) - (x < 0)
+def _mask(flags):
+    """The int whose bit i is set when flags[i] is true."""
+    return int("".join(["01"[f] for f in reversed(flags)]), 2)
 
 
 class SignTable:
-    """The hyperplanes as integer values over a fixed list of points.
+    """The hyperplanes' signs over a fixed list of points, as bit masks.
 
     `scale` is one positive integer D that clears the denominators of the
-    points and of the hyperplane constants, so `coords[i]` = D * points[i]
-    and `values[h][i]` = D * (<alpha_h, points[i]> - c_h) are integers.
-    A value is affine in the point: its value at an average of points is
-    the average of theirs, and its sign the sign of an integer sum.
+    points and of the hyperplane constants: `coords[i]` = D * points[i]
+    and `consts[h]` = D * c_h are integers.  Bit i of `pos[h]`, `neg[h]`
+    and `zero[h]` is set when points[i] lies on the + side of h, on its
+    - side, or on h.
     """
 
-    def __init__(self, hyperplanes, points):
-        scale = math.lcm(*(x.denominator for p in points for x in p),
-                         *(h.c.denominator for h in hyperplanes))
+    def __init__(self, hyperplanes, scale, coords):
         index = {}
         self.normal_of = [index.setdefault(h.alpha, len(index)) for h in hyperplanes]
         self.normals = list(index)
         self.scale = scale
         self.consts = [h.c.numerator * (scale // h.c.denominator) for h in hyperplanes]
-        self.coords = [tuple(x.numerator * (scale // x.denominator) for x in p)
-                       for p in points]
-        dots = [[_dot(a, p) for p in self.coords] for a in self.normals]
-        self.values = [[v - c for v in dots[k]]
-                       for k, c in zip(self.normal_of, self.consts)]
+        self.coords = coords
+        dots = [[_dot(a, p) for p in coords] for a in self.normals]
+        self.pos, self.neg, self.zero = [], [], []
+        for k, c in zip(self.normal_of, self.consts):
+            self.pos.append(_mask([v > c for v in dots[k]]))
+            self.neg.append(_mask([v < c for v in dots[k]]))
+            self.zero.append(_mask([v == c for v in dots[k]]))
 
-    def signs_at_average(self, ids, assigned):
-        """True when the average of the points `ids` has the strict sign s
-        on every hyperplane h of the (h, s) pairs `assigned`."""
-        values = self.values
-        return all(_sign(sum(map(values[h].__getitem__, ids))) == s
-                   for h, s in assigned)
-
-    def average(self, ids):
-        """The exact average of the points `ids`."""
-        den = self.scale * len(ids)
-        return tuple(Q(sum(xs), den) for xs in zip(*map(self.coords.__getitem__, ids)))
-
-    def signs(self, point):
-        """Sign vector of any exact point on every hyperplane."""
-        num, den = _scaled(point)
-        dots = [self.scale * _dot(a, num) for a in self.normals]
-        return tuple(_sign(dots[k] - c * den)
-                     for k, c in zip(self.normal_of, self.consts))
+    def signs(self, num, den):
+        """Sign vector, on every hyperplane, of the point num / (D den)."""
+        dots = [_dot(a, num) for a in self.normals]
+        values = [dots[k] - c * den for k, c in zip(self.normal_of, self.consts)]
+        return tuple([(v > 0) - (v < 0) for v in values])
 
 
 def candidate_vertices(hyperplanes, window):
-    """Every point of the closed box cut out by n independent planes among
-    the hyperplanes and the box walls, sorted.
+    """(D, coords): every point of the closed box cut out by n independent
+    planes among the hyperplanes and the box walls, as integer numerators
+    over one denominator D, sorted.
 
     The planes are grouped by integer normal.  Each n-tuple A of distinct
     normals gets one determinant and one adjugate, and a singular tuple is
-    skipped once.  With every constant scaled by one integer D, a choice c
-    of one constant per normal gives the point adj(A) (D c) / (D det A):
-    the numerators and the box test are integer arithmetic, and Fractions
-    are built only for the points inside the box.
+    skipped once.  With every constant scaled by one integer s, a choice c
+    of one constant per normal gives the point adj(A) (s c) / (s det A):
+    the numerators and the box test are integer arithmetic.  D is s times
+    the lcm of the determinants that give a point, so D also clears every
+    hyperplane constant.
     """
     n = window.dim
     consts = {}
@@ -281,7 +282,7 @@ def candidate_vertices(hyperplanes, window):
 
     lo = [scaled(x) for x in window.lo]
     hi = [scaled(x) for x in window.hi]
-    points = set()
+    found = []      # (det, numerators over scale * det)
     for rows in combinations(consts, n):
         det, adj = adjugate(rows)
         if det == 0:
@@ -293,12 +294,13 @@ def candidate_vertices(hyperplanes, window):
         # each constant contributes its scaled value times its column of adj
         shares = [[tuple(scaled(c) * row[i] for row in adj) for c in consts[a]]
                   for i, a in enumerate(rows)]
-        den = det * scale
         for choice in product(*shares):
             num = [sum(xs) for xs in zip(*choice)]
             if all(a <= x <= b for a, x, b in zip(lo_d, num, hi_d)):
-                points.add(tuple(Q(x, den) for x in num))
-    return sorted(points)
+                found.append((det, num))
+    dets = math.lcm(*{det for det, _ in found})
+    return scale * dets, sorted({tuple(x * (dets // det) for x in num)
+                                 for det, num in found})
 
 
 def _direction(normals, ids, n):
@@ -335,18 +337,29 @@ def _direction(normals, ids, n):
     return basis, parallel, cols, u[:len(h)], det, adj
 
 
-def _faces_on_flat(table, window, flat_id, basis, cands0, cutting, weak, forced,
-                   on_wall):
-    """The faces on one flat, as (sign vector, flat id, dim, barycenter,
-    vertex ids, boundary_cut) tuples: a DFS over strict signs on the
-    cutting hyperplanes, where a region's witness is a list of candidates
-    whose average has the region's strict signs.  `weak` and `forced` are
-    (hyperplane, sign) pairs of the forced hyperplanes with and without a
-    zero on the flat's candidates; only the weak signs need checking."""
-    n = window.dim
-    values = table.values
-    signs_ok = table.signs_at_average
-    d = len(basis)
+def _bits(mask):
+    """The set bits of a mask, ascending."""
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
+    return out
+
+
+def _faces_on_flat(table, flat_id, basis, cands, cutting, weak, forced, on_wall):
+    """The faces on one flat, as (dim, coordinate sums, vertex ids, sign
+    vector, flat id, boundary_cut, + mask, - mask) tuples, the masks
+    holding the hyperplanes with each sign: a DFS over strict signs on the
+    cutting hyperplanes.  A node holds W, the mask of the flat's candidates
+    `cands` weakly signed by its assignment, and `need`, the masks of the
+    candidates strictly on each assigned side; by the lemma of
+    `enumerate_faces` it is a region exactly when W meets every mask in
+    `need`.  `weak` and `forced` are (hyperplane, sign) pairs of the
+    forced hyperplanes with and without a zero on the flat's candidates;
+    only the weak signs need checking."""
+    pos, neg, coords = table.pos, table.neg, table.coords
+    weak_sides = [(pos if s > 0 else neg)[h] for h, s in weak]
 
     # the face's closure leaves the box exactly when the face meets a
     # wall x_j = b along which x_j varies on the flat; the wall's share
@@ -354,63 +367,53 @@ def _faces_on_flat(table, window, flat_id, basis, cands0, cutting, weak, forced,
     # of the clipped closure, so their average lies in its relative
     # interior, which is either wholly inside the face or wholly
     # inside one hyperplane
-    walls = [on_wall[j, b] for j in range(n) if any(v[j] != 0 for v in basis)
-             for b in (window.lo[j], window.hi[j])]
+    walls = [wall for j, pair in enumerate(on_wall) if any(v[j] for v in basis)
+             for wall in pair]
 
-    def boundary_cut(cs, assigned):
-        for wall in walls:
-            cs_wall = [ci for ci in cs if ci in wall]
-            if cs_wall and signs_ok(cs_wall, assigned):
-                return True
-        return False
-
-    base = [0] * len(values)
-    for hidx, s in forced:
-        base[hidx] = s
     out = []
-    stack = [(0, cands0, cands0, [])]
+    stack = [(0, cands, [], [])]
     while stack:
-        depth, cs, witness, assigned = stack.pop()
-        if depth == len(cutting):
-            if not signs_ok(cs, assigned):
-                raise InternalError("barycenter escaped its own face")
-            if not signs_ok(cs, weak):
-                continue
-            assigned = assigned + weak
-            sig = list(base)
-            for hidx, s in assigned:
-                sig[hidx] = s
-            out.append((tuple(sig), flat_id, d, table.average(cs), tuple(cs),
-                        boundary_cut(cs, assigned)))
+        depth, w, assigned, need = stack.pop()
+        if depth < len(cutting):
+            h = cutting[depth]
+            for s, strict, other in ((1, pos[h], neg[h]), (-1, neg[h], pos[h])):
+                w2 = w & ~other
+                if w2 & strict and (w2 == w or all(map(w2.__and__, need))):
+                    stack.append((depth + 1, w2, assigned + [(h, s)], need + [strict]))
             continue
-        hidx = cutting[depth]
-        col = values[hidx]
-        wv = sum(map(col.__getitem__, witness))
-        for s in (1, -1):
-            cs2 = [ci for ci in cs if s * col[ci] >= 0]
-            if not cs2:
-                continue
-            assigned2 = assigned + [(hidx, s)]
-            if s * wv > 0:
-                w2 = witness
-            elif signs_ok(cs2, assigned2):
-                w2 = cs2
+        if not all(map(w.__and__, weak_sides)):
+            continue
+        sig = [0] * len(pos)
+        plus = minus = 0
+        for h, s in forced + assigned + weak:
+            sig[h] = s
+            if s > 0:
+                plus |= 1 << h
             else:
-                continue
-            stack.append((depth + 1, cs2, w2, assigned2))
+                minus |= 1 << h
+        sig = tuple(sig)
+        ids = _bits(w)
+        sums = [sum(xs) for xs in zip(*map(coords.__getitem__, ids))]
+        if table.signs(sums, len(ids)) != sig:
+            raise InternalError("barycenter escaped its own face")
+        need = need + weak_sides
+        cut = any(x and all(map(x.__and__, need)) for x in map(w.__and__, walls))
+        out.append((len(basis), sums, tuple(ids), sig, flat_id, cut, plus, minus))
     return out
 
 
 def enumerate_faces(hyperplanes, window):
     """Stratify the window by the hyperplane list.
 
-    Emits every sign class meeting the closed box.  Every sign is decided
-    in integers: the candidate vertices (`candidate_vertices`) and the
-    hyperplanes are scaled by one integer into a `SignTable`, and the
-    sign at an average of candidates is the sign of an integer column sum.
+    Emits every sign class meeting the closed box.  Everything is decided
+    in integers: the candidate vertices (`candidate_vertices`) are integer
+    numerators over one denominator D, and a `SignTable` holds, per
+    hyperplane, the masks of the candidates on its + side, on its - side
+    and on it.  A set of candidates is a mask too.
 
     Flats are found by closing the hyperplane set under intersection; each
-    carries the candidates on it, and a flat with none misses the box.  A
+    carries the mask of the candidates on it (its parent's masked by the
+    new hyperplane's zeros), and a flat with none misses the box.  A
     flat's direction depends only on the set of its hyperplanes' normals,
     so its kernel basis, parallel mask and pivot adjugate are computed
     once per normal set (`_direction`), and a new flat's point comes from
@@ -423,8 +426,18 @@ def enumerate_faces(hyperplanes, window):
     a nonempty face, clipped to the box, is the hull of those candidates,
     and their average lies in its relative interior.  The same test
     decides every prefix of the sign vector, so a prefix that fails has
-    no face below it and the sweep prunes it.  Before the sweep, each
-    other hyperplane is classified by its values on the flat's candidates:
+    no face below it and the sweep prunes it.  The test is a mask AND:
+
+    Lemma.  Let W be the flat's candidates weakly signed by an assignment
+    and (h, s) an assigned pair.  The average of W has the strict sign s
+    on h exactly when W & side[s][h] is nonzero, side[s] being the + or
+    - masks.  Proof: h's value is affine, so its value at the average is
+    the average of its values on W.  Each of these has the sign s or is
+    zero, so the average has the sign s when one of them does, and is
+    zero when none does.
+
+    Before the sweep, each other hyperplane is classified by its masks on
+    the flat's candidates:
     - cutting: both strict signs occur; the sweep branches on it;
     - forced: one strict sign occurs, besides zeros.  Every face has that
       sign, and weak signs on it keep every candidate, so a leaf of the
@@ -433,8 +446,11 @@ def enumerate_faces(hyperplanes, window):
       zero there has its sign at every average and needs no check;
     - dead: zero on every candidate.  The clipped flat lies in the
       hyperplane and carries no face.
-    Averages of clipped vertices on the box walls also decide
-    `boundary_cut`.
+    The lemma also decides `boundary_cut`, on the candidates on the box
+    walls.  Each face's barycenter is kept as the coordinate sums of W,
+    and every hyperplane is evaluated there to confirm the face's sign
+    vector.  The barycenters are then put over one denominator, D times
+    the lcm of the vertex counts, and compared in integers.
     """
     n = window.dim
     m = len(hyperplanes)
@@ -451,11 +467,11 @@ def enumerate_faces(hyperplanes, window):
             class_rep.append(i)
         geo_class[i] = seen_geo[key]
 
-    cand = candidate_vertices(hyperplanes, window)
-    if not cand:
+    scale, coords = candidate_vertices(hyperplanes, window)
+    if not coords:
         raise InternalError("window contains no arrangement vertices")
-    table = SignTable(hyperplanes, cand)
-    values = table.values
+    table = SignTable(hyperplanes, scale, coords)
+    pos, neg, zero = table.pos, table.neg, table.zero
     normal_of = table.normal_of
     with_normal = [[] for _ in table.normals]
     for i, k in enumerate(normal_of):
@@ -472,7 +488,7 @@ def enumerate_faces(hyperplanes, window):
     # a vertex of flat & box is cut out by n of the planes, so every flat
     # meeting the box holds a candidate.  keys[f] is the normal set of f.
     flats = [(frozenset(), tuple(Q(0) for _ in range(n)), direction(frozenset())[0])]
-    cands_of = [list(range(len(cand)))]
+    cands_of = [(1 << len(coords)) - 1]
     keys = [frozenset()]
     flat_index = {frozenset(): 0}
     head = 0
@@ -488,15 +504,14 @@ def enumerate_faces(hyperplanes, window):
         for hidx in range(m):
             if par[normal_of[hidx]]:
                 continue
-            col = values[hidx]
-            cands2 = [ci for ci in cands if col[ci] == 0]
+            cands2 = cands & zero[hidx]
             if not cands2:
                 continue  # misses the box entirely
             key2 = key | {normal_of[hidx]}
             basis2, par2, cols2, transform, det, adj = direction(key2)
-            on = cands2[0]
+            on = cands2 & -cands2
             zero2 = frozenset(i for k, p in enumerate(par2) if p
-                              for i in with_normal[k] if values[i][on] == 0)
+                              for i in with_normal[k] if zero[i] & on)
             if zero2 in flat_index:
                 continue
             const_of = {normal_of[i]: table.consts[i] for i in zero2}
@@ -504,53 +519,51 @@ def enumerate_faces(hyperplanes, window):
             uc = [_dot(row, cs) for row in transform]
             point = [Q(0)] * n
             for row, j in zip(adj, cols2):
-                point[j] = Q(_dot(row, uc), det * table.scale)
+                point[j] = Q(_dot(row, uc), det * scale)
             flat_index[zero2] = len(flats)
             flats.append((zero2, tuple(point), basis2))
             cands_of.append(cands2)
             keys.append(frozenset(const_of))
 
-    # the candidates on each box wall
-    on_wall = {}
-    for j in range(n):
-        for b in (window.lo[j], window.hi[j]):
-            on_wall[j, b] = {ci for ci, p in enumerate(cand) if p[j] == b}
+    # the masks of the candidates on the two box walls of each axis
+    on_wall = [[_mask([p[j] == b for p in coords])
+                for b in (int(window.lo[j] * scale), int(window.hi[j] * scale))]
+               for j in range(n)]
 
     # faces per flat: classify the other hyperplanes on the flat's
     # candidates, then sweep the cutting ones unless one is dead
     raw = []
-    for flat_id, (zero, _, basis) in enumerate(flats):
-        cands0 = cands_of[flat_id]
+    for flat_id, (zero_set, _, basis) in enumerate(flats):
+        cands = cands_of[flat_id]
         cutting, weak, forced = [], [], []
         for hidx in range(m):
-            if hidx in zero:
+            if hidx in zero_set:
                 continue
-            col = values[hidx]
-            low = min(map(col.__getitem__, cands0))
-            high = max(map(col.__getitem__, cands0))
-            if low < 0 < high:
+            p, q = cands & pos[hidx], cands & neg[hidx]
+            if p and q:
                 cutting.append(hidx)
-            elif low > 0 or high < 0:
-                forced.append((hidx, 1 if low > 0 else -1))
-            elif low or high:
-                weak.append((hidx, 1 if high > 0 else -1))
+            elif p or q:
+                (forced if p | q == cands else weak).append((hidx, 1 if p else -1))
             else:
                 break  # dead
         else:
-            raw += _faces_on_flat(table, window, flat_id, basis, cands0,
-                                  cutting, weak, forced, on_wall)
+            raw += _faces_on_flat(table, flat_id, basis, cands, cutting, weak, forced,
+                                  on_wall)
 
-    # by dimension, then barycenter, compared in integers as the barycenter
-    # times D * L, with L the lcm of the vertex counts
-    den = table.scale * math.lcm(*{len(r[4]) for r in raw})
-    raw.sort(key=lambda r: (r[2], [x.numerator * (den // x.denominator) for x in r[3]]))
+    # by dimension, then barycenter: the numerators over D * L, with L the
+    # lcm of the vertex counts
+    common = math.lcm(*{len(r[2]) for r in raw})
+    den = scale * common
+    raw = sorted(((d, tuple(x * (common // len(ids)) for x in sums), ids, sig, flat_id, cut,
+                   plus, minus) for d, sums, ids, sig, flat_id, cut, plus, minus in raw),
+                 key=lambda r: r[:2])
     faces = []
     by_signs = {}
     cells = {}      # one tuple per distinct cell, shared by its faces
-    for fid, (sig, flat_id, d, bary, verts, cut) in enumerate(raw):
-        cell = tuple(x.numerator // x.denominator for x in bary)
-        faces.append(AffineFace(fid, sig, d, bary, cells.setdefault(cell, cell),
-                                flat_id, cut, verts))
+    for fid, (d, num, ids, sig, flat_id, cut, _, _) in enumerate(raw):
+        cell = tuple(x // den for x in num)
+        faces.append(AffineFace(fid, sig, d, num, den, cells.setdefault(cell, cell),
+                                flat_id, cut, ids))
         by_signs[sig] = fid
 
     # closure order: a face's clipped vertices all recur on larger faces,
@@ -559,19 +572,18 @@ def enumerate_faces(hyperplanes, window):
     for f in faces:
         for ci in f.vertex_ids:
             at_vertex.setdefault(ci, []).append(f.id)
-    # `conforms` on bit masks of the + and - hyperplanes: lower's masks
-    # lie inside upper's.  at_vertex lists ids in order, so uppers are
-    # sorted.
-    bits = [1 << i for i in range(m)]
-    pos = [sum(b for b, s in zip(bits, f.sign_vector) if s > 0) for f in faces]
-    neg = [sum(b for b, s in zip(bits, f.sign_vector) if s < 0) for f in faces]
+    # `conforms` on the sweep's masks of the + and - hyperplanes: lower's
+    # masks lie inside upper's.  at_vertex lists ids in order, so uppers
+    # are sorted.
+    plus = [r[6] for r in raw]
+    minus = [r[7] for r in raw]
     uppers = {}
     for f in faces:
-        p, q = pos[f.id], neg[f.id]
+        p, q = plus[f.id], minus[f.id]
         uppers[f.id] = tuple(g for g in at_vertex[f.vertex_ids[0]]
-                             if faces[g].dim > f.dim and not p & ~pos[g] and not q & ~neg[g])
+                             if faces[g].dim > f.dim and not p & ~plus[g] and not q & ~minus[g])
 
-    return LiftedFacePoset(hyperplanes, table, window, faces, flats, by_signs,
+    return LiftedFacePoset(hyperplanes, table, window, den, faces, flats, by_signs,
                            uppers, geo_class, class_rep)
 
 
@@ -637,9 +649,9 @@ class PeriodicCategory:
         if k is None:
             raise WindowError("the orbit of %s has no whole representative in the "
                               "window" % (element,))
-        num, den = _scaled(lifted.faces[element[0]].barycenter)
-        if _scaled(lifted.faces[canonical[0]].barycenter) != \
-                ([x - den * s for x, s in zip(num, u)], den):
+        den = lifted.den
+        if lifted.faces[canonical[0]].num != \
+                tuple(x - den * s for x, s in zip(lifted.faces[element[0]].num, u)):
             raise InternalError("orbit representative mismatch for %s" % (element,))
         return k, u
 

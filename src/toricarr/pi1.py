@@ -421,9 +421,11 @@ def h_of_G(lifted, gfid):
     proj = kernel_basis([list(b) for b in basis], n)
     if len(proj) != 2:
         raise InternalError("transverse plane of a codim-2 face is not 2-dimensional")
+    # barycenter numerators share one positive denominator, which scales
+    # every vector and so keeps the half-plane and cross-product signs
     vecs = {}
     for f in ups:
-        v = tuple(b - a for a, b in zip(g.barycenter, lifted.faces[f].barycenter))
+        v = tuple(b - a for a, b in zip(g.num, lifted.faces[f].num))
         w = (_dot(proj[0], v), _dot(proj[1], v))
         if w == (0, 0):
             raise InternalError("adjacent face projects onto the flat")

@@ -9,61 +9,12 @@ bijection with the cells of a (generally non-regular) CW structure,
 graded by the codimension of F.
 """
 
-from .errors import WindowError, InternalError
-from .category import AcyclicCategory
+from .errors import WindowError
 from .cells import PeriodicCategory
 
 __all__ = [
-    "SalvettiPoset", "salvetti_poset", "salvetti_below", "toric_salvetti",
-    "is_thick", "cw_census", "orbit_chain_counts",
+    "salvetti_below", "toric_salvetti", "is_thick", "cw_census", "orbit_chain_counts",
 ]
-
-
-class SalvettiPoset:
-    """Pairs [F, C] over the windowed lift, restricted to faces whose
-    closed star the window fully contains."""
-
-    def __init__(self, lifted, elements):
-        self.lifted = lifted
-        self.elements = elements        # list of (fid, cid)
-        self.index = {e: i for i, e in enumerate(elements)}
-
-    def grade(self, i):
-        fid, _ = self.elements[i]
-        return self.lifted.dim - self.lifted.faces[fid].dim
-
-    def relation_pairs(self):
-        """All strict order pairs (i, j), grade-increasing."""
-        pairs = []
-        for i, e in enumerate(self.elements):
-            js = (self.index.get(t) for t in salvetti_below(self.lifted, e))
-            pairs.extend((i, j) for j in sorted(j for j in js if j is not None))
-        return pairs
-
-    def as_category(self):
-        n_el = len(self.elements)
-        grades = [self.grade(i) for i in range(n_el)]
-        morphs = []
-        identities = []
-        for i in range(n_el):
-            identities.append(len(morphs))
-            morphs.append((i, i))
-        strict = {}
-        for (i, j) in self.relation_pairs():
-            strict[(i, j)] = len(morphs)
-            morphs.append((i, j))
-        table = {}
-        by_src = {}
-        for (i, j), mid in strict.items():
-            by_src.setdefault(i, []).append((j, mid))
-        for (i, j), m1 in strict.items():
-            for (k, m2) in by_src.get(j, ()):
-                comp = strict.get((i, k))
-                if comp is None:
-                    raise InternalError("Salvetti order is not transitive")
-                table[(m2, m1)] = comp
-        return AcyclicCategory(grades, morphs, identities, table,
-                               labels=list(self.elements))
 
 
 def salvetti_below(lifted, element):
@@ -77,34 +28,13 @@ def salvetti_below(lifted, element):
             if all(sig1[h] == faces[c2].sign_vector[h] for h in zero1)]
 
 
-def salvetti_poset(lifted, truncated=True):
-    """Pairs [F, C] of the lift.
-
-    With `truncated` set (the default), only faces whose closed star the
-    window fully contains are used: the lift is a finite snapshot of a
-    periodic arrangement and boundary faces carry incomplete data.  Pass
-    `truncated=False` when the hyperplane list is a complete affine
-    arrangement; every sign class is then an honest face, unbounded ones
-    included.
-    """
-    elements = []
-    for f in lifted.faces:
-        if truncated and not lifted.star_ok(f.id):
-            continue
-        for cid in lifted.chambers_above(f.id):
-            elements.append((f.id, cid))
-    elements.sort()
-    return SalvettiPoset(lifted, elements)
-
-
 def _check_stars_visible(lifted, canonical):
     """Raise `WindowError` unless every face below the canonical faces lies
     inside the open box: a face in the box boundary has invisible
     chambers."""
-    faces = lifted.faces
     for f1 in canonical:
         for f2 in lifted.lowers[f1]:
-            if not lifted.window.contains(faces[f2].barycenter, strict=True):
+            if not lifted.in_open_box(f2):
                 raise WindowError(
                     "face %d below canonical face %d lies in the window boundary"
                     % (f2, f1))

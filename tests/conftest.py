@@ -3,8 +3,10 @@ import json
 import pytest
 
 from toricarr.arrangement import parse_spec, Window, lift_to_window
+from toricarr.category import AcyclicCategory
 from toricarr.cells import enumerate_faces, quotient_faces
-from toricarr.salvetti import toric_salvetti
+from toricarr.errors import InternalError
+from toricarr.salvetti import salvetti_below, toric_salvetti
 from toricarr.pi1 import build_context
 
 CATALOG = {
@@ -82,3 +84,73 @@ def pipeline(name, k=1):
 @pytest.fixture(scope="session")
 def catalog():
     return pipeline
+
+
+# -- the affine Salvetti poset of a lift: the brute-force reference for
+# the quotient Salvetti category and its chain counts
+
+class SalvettiPoset:
+    """Pairs [F, C] over the windowed lift, restricted to faces whose
+    closed star the window fully contains."""
+
+    def __init__(self, lifted, elements):
+        self.lifted = lifted
+        self.elements = elements        # list of (fid, cid)
+        self.index = {e: i for i, e in enumerate(elements)}
+
+    def grade(self, i):
+        fid, _ = self.elements[i]
+        return self.lifted.dim - self.lifted.faces[fid].dim
+
+    def relation_pairs(self):
+        """All strict order pairs (i, j), grade-increasing."""
+        pairs = []
+        for i, e in enumerate(self.elements):
+            js = (self.index.get(t) for t in salvetti_below(self.lifted, e))
+            pairs.extend((i, j) for j in sorted(j for j in js if j is not None))
+        return pairs
+
+    def as_category(self):
+        n_el = len(self.elements)
+        grades = [self.grade(i) for i in range(n_el)]
+        morphs = []
+        identities = []
+        for i in range(n_el):
+            identities.append(len(morphs))
+            morphs.append((i, i))
+        strict = {}
+        for (i, j) in self.relation_pairs():
+            strict[(i, j)] = len(morphs)
+            morphs.append((i, j))
+        table = {}
+        by_src = {}
+        for (i, j), mid in strict.items():
+            by_src.setdefault(i, []).append((j, mid))
+        for (i, j), m1 in strict.items():
+            for (k, m2) in by_src.get(j, ()):
+                comp = strict.get((i, k))
+                if comp is None:
+                    raise InternalError("Salvetti order is not transitive")
+                table[(m2, m1)] = comp
+        return AcyclicCategory(grades, morphs, identities, table,
+                               labels=list(self.elements))
+
+
+def salvetti_poset(lifted, truncated=True):
+    """Pairs [F, C] of the lift.
+
+    With `truncated` set (the default), only faces whose closed star the
+    window fully contains are used: the lift is a finite snapshot of a
+    periodic arrangement and boundary faces carry incomplete data.  Pass
+    `truncated=False` when the hyperplane list is a complete affine
+    arrangement; every sign class is then an honest face, unbounded ones
+    included.
+    """
+    elements = []
+    for f in lifted.faces:
+        if truncated and not lifted.star_ok(f.id):
+            continue
+        for cid in lifted.chambers_above(f.id):
+            elements.append((f.id, cid))
+    elements.sort()
+    return SalvettiPoset(lifted, elements)

@@ -10,13 +10,12 @@ from toricarr.arrangement import AffineHyperplane, Window
 from toricarr.cells import enumerate_faces
 from toricarr.category import (nerve_chains, boundary_matrices, homology,
                                euler_characteristic, verify_dd_zero)
-from toricarr.salvetti import (salvetti_poset, is_thick, cw_census,
-                               orbit_chain_counts)
+from toricarr.salvetti import is_thick, cw_census, orbit_chain_counts
 from toricarr.pi1 import (presentation_from_context, abelianize,
                           simplify_presentation, quotient_without_meridians)
 from toricarr.exact import snf
 
-from conftest import pipeline
+from conftest import pipeline, salvetti_poset
 
 CATALOG5 = ("one_point", "two_points", "diagonals", "grid", "coord3")
 

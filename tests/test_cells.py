@@ -128,13 +128,14 @@ def test_candidates_match_reference(rank_, k, data):
     spec = parse_spec(json.dumps(doc))
     window = Window.standard(spec.rank, k)
     hyperplanes = lift_to_window(spec, window)
-    cand = candidate_vertices(hyperplanes, window)
+    scale, coords = candidate_vertices(hyperplanes, window)
+    cand = [tuple(Fraction(x, scale) for x in p) for p in coords]
     assert set(cand) == reference_candidates(hyperplanes, window), (doc, k)
     assert cand == sorted(set(cand))
     if spec.rank == 2:
-        # the sign table holds them scaled to integers
+        # the sign table holds them as they are
         table = enumerate_faces(hyperplanes, window).table
-        assert [tuple(Fraction(x, table.scale) for x in p) for p in table.coords] == cand
+        assert (table.scale, table.coords) == (scale, coords)
 
 
 def test_flat_touching_box_at_a_corner_has_no_face(catalog):
@@ -187,6 +188,26 @@ def test_sign_vectors_strict_on_barycenter():
     lifted = line_arrangement([0, Fraction(7, 3)], Window([-1], [2]))
     for f in lifted.faces:
         assert reference_signs(lifted.hyperplanes, f.barycenter) == f.sign_vector, f
+
+
+def test_vertex_ids_and_barycenters_match_reference():
+    # a face's vertices are the candidates in its closure, those whose
+    # signs are zero or the face's on every hyperplane, and its barycenter
+    # is their mean, all in Fraction arithmetic
+    for name, doc in CUT_CASES.items():
+        spec = parse_spec(doc)
+        for k in (1, 2):
+            window = Window.standard(spec.rank, k)
+            hyperplanes = lift_to_window(spec, window)
+            lifted = enumerate_faces(hyperplanes, window)
+            cand = sorted(reference_candidates(hyperplanes, window))
+            signs = [reference_signs(hyperplanes, p) for p in cand]
+            for f in lifted.faces:
+                ids = tuple(i for i, sig in enumerate(signs)
+                            if all(a == 0 or a == b for a, b in zip(sig, f.sign_vector)))
+                assert f.vertex_ids == ids, (name, k, f)
+                mean = tuple(sum(xs) / len(ids) for xs in zip(*(cand[i] for i in ids)))
+                assert f.barycenter == mean, (name, k, f)
 
 
 def test_locate_clears_large_denominators(catalog):

@@ -9,11 +9,10 @@ from toricarr.cells import enumerate_faces, quotient_faces
 from toricarr.errors import WindowError
 from toricarr.category import (check_acyclic, nerve_chains, boundary_matrices,
                                homology, euler_characteristic, verify_dd_zero)
-from toricarr.salvetti import (SalvettiPoset, salvetti_poset, toric_salvetti,
-                               is_thick, cw_census, orbit_chain_counts)
+from toricarr.salvetti import toric_salvetti, is_thick, cw_census, orbit_chain_counts
 from toricarr.cells import PeriodicCategory
 
-from conftest import CATALOG
+from conftest import CATALOG, SalvettiPoset, salvetti_poset
 from test_generated import arrangements
 
 
