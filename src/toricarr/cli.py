@@ -5,18 +5,21 @@ Input is a JSON arrangement document (file path or '-' for stdin); output
 is a deterministic report in text or JSON form on stdout.  Without
 --window, a command runs at K = 1, 2, ... in this process until one
 answers; the arrangement's `window_cap` bounds K, and the report's
-"window" is the K used.  Exit codes: 0 success, 1 malformed input or
-command line (an explicit --window above the cap included), 2 window too
+"window" is the K used.  Options come anywhere after the command, as
+--option value or --option=value, unabbreviated.  Exit codes: 0 success,
+1 malformed input or command line (an explicit --window above the cap
+included) or a stdout closed by its reader, 2 window too
 small (only with an explicit --window; a suggested --window value is
 printed on stderr), 3 internal invariant violation (a window error at
 the cap included).
 """
 
-import argparse
 import gc
 import json
+import os
 import sys
 import time
+import types
 
 from .errors import SpecError, WindowError, InternalError
 from .arrangement import (parse_spec, spec_to_json_dict, is_essential,
@@ -255,56 +258,145 @@ def _render_text(report, out):
     walk(report)
 
 
-COMMANDS = {
-    "validate": cmd_validate,
-    "faces": cmd_faces,
-    "layers": cmd_layers,
-    "salvetti": cmd_salvetti,
-    "homology": cmd_homology,
-    "pi1": cmd_pi1,
-    "check": cmd_check,
-}
+class UsageError(ValueError):
+    """The command line does not follow the grammar of the usage text."""
 
 
-def nonnegative(text):
-    value = int(text)
+def _integer(text):
+    try:
+        return int(text)
+    except ValueError:
+        raise ValueError("expected an integer, got %r" % text) from None
+
+
+def _nonnegative(text):
+    value = _integer(text)
     if value < 0:
-        raise argparse.ArgumentTypeError("must be nonnegative, got %d" % value)
+        raise ValueError("must be nonnegative, got %d" % value)
     return value
 
 
-def build_parser():
-    ap = argparse.ArgumentParser(
-        prog="toricarr",
-        description="Cell structures, Salvetti categories and fundamental "
-                    "groups of complexified toric arrangements.")
-    sub = ap.add_subparsers(dest="command", required=True)
-    for name in COMMANDS:
-        p = sub.add_parser(name)
-        p.add_argument("input", help="JSON arrangement file, or - for stdin")
-        p.add_argument("--window", type=int, metavar="K",
-                       help="use the box [-K, K+1]^n; K may not exceed the "
-                            "arrangement's cap ceil(e)+1 (default: the "
-                            "smallest K that works, found in-process up to "
-                            "the cap)")
-        p.add_argument("--format", choices=("text", "json"), default="text")
-        if name in ("salvetti", "homology"):
-            p.add_argument("--max-dim", type=nonnegative, metavar="D",
-                           help="report nerve chains and homology in degrees "
-                                "0..D only (default: the rank)")
-        if name == "homology":
-            p.add_argument("--space", choices=("face", "salvetti"),
-                           default="salvetti")
-        if name == "pi1":
-            p.add_argument("--simplify", action="store_true")
-    return ap
+def _one_of(*choices):
+    def parse(text):
+        if text not in choices:
+            raise ValueError("must be %s, got %r" % (" or ".join(choices), text))
+        return text
+    return parse
+
+
+# Each command: its function, and the options it takes besides
+# COMMON_OPTIONS.
+COMMANDS = {
+    "validate": (cmd_validate, ()),
+    "faces": (cmd_faces, ()),
+    "layers": (cmd_layers, ()),
+    "salvetti": (cmd_salvetti, ("--max-dim",)),
+    "homology": (cmd_homology, ("--max-dim", "--space")),
+    "pi1": (cmd_pi1, ("--simplify",)),
+    "check": (cmd_check, ()),
+}
+
+COMMON_OPTIONS = ("--window", "--format")
+
+# Each option: the parser of its value (None for a flag, which takes no
+# value), its default, and the name of its value in the usage text.
+OPTIONS = {
+    "--window": (_integer, None, "K"),
+    "--format": (_one_of("text", "json"), "text", "text|json"),
+    "--max-dim": (_nonnegative, None, "D"),
+    "--space": (_one_of("face", "salvetti"), "salvetti", "face|salvetti"),
+    "--simplify": (None, False, None),
+}
+
+HELP = ("-h", "--help")
+
+USAGE = """\
+%s
+
+Cell structures, Salvetti categories and fundamental groups of
+complexified toric arrangements.  INPUT is a JSON arrangement file, or -
+for stdin.  Options may come anywhere after the command, as --option
+value or --option=value, and may not be abbreviated; -- ends them.
+
+  --window K             use the box [-K, K+1]^n, K at most the cap ceil(e)+1
+                         (default: the smallest K that works, up to the cap)
+  --format text|json     report format (default: text)
+  --max-dim D            report nerve chains and homology in degrees 0..D
+                         only (default: the rank)
+  --space face|salvetti  the nerve whose homology is computed
+                         (default: salvetti)
+  --simplify             also report a Tietze-simplified presentation
+  -h, --help             print this text and exit
+"""
+
+
+def _takes(command):
+    return COMMON_OPTIONS + COMMANDS[command][1]
+
+
+def _synopsis(command):
+    """The usage line of one command, or of any when command is not one."""
+    if command not in COMMANDS:
+        return "usage: toricarr COMMAND INPUT [options]"
+    options = [o if OPTIONS[o][2] is None else "%s %s" % (o, OPTIONS[o][2])
+               for o in _takes(command)]
+    return " ".join(["usage: toricarr", command, "INPUT"] +
+                    ["[%s]" % o for o in options])
+
+
+def parse_args(argv):
+    """The command, its input and its options as a namespace, or None when
+    argv asks for help.  Raises UsageError on any other command line."""
+    if argv and argv[0] in HELP:
+        return None
+    if not argv or argv[0] not in COMMANDS:
+        raise UsageError("%s; the commands are %s" % (
+            "unknown command %r" % argv[0] if argv else "no command given",
+            ", ".join(COMMANDS)))
+    command = argv[0]
+    taken = _takes(command)
+    values = {o: OPTIONS[o][1] for o in taken}
+    inputs = []
+    tokens = iter(argv[1:])
+    for token in tokens:
+        if token == "--":
+            inputs.extend(tokens)
+        elif token == "-" or not token.startswith("-"):
+            inputs.append(token)
+        elif token in HELP:
+            return None
+        else:
+            option, has_value, value = token.partition("=")
+            if option not in taken:
+                raise UsageError("unknown option %s for %s" % (option, command))
+            parse = OPTIONS[option][0]
+            if parse is None:
+                if has_value:
+                    raise UsageError("option %s takes no value" % option)
+                values[option] = True
+                continue
+            if not has_value:
+                value = next(tokens, None)
+                if value is None:
+                    raise UsageError("option %s needs a value" % option)
+            try:
+                values[option] = parse(value)
+            except ValueError as e:
+                raise UsageError("option %s: %s" % (option, e)) from None
+    if len(inputs) != 1:
+        raise UsageError("%s takes one INPUT, %s" % (
+            command, "a second one is %r" % inputs[1] if inputs else "none given"))
+    args = types.SimpleNamespace(command=command, input=inputs[0])
+    for option, value in values.items():
+        setattr(args, option[2:].replace("-", "_"), value)
+    return args
 
 
 def _answer(spec, args):
     """Run the command at the explicit --window, or else at K = 1, 2, ...
     until it answers.  A window error at the cap is a bug; below it,
     K + 1 is the window to try next."""
-    command = COMMANDS[args.command]
+    command = COMMANDS[args.command][0]
     cap = window_cap(spec)
     explicit = args.window is not None
     if explicit and args.window > cap:
@@ -325,10 +417,14 @@ def _answer(spec, args):
 
 def run(argv):
     try:
-        args = build_parser().parse_args(argv)
-    except SystemExit as e:
-        # argparse exits 2 on a usage error, but 2 means "window too small"
-        return 1 if e.code else 0
+        args = parse_args(argv)
+    except UsageError as e:
+        print("error: %s" % e, file=sys.stderr)
+        print(_synopsis(argv[0] if argv else None), file=sys.stderr)
+        return 1
+    if args is None:
+        sys.stdout.write(USAGE % "\n".join(_synopsis(c) for c in COMMANDS))
+        return 0
     started = time.monotonic()
     try:
         spec = _load_spec(args.input)
@@ -353,7 +449,19 @@ def run(argv):
 
 
 def main():
-    sys.exit(run(sys.argv[1:]))
+    # Everything alive now (the interpreter's start-up objects and the
+    # package's modules) lives until exit.  Frozen, it is skipped by every
+    # later collection, the ones at exit included.
+    gc.freeze()
+    try:
+        code = run(sys.argv[1:])
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # The reader closed stdout.  Point stdout at devnull, so that the
+        # flush at exit does not fail again, and exit 1 without a traceback.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = 1
+    sys.exit(code)
 
 
 if __name__ == "__main__":

@@ -226,3 +226,90 @@ def test_default_window_reaches_a_tight_cap(tmp_path):
     res = run_cli(["check", path, "--window", "3"])
     assert res.returncode == 2
     assert "try again with --window 4" in res.stderr
+
+
+# Each usage error, and the word its "error:" line must name.
+USAGE_ERRORS = [
+    ([], "command"),
+    (["bogus", "{path}"], "bogus"),
+    (["faces"], "faces"),
+    (["faces", "{path}", "other.json"], "other.json"),
+    (["faces", "{path}", "--bogus"], "--bogus"),
+    (["faces", "{path}", "--window"], "--window"),
+    (["faces", "{path}", "--format", "xml"], "--format"),
+    (["homology", "{path}", "--space", "cell"], "--space"),
+    (["faces", "{path}", "--window", "abc"], "--window"),
+    (["faces", "{path}", "--window", "1.5"], "--window"),
+    (["homology", "{path}", "--max-dim", "-1"], "--max-dim"),
+    (["faces", "{path}", "--max-dim", "1"], "--max-dim"),
+    (["homology", "{path}", "--simplify"], "--simplify"),
+    (["faces", "{path}", "--win", "1"], "--win"),
+]
+
+HELP_REQUESTS = [["-h"], ["--help"], ["faces", "-h"], ["homology", "--help"]]
+
+
+def test_command_line_grammar(tmp_path, capsys):
+    from toricarr import cli
+    path = write_spec(tmp_path, SPEC_ONE_POINT)
+    for argv, named in USAGE_ERRORS:
+        argv = [a.format(path=path) for a in argv]
+        assert cli.run(argv) == 1, argv
+        out, err = capsys.readouterr()
+        assert out == "", argv
+        assert err.startswith("error: ") and named in err.splitlines()[0], (argv, err)
+    for argv in HELP_REQUESTS:
+        assert cli.run(argv) == 0, argv
+        out, err = capsys.readouterr()
+        assert out.startswith("usage: toricarr ") and err == "", argv
+    outputs = []
+    for argv in (["faces", path, "--window", "2"], ["faces", "--window=2", path]):
+        assert cli.run(argv + ["--format=json"]) == 0
+        outputs.append(capsys.readouterr().out)
+    assert outputs[0] == outputs[1]
+    assert json.loads(outputs[0])["window"] == 2
+
+
+SPEC_GRID3 = ('{"rank":2,"hypersurfaces":['
+              + ",".join('{"chi":%s,"q":"%s"}' % (chi, q)
+                         for chi in ("[1,0]", "[0,1]") for q in ("0", "1/3", "2/3"))
+              + ']}')
+
+
+def test_closed_stdout_exits_one_without_traceback(tmp_path):
+    # the report is about 400 kB, more than a pipe holds, so the child is
+    # still writing when the reader goes away
+    path = write_spec(tmp_path, SPEC_GRID3)
+    proc = subprocess.Popen([sys.executable, "-m", "toricarr", "pi1", path,
+                             "--simplify", "--format", "json"],
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    assert proc.stdout.read(20)
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=60) == 1
+    assert b"Traceback" not in err and b"BrokenPipeError" not in err
+
+
+def test_startup_footprint(tmp_path):
+    import gc
+    from toricarr import cli
+    path = write_spec(tmp_path, SPEC_ONE_POINT)
+    res = subprocess.run([sys.executable, "-X", "importtime", "-m", "toricarr",
+                          "validate", path], capture_output=True, text=True)
+    assert res.returncode == 0
+    imported = {line.rsplit("|", 1)[1].strip() for line in res.stderr.splitlines()
+                if line.startswith("import time:")}
+    assert "toricarr.cli" in imported
+    assert not imported & {"argparse", "gettext", "locale"}
+    # main() freezes the start-up objects; run() leaves the collector alone
+    probe = ("import atexit, gc, sys; from toricarr.cli import main; "
+             "atexit.register(lambda: print(gc.get_freeze_count(), file=sys.stderr)); "
+             "sys.argv[1:] = ['validate', %r]; main()" % path)
+    res = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True)
+    assert res.returncode == 0
+    assert int(res.stderr.split()[-1]) > 1000
+    frozen = gc.get_freeze_count()
+    assert cli.run(["validate", path]) == 0
+    assert cli.run(["faces", path]) == 0
+    assert gc.get_freeze_count() == frozen
