@@ -8,8 +8,12 @@ a power-of-two denominator), `g2_00`, which needs window 2, a
 three-wall arrangement whose flats have non-integral direction vectors
 and a non-essential rank-3 arrangement, which pin the essentialization
 basis and the layer lattices, and `r3`, a rank-3 arrangement with oblique
-walls, which pins face translation in rank 3.  To rewrite the goldens
-from the current code (only when an output change is intended):
+walls, which pins face translation, the layer keys and their order, and
+the cyclic order of the walls around each codimension-2 face (`pi1-raw`,
+the presentation without `--simplify`, which on `r3` would print about a
+million relator letters) in rank 3; `coord3` `pi1` pins that order on
+coordinate walls.  To rewrite the goldens from the current code (only
+when an output change is intended):
 
     PYTHONPATH=src python tests/test_golden.py
 """
@@ -36,6 +40,7 @@ COMMANDS = {
     "homology": ["homology"],
     "homology-face": ["homology", "--space", "face"],
     "pi1": ["pi1", "--simplify"],
+    "pi1-raw": ["pi1"],
     "check": ["check"],
 }
 
@@ -57,15 +62,16 @@ DOCS = dict(CATALOG,
 
 # (document, command, window)
 CASES = [(name, cmd, 1) for name in ("one_point", "two_points", "three_points")
-         for cmd in COMMANDS] + \
+         for cmd in COMMANDS if cmd != "pi1-raw"] + \
         [(name, cmd, 1) for name in ("diagonals", "grid")
-         for cmd in COMMANDS if cmd != "check"] + \
+         for cmd in COMMANDS if cmd not in ("check", "pi1-raw")] + \
         [("grid", "check", 1), ("coord3", "homology", 1),
          ("three_walls", "faces", 1), ("three_walls", "homology", 1),
          ("three_walls", "pi1", 2), ("g2_00", "faces", 1), ("g2_00", "faces", 2)] + \
         [("three_walls_2", "layers", 1)] + \
         [("nonessential", cmd, 1) for cmd in ("validate", "layers", "homology")] + \
-        [("r3", cmd, 1) for cmd in ("faces", "salvetti", "homology")]
+        [("r3", cmd, 1) for cmd in ("faces", "layers", "salvetti", "homology", "pi1-raw")] + \
+        [("coord3", "pi1", 1)]
 
 
 def case_name(name, cmd, window):
