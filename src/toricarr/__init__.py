@@ -9,7 +9,7 @@ integral homology and a finite presentation of the fundamental group.
 """
 
 from .errors import SpecError, WindowError, InternalError
-from .exact import SparseMatrix, hnf, snf, solve_affine
+from .exact import SparseMatrix, hnf, snf
 from .arrangement import (Character, AngleQ, ArrangementSpec, AffineHyperplane,
                           Window, parse_spec, is_essential, essentialize,
                           lift_to_window)

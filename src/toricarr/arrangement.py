@@ -13,10 +13,8 @@ import json
 from fractions import Fraction
 import math
 
-from .errors import SpecError
-from .exact import adjugate, rank, saturation_basis, solve_affine
-
-Q = Fraction
+from .errors import SpecError, InternalError
+from .exact import adjugate, rank, saturation_basis
 
 
 class Character:
@@ -164,9 +162,7 @@ class Window:
     def dim(self):
         return len(self.lo)
 
-    def contains(self, point, strict=False):
-        if strict:
-            return all(a < x < b for a, x, b in zip(self.lo, point, self.hi))
+    def contains(self, point):
         return all(a <= x <= b for a, x, b in zip(self.lo, point, self.hi))
 
     def covers_quotient_core(self):
@@ -261,23 +257,28 @@ def essentialize(spec):
 
     Returns (essential_spec, basis) where the basis rows generate the
     saturated sublattice in the original coordinates; an essential input
-    comes back unchanged with the identity basis.
+    comes back unchanged with the identity basis.  The basis is in Hermite
+    form, so a character's coordinates y with y * basis = chi come from
+    back-substitution on the pivot columns, one exact division each.
     """
     if is_essential(spec):
         ident = [[int(i == j) for j in range(spec.rank)] for i in range(spec.rank)]
         return spec, ident
     basis = saturation_basis([chi.alpha for chi, _ in spec.hypersurfaces], spec.rank)
-    r = len(basis)
     new_pairs = []
     for chi, a in spec.hypersurfaces:
-        # coordinates of chi in the saturation basis: y with y * basis = chi
-        cols = [[basis[i][j] for i in range(r)] for j in range(spec.rank)]
-        sol = solve_affine(cols, list(chi.alpha), r)
-        assert sol is not None, "character escaped its own saturation"
-        y = sol[0]
-        assert all(c.denominator == 1 for c in y)
-        new_pairs.append((Character([c.numerator for c in y]), a))
-    return ArrangementSpec(r, new_pairs), basis
+        # the rows below row i vanish at its pivot column, so y_i is fixed
+        # once the rows above are taken off
+        rest = list(chi.alpha)
+        y = []
+        for row in basis:
+            p = next(j for j, x in enumerate(row) if x)
+            y.append(rest[p] // row[p])
+            rest = [x - y[-1] * b for x, b in zip(rest, row)]
+        if any(rest):
+            raise InternalError("character escaped its own saturation")
+        new_pairs.append((Character(y), a))
+    return ArrangementSpec(len(basis), new_pairs), basis
 
 
 def lift_to_window(spec, window):

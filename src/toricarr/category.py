@@ -21,12 +21,11 @@ class AcyclicCategory:
     of nonidentity morphisms; identity composition is implicit.
     """
 
-    def __init__(self, grades, morphisms, identities, table, labels=None):
+    def __init__(self, grades, morphisms, identities, table):
         self.grades = list(grades)
         self.morphisms = [tuple(m) for m in morphisms]
         self.identities = list(identities)
         self.table = dict(table)
-        self.labels = labels if labels is not None else list(range(len(grades)))
         self._identity_set = set(self.identities)
 
     @property

@@ -38,6 +38,12 @@ def conforms(lower, upper):
     return all(a == 0 or a == b for a, b in zip(lower, upper))
 
 
+def _times(x, den):
+    """The rational x times den, as an int; den is a multiple of x's
+    denominator."""
+    return x.numerator * (den // x.denominator)
+
+
 def _scaled(point):
     """(num, den): an exact point as integers over one denominator, the
     least common one, so equal points give equal pairs."""
@@ -81,17 +87,18 @@ class LiftedFacePoset:
     """All faces of the windowed lift with their incidence structure."""
 
     def __init__(self, hyperplanes, table, window, den, faces, flats, by_signs,
-                 uppers, geo_class, class_rep):
+                 uppers, geo_class):
         self.hyperplanes = hyperplanes
         self.table = table              # SignTable of the candidate vertices
         self.window = window
         self.den = den                  # the faces' barycenter denominator
         self.faces = faces
-        self.flats = flats              # (zero frozenset, point, basis)
+        # (zero frozenset, point numerators, their positive denominator,
+        # integer direction rows), as built by `enumerate_faces`
+        self.flats = flats
         self.by_signs = by_signs
         self.uppers = uppers            # fid -> sorted tuple of fids (strict)
         self.geo_class = geo_class      # hyperplane idx -> geometric class id
-        self.class_rep = class_rep      # class id -> smallest hyperplane idx
         self.chamber_ids = tuple(f.id for f in faces if f.dim == window.dim)
         self.lowers = {f.id: [] for f in faces}
         for fid, ups in uppers.items():
@@ -103,7 +110,7 @@ class LiftedFacePoset:
         self._translated = {}
         self._lifted_at = {(h.source, h.shift): i for i, h in enumerate(hyperplanes)}
         self._preimages = {}
-        self._box = [(int(a * den), int(b * den)) for a, b in zip(window.lo, window.hi)]
+        self._box = [(_times(a, den), _times(b, den)) for a, b in zip(window.lo, window.hi)]
 
     @property
     def dim(self):
@@ -239,7 +246,7 @@ class SignTable:
         self.normal_of = [index.setdefault(h.alpha, len(index)) for h in hyperplanes]
         self.normals = list(index)
         self.scale = scale
-        self.consts = [h.c.numerator * (scale // h.c.denominator) for h in hyperplanes]
+        self.consts = [_times(h.c, scale) for h in hyperplanes]
         self.coords = coords
         dots = [[_dot(a, p) for p in coords] for a in self.normals]
         self.pos, self.neg, self.zero = [], [], []
@@ -276,12 +283,8 @@ def candidate_vertices(hyperplanes, window):
         wall = tuple(int(i == j) for i in range(n))
         consts.setdefault(wall, set()).update((window.lo[j], window.hi[j]))
     scale = math.lcm(*(c.denominator for cs in consts.values() for c in cs))
-
-    def scaled(c):
-        return c.numerator * (scale // c.denominator)
-
-    lo = [scaled(x) for x in window.lo]
-    hi = [scaled(x) for x in window.hi]
+    lo = [_times(x, scale) for x in window.lo]
+    hi = [_times(x, scale) for x in window.hi]
     found = []      # (det, numerators over scale * det)
     for rows in combinations(consts, n):
         det, adj = adjugate(rows)
@@ -292,7 +295,7 @@ def candidate_vertices(hyperplanes, window):
         lo_d = [x * det for x in lo]
         hi_d = [x * det for x in hi]
         # each constant contributes its scaled value times its column of adj
-        shares = [[tuple(scaled(c) * row[i] for row in adj) for c in consts[a]]
+        shares = [[tuple(_times(c, scale) * row[i] for row in adj) for c in consts[a]]
                   for i, a in enumerate(rows)]
         for choice in product(*shares):
             num = [sum(xs) for xs in zip(*choice)]
@@ -303,26 +306,26 @@ def candidate_vertices(hyperplanes, window):
                                  for det, num in found})
 
 
-def _direction(normals, ids, n):
-    """(basis, parallel, pivot_cols, transform, det, adj): the direction of
-    the flats cut out by hyperplanes with the normals `normals[k]` for k
-    in `ids` (sorted).
+def _direction(rows, normals, n):
+    """(kernel, parallel, pivot_cols, transform, det, adj): the direction
+    of the flats cut out by hyperplanes with the integer normals `rows`.
 
-    With A the matrix of those normals and H = U A its Hermite form
+    With A the matrix of those rows and H = U A its Hermite form
     (`exact.hnf`), the r nonzero rows of H are invertible on the pivot
-    columns P; `det` and `adj` belong to that block H_P and `transform`
-    is the first r rows of U.  The reduced row echelon form of A is
-    adj H / det, so `basis`, its kernel basis, has for each free column f
-    the vector that is 1 at f and -adj H_f / det on P.  A flat with the
-    constants c on A has the reduced form's particular solution as its
-    point: adj (U c) / det on P and 0 elsewhere.  `parallel[k]` is True
-    when normals[k] lies in the span of A.
+    columns P; `det` and `adj` belong to that block H_P, and det > 0, as
+    H_P is upper triangular with positive pivots.  `transform` is the
+    first r rows of U.  The reduced row echelon form of A is adj H / det,
+    so det times its kernel basis is integral: `kernel` has, for each free
+    column f in ascending order, the row that is det at f and -adj H_f on
+    P.  A flat with the constants c on A has the reduced form's particular
+    solution as its point: adj (U c) / det on P and 0 elsewhere.
+    `parallel[k]` is True when normals[k] lies in the span of A.
     """
-    h, u = hnf([normals[k] for k in ids])
+    h, u = hnf(rows)
     h = [row for row in h if any(row)]
     cols = [next(j for j, x in enumerate(row) if x) for row in h]
     det, adj = adjugate([[row[j] for j in cols] for row in h])
-    scaled = []
+    kernel = []
     for f in range(n):
         if f in cols:
             continue
@@ -331,10 +334,9 @@ def _direction(normals, ids, n):
         at_f = [row[f] for row in h]
         for row, col in zip(adj, cols):
             v[col] = -_dot(row, at_f)
-        scaled.append(v)
-    basis = tuple(tuple(Q(x, det) for x in v) for v in scaled)
-    parallel = [all(_dot(a, v) == 0 for v in scaled) for a in normals]
-    return basis, parallel, cols, u[:len(h)], det, adj
+        kernel.append(tuple(v))
+    parallel = [all(_dot(a, v) == 0 for v in kernel) for a in normals]
+    return tuple(kernel), parallel, cols, u[:len(h)], det, adj
 
 
 def _bits(mask):
@@ -347,7 +349,7 @@ def _bits(mask):
     return out
 
 
-def _faces_on_flat(table, flat_id, basis, cands, cutting, weak, forced, on_wall):
+def _faces_on_flat(table, flat_id, rows, cands, cutting, weak, forced, on_wall):
     """The faces on one flat, as (dim, coordinate sums, vertex ids, sign
     vector, flat id, boundary_cut, + mask, - mask) tuples, the masks
     holding the hyperplanes with each sign: a DFS over strict signs on the
@@ -367,7 +369,7 @@ def _faces_on_flat(table, flat_id, basis, cands, cutting, weak, forced, on_wall)
     # of the clipped closure, so their average lies in its relative
     # interior, which is either wholly inside the face or wholly
     # inside one hyperplane
-    walls = [wall for j, pair in enumerate(on_wall) if any(v[j] for v in basis)
+    walls = [wall for j, pair in enumerate(on_wall) if any(v[j] for v in rows)
              for wall in pair]
 
     out = []
@@ -398,7 +400,7 @@ def _faces_on_flat(table, flat_id, basis, cands, cutting, weak, forced, on_wall)
             raise InternalError("barycenter escaped its own face")
         need = need + weak_sides
         cut = any(x and all(map(x.__and__, need)) for x in map(w.__and__, walls))
-        out.append((len(basis), sums, tuple(ids), sig, flat_id, cut, plus, minus))
+        out.append((len(rows), sums, tuple(ids), sig, flat_id, cut, plus, minus))
     return out
 
 
@@ -415,9 +417,9 @@ def enumerate_faces(hyperplanes, window):
     carries the mask of the candidates on it (its parent's masked by the
     new hyperplane's zeros), and a flat with none misses the box.  A
     flat's direction depends only on the set of its hyperplanes' normals,
-    so its kernel basis, parallel mask and pivot adjugate are computed
-    once per normal set (`_direction`), and a new flat's point comes from
-    that adjugate.
+    so its integer direction rows, parallel mask and pivot adjugate are
+    computed once per normal set (`_direction`), and a new flat's point
+    comes from that adjugate, as integer numerators over det * D.
 
     Faces on a flat are found by a depth-first sweep over strict sign
     assignments, certified by averages of the clipped regions' vertices.
@@ -458,14 +460,9 @@ def enumerate_faces(hyperplanes, window):
         raise SpecError("hyperplane normals must span the ambient space")
 
     geo_class = {}
-    class_rep = []
     seen_geo = {}
     for i, h in enumerate(hyperplanes):
-        key = geometric_key(h.alpha, h.c)
-        if key not in seen_geo:
-            seen_geo[key] = len(class_rep)
-            class_rep.append(i)
-        geo_class[i] = seen_geo[key]
+        geo_class[i] = seen_geo.setdefault(geometric_key(h.alpha, h.c), len(seen_geo))
 
     scale, coords = candidate_vertices(hyperplanes, window)
     if not coords:
@@ -481,23 +478,24 @@ def enumerate_faces(hyperplanes, window):
     def direction(key):
         got = directions.get(key)
         if got is None:
-            got = directions[key] = _direction(table.normals, sorted(key), n)
+            got = directions[key] = _direction([table.normals[k] for k in sorted(key)],
+                                               table.normals, n)
         return got
 
     # flats: closure of the hyperplane list under intersection, inside box;
     # a vertex of flat & box is cut out by n of the planes, so every flat
     # meeting the box holds a candidate.  keys[f] is the normal set of f.
-    flats = [(frozenset(), tuple(Q(0) for _ in range(n)), direction(frozenset())[0])]
+    flats = [(frozenset(), (0,) * n, 1, direction(frozenset())[0])]
     cands_of = [(1 << len(coords)) - 1]
     keys = [frozenset()]
     flat_index = {frozenset(): 0}
     head = 0
     while head < len(flats):
-        basis = flats[head][2]
+        rows = flats[head][3]
         cands = cands_of[head]
         key = keys[head]
         head += 1
-        if not basis:
+        if not rows:
             continue
         # a hyperplane parallel to the flat holds it or misses it
         par = direction(key)[1]
@@ -508,7 +506,7 @@ def enumerate_faces(hyperplanes, window):
             if not cands2:
                 continue  # misses the box entirely
             key2 = key | {normal_of[hidx]}
-            basis2, par2, cols2, transform, det, adj = direction(key2)
+            rows2, par2, cols2, transform, det, adj = direction(key2)
             on = cands2 & -cands2
             zero2 = frozenset(i for k, p in enumerate(par2) if p
                               for i in with_normal[k] if zero[i] & on)
@@ -517,23 +515,23 @@ def enumerate_faces(hyperplanes, window):
             const_of = {normal_of[i]: table.consts[i] for i in zero2}
             cs = [const_of[k] for k in sorted(key2)]
             uc = [_dot(row, cs) for row in transform]
-            point = [Q(0)] * n
+            num = [0] * n
             for row, j in zip(adj, cols2):
-                point[j] = Q(_dot(row, uc), det * scale)
+                num[j] = _dot(row, uc)
             flat_index[zero2] = len(flats)
-            flats.append((zero2, tuple(point), basis2))
+            flats.append((zero2, tuple(num), det * scale, rows2))
             cands_of.append(cands2)
             keys.append(frozenset(const_of))
 
     # the masks of the candidates on the two box walls of each axis
     on_wall = [[_mask([p[j] == b for p in coords])
-                for b in (int(window.lo[j] * scale), int(window.hi[j] * scale))]
+                for b in (_times(window.lo[j], scale), _times(window.hi[j], scale))]
                for j in range(n)]
 
     # faces per flat: classify the other hyperplanes on the flat's
     # candidates, then sweep the cutting ones unless one is dead
     raw = []
-    for flat_id, (zero_set, _, basis) in enumerate(flats):
+    for flat_id, (zero_set, _, _, rows) in enumerate(flats):
         cands = cands_of[flat_id]
         cutting, weak, forced = [], [], []
         for hidx in range(m):
@@ -547,7 +545,7 @@ def enumerate_faces(hyperplanes, window):
             else:
                 break  # dead
         else:
-            raw += _faces_on_flat(table, flat_id, basis, cands, cutting, weak, forced,
+            raw += _faces_on_flat(table, flat_id, rows, cands, cutting, weak, forced,
                                   on_wall)
 
     # by dimension, then barycenter: the numerators over D * L, with L the
@@ -584,7 +582,7 @@ def enumerate_faces(hyperplanes, window):
                              if faces[g].dim > f.dim and not p & ~plus[g] and not q & ~minus[g])
 
     return LiftedFacePoset(hyperplanes, table, window, den, faces, flats, by_signs,
-                           uppers, geo_class, class_rep)
+                           uppers, geo_class)
 
 
 # ---------------------------------------------------------------------------
@@ -670,8 +668,7 @@ class PeriodicCategory:
 
     def as_category(self):
         return AcyclicCategory(self.grades, [(m.src, m.tgt) for m in self.morphisms],
-                               range(len(self.objects)), self.table,
-                               labels=self.objects)
+                               range(len(self.objects)), self.table)
 
 
 class FaceCategory(PeriodicCategory):
@@ -746,15 +743,6 @@ class LayerPoset:
         return counts
 
 
-def _normal_lattice(basis, n):
-    """HNF basis of the characters vanishing on the direction space."""
-    scaled = []
-    for row in basis:
-        den = math.lcm(*(x.denominator for x in row))
-        scaled.append([int(x * den) for x in row])
-    return integer_kernel(scaled, n)
-
-
 def _column_hnf(rows):
     """HNF basis of the lattice spanned by the rows (as vectors)."""
     return [row for row in hnf(rows)[0] if any(row)]
@@ -774,14 +762,16 @@ def layers(spec, lifted):
     """Connected components of hypersurface intersections on the torus."""
     n = spec.rank
     recs = {}
-    for flat_id, (zero, point, basis) in enumerate(lifted.flats):
-        a_rows = _normal_lattice(basis, n)
+    for flat_id, (_, num, den, rows) in enumerate(lifted.flats):
+        # the characters vanishing on the flat's direction
+        a_rows = integer_kernel(rows, n)
         r = len(a_rows)
         if r == 0:
             key = ((), ())
             image = []
         else:
-            b = [_dot(row, point) for row in a_rows]
+            # Fraction constants: layers are ordered by the key's printed form
+            b = [Q(_dot(row, num), den) for row in a_rows]
             # the translation lattice acts on constants through the columns
             cols = [[a_rows[i][j] for i in range(r)] for j in range(n)]
             image = _column_hnf(cols)
@@ -797,18 +787,19 @@ def layers(spec, lifted):
         # some integer translate of flat(l1) lies inside flat(l2)
         if l1.dim > l2.dim:
             return False
-        _, p1, b1 = lifted.flats[l1.rep_flat]
-        _, p2, b2 = lifted.flats[l2.rep_flat]
+        _, p1, d1, rows1 = lifted.flats[l1.rep_flat]
+        _, p2, d2, _ = lifted.flats[l2.rep_flat]
         _, _, a2, image = recs[l2.key]
         if not a2:
             return True
-        for row in a2:
-            if any(_dot(row, bv) != 0 for bv in b1):
-                return False
-        w = [_dot(row, p2) - _dot(row, p1) for row in a2]
-        if any(x.denominator != 1 for x in w):
+        if any(_dot(row, v) for row in a2 for v in rows1):
             return False
-        return all(x == 0 for x in _reduce_mod_lattice([int(x) for x in w], image))
+        # a2 (p2 - p1), over d1 d2, must be an integer vector in the image
+        d = d1 * d2
+        w = [_dot(row, p2) * d1 - _dot(row, p1) * d2 for row in a2]
+        if any(x % d for x in w):
+            return False
+        return not any(_reduce_mod_lattice([x // d for x in w], image))
 
     relations = []
     for l1 in layers_list:

@@ -1,12 +1,11 @@
-"""Exact integer and rational linear algebra.
+"""Exact integer linear algebra on Python ints.
 
-Everything here is arbitrary precision: integer matrices use Python ints,
-rational data uses fractions.Fraction.  No floating point anywhere; the
-geometric and homological layers above rely on exact signs and exact
-divisibility.
+Everything here is arbitrary precision and integral: a rational solution
+is returned as integer numerators over one determinant (`adjugate`), and
+lattices come from Hermite forms (`hnf`, `integer_kernel`).  No floating
+point and no rational elimination anywhere; the geometric and homological
+layers above rely on exact signs and exact divisibility.
 """
-
-from fractions import Fraction
 
 
 class SparseMatrix:
@@ -253,61 +252,6 @@ def snf(m):
     diagonal = [{i: f} for i, f in enumerate(factors)]
     diagonal += [{} for _ in range(m.cols - len(factors))]
     return SparseMatrix(m.rows, m.cols, diagonal), factors
-
-
-def solve_affine(a_rows, b, ncols=None):
-    """Solve A*x = b exactly over the rationals.
-
-    `a_rows` is a list of coefficient rows, `b` the right-hand sides.
-    Returns (particular_solution, kernel_basis) as tuples of Fractions,
-    or None when the system is inconsistent.  The kernel basis spans the
-    homogeneous solutions.  `ncols` is only needed for an empty system.
-    """
-    rows = [list(map(Fraction, r)) + [Fraction(x)] for r, x in zip(a_rows, b)]
-    if a_rows:
-        ncols = len(a_rows[0])
-    elif ncols is None:
-        raise ValueError("empty system needs an explicit ncols")
-    pivots = []
-    r = 0
-    for col in range(ncols):
-        piv = next((i for i in range(r, len(rows)) if rows[i][col] != 0), None)
-        if piv is None:
-            continue
-        rows[r], rows[piv] = rows[piv], rows[r]
-        inv = rows[r][col]
-        rows[r] = [x / inv for x in rows[r]]
-        for i in range(len(rows)):
-            if i != r and rows[i][col] != 0:
-                f = rows[i][col]
-                rows[i] = [x - f * y for x, y in zip(rows[i], rows[r])]
-        pivots.append(col)
-        r += 1
-    for i in range(r, len(rows)):
-        if rows[i][ncols] != 0:
-            return None
-    part = [Fraction(0)] * ncols
-    for i, col in enumerate(pivots):
-        part[col] = rows[i][ncols]
-    free = [c for c in range(ncols) if c not in pivots]
-    basis = []
-    for fcol in free:
-        vec = [Fraction(0)] * ncols
-        vec[fcol] = Fraction(1)
-        for i, col in enumerate(pivots):
-            vec[col] = -rows[i][fcol]
-        basis.append(tuple(vec))
-    return tuple(part), basis
-
-
-def kernel_basis(a_rows, ncols):
-    """Rational basis of {x : A x = 0} for a possibly empty row list."""
-    if not a_rows:
-        ident = [[Fraction(int(i == j)) for j in range(ncols)] for i in range(ncols)]
-        return [tuple(r) for r in ident]
-    sol = solve_affine(a_rows, [0] * len(a_rows), ncols)
-    assert sol is not None
-    return sol[1]
 
 
 def saturation_basis(char_rows, n):

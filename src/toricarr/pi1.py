@@ -15,11 +15,9 @@ from functools import cmp_to_key
 import math
 
 from .errors import SpecError, WindowError, InternalError
-from .exact import SparseMatrix, snf, kernel_basis
+from .exact import SparseMatrix, snf
 from .arrangement import geometric_key
-from .cells import chamber_fiber, opposite_chamber, _dot
-
-Q = Fraction
+from .cells import chamber_fiber, opposite_chamber, _direction, _dot
 
 
 # ---------------------------------------------------------------------------
@@ -162,9 +160,6 @@ class Crossing:
         self.shift = shift
         self.sign = sign
         self.hyper_key = hyper_key
-
-    def ref(self):
-        return (self.orbit, self.shift)
 
     def __repr__(self):
         return "Crossing(orbit=%d, shift=%s, sign=%+d)" % (self.orbit, self.shift, self.sign)
@@ -411,14 +406,18 @@ def h_of_G(lifted, gfid):
 
     Starts at the face with the smallest id; the first half meets each
     wall once and the second half repeats the walls on opposite sides.
+    Angles are read in the plane orthogonal to G's flat, in the
+    coordinates of `_direction`'s kernel rows for the flat's direction
+    rows: det > 0 times the reduced-echelon kernel basis, which fixes the
+    plane's orientation and so the sense of the cycle (a lattice basis of
+    the same plane, such as `integer_kernel`'s, can reverse it).
     """
     n = lifted.dim
     g = lifted.faces[gfid]
     if g.dim != n - 2:
         raise SpecError("expected a face of codimension 2")
     ups = [f for f in lifted.uppers[gfid] if lifted.faces[f].dim == n - 1]
-    _, _, basis = lifted.flats[g.flat_id]
-    proj = kernel_basis([list(b) for b in basis], n)
+    proj = _direction(lifted.flats[g.flat_id][3], (), n)[0]
     if len(proj) != 2:
         raise InternalError("transverse plane of a codim-2 face is not 2-dimensional")
     # barycenter numerators share one positive denominator, which scales

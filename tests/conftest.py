@@ -1,4 +1,5 @@
 import json
+from fractions import Fraction
 
 import pytest
 
@@ -132,8 +133,7 @@ class SalvettiPoset:
                 if comp is None:
                     raise InternalError("Salvetti order is not transitive")
                 table[(m2, m1)] = comp
-        return AcyclicCategory(grades, morphs, identities, table,
-                               labels=list(self.elements))
+        return AcyclicCategory(grades, morphs, identities, table)
 
 
 def salvetti_poset(lifted, truncated=True):
@@ -154,3 +154,51 @@ def salvetti_poset(lifted, truncated=True):
             elements.append((f.id, cid))
     elements.sort()
     return SalvettiPoset(lifted, elements)
+
+
+# -- Fraction Gauss-Jordan elimination: the reference for the integer
+# vertices, kernels and saturations of `toricarr.exact` and `cells`
+
+def solve_affine(a_rows, b, ncols=None):
+    """Solve A*x = b exactly over the rationals.
+
+    `a_rows` is a list of coefficient rows, `b` the right-hand sides.
+    Returns (particular_solution, kernel_basis) as tuples of Fractions,
+    or None when the system is inconsistent.  The kernel basis spans the
+    homogeneous solutions.  `ncols` is only needed for an empty system.
+    """
+    rows = [list(map(Fraction, r)) + [Fraction(x)] for r, x in zip(a_rows, b)]
+    if a_rows:
+        ncols = len(a_rows[0])
+    elif ncols is None:
+        raise ValueError("empty system needs an explicit ncols")
+    pivots = []
+    r = 0
+    for col in range(ncols):
+        piv = next((i for i in range(r, len(rows)) if rows[i][col] != 0), None)
+        if piv is None:
+            continue
+        rows[r], rows[piv] = rows[piv], rows[r]
+        inv = rows[r][col]
+        rows[r] = [x / inv for x in rows[r]]
+        for i in range(len(rows)):
+            if i != r and rows[i][col] != 0:
+                f = rows[i][col]
+                rows[i] = [x - f * y for x, y in zip(rows[i], rows[r])]
+        pivots.append(col)
+        r += 1
+    for i in range(r, len(rows)):
+        if rows[i][ncols] != 0:
+            return None
+    part = [Fraction(0)] * ncols
+    for i, col in enumerate(pivots):
+        part[col] = rows[i][ncols]
+    free = [c for c in range(ncols) if c not in pivots]
+    basis = []
+    for fcol in free:
+        vec = [Fraction(0)] * ncols
+        vec[fcol] = Fraction(1)
+        for i, col in enumerate(pivots):
+            vec[col] = -rows[i][fcol]
+        basis.append(tuple(vec))
+    return tuple(part), basis

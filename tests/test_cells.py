@@ -3,19 +3,19 @@ import math
 from fractions import Fraction
 from itertools import combinations, product
 
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 import pytest
 
 from toricarr.errors import SpecError, WindowError
 from toricarr.arrangement import (AffineHyperplane, Window, parse_spec,
-                                  lift_to_window)
+                                  lift_to_window, essentialize)
 from toricarr.cells import (enumerate_faces, quotient_faces, layers,
                             opposite_chamber, chamber_fiber, candidate_vertices,
-                            _reduce_mod_lattice)
-from toricarr.exact import rank, solve_affine
+                            _dot, _reduce_mod_lattice)
+from toricarr.exact import rank
 from toricarr.category import check_acyclic
 
-from conftest import CATALOG
+from conftest import CATALOG, solve_affine
 from test_cli import SPEC_G2_00
 from test_golden import DOCS
 
@@ -138,13 +138,50 @@ def test_candidates_match_reference(rank_, k, data):
         assert (table.scale, table.coords) == (scale, coords)
 
 
+def integer_matrices(rows, cols):
+    return st.lists(st.lists(st.integers(-2, 2), min_size=cols, max_size=cols),
+                    min_size=rows, max_size=rows)
+
+
+@settings(max_examples=10, deadline=None, derandomize=True, database=None)
+@given(spanning_arrangements(3),
+       st.integers(1, 3).flatmap(lambda j: st.tuples(integer_matrices(3, j),
+                                                      integer_matrices(j, 4))))
+def test_essentialize_and_flats_in_integers(doc, factors):
+    # the characters pushed into Z^4 through Z^j span at most rank j: each
+    # comes back from its essentialized coordinates times the basis
+    a, b = factors
+    walls = []
+    for h in doc["hypersurfaces"]:
+        y = [_dot(h["chi"], col) for col in zip(*a)]
+        walls.append((tuple(_dot(y, col) for col in zip(*b)), h["q"]))
+    assume(all(any(chi) for chi, _ in walls) and len(set(walls)) == len(walls))
+    spec4 = parse_spec(json.dumps({"rank": 4, "hypersurfaces": [
+        {"chi": list(chi), "q": q} for chi, q in walls]}))
+    work, basis = essentialize(spec4)
+    assert work.rank <= len(b)
+    for (chi, _), (y, _) in zip(spec4.hypersurfaces, work.hypersurfaces):
+        assert tuple(_dot(y.alpha, col) for col in zip(*basis)) == chi.alpha
+    # every flat of the rank-3 lift: its point lies on its hyperplanes, and
+    # its direction rows are independent and orthogonal to their normals
+    spec = parse_spec(json.dumps(doc))
+    window = Window.standard(3)
+    lifted = enumerate_faces(lift_to_window(spec, window), window)
+    for zero, num, den, rows in lifted.flats:
+        planes = [lifted.hyperplanes[i] for i in zero]
+        assert den > 0
+        assert all(_dot(h.alpha, num) == h.c * den for h in planes)
+        assert not any(_dot(h.alpha, v) for h in planes for v in rows)
+        assert len(rows) == 3 - rank([h.alpha for h in planes]) == rank(rows)
+
+
 def test_flat_touching_box_at_a_corner_has_no_face(catalog):
     # x + y = -2 and x + y = 4 meet the box [-1,2]^2 only at a corner,
     # x - y = -3 and x - y = 3 too, and x -/+ y = 0 passes through it
     lifted = catalog("diagonals").lifted
     assert (len(lifted.flats), len(lifted.faces)) == (40, 85)
     corner_flats = set()
-    for flat_id, (zero, _, _) in enumerate(lifted.flats):
+    for flat_id, (zero, _, _, _) in enumerate(lifted.flats):
         planes = {(lifted.hyperplanes[i].alpha, lifted.hyperplanes[i].c) for i in zero}
         if planes in ({((1, 1), -2)}, {((1, 1), 4)}, {((1, -1), -3)}, {((1, -1), 3)}):
             corner_flats.add(flat_id)
@@ -413,7 +450,7 @@ def test_chamber_fiber_line(catalog):
 def test_chamber_fiber_contains_face(catalog):
     lifted = catalog("diagonals").lifted
     for f in lifted.faces:
-        if f.boundary_cut or not lifted.window.contains(f.barycenter, strict=True):
+        if f.boundary_cut or not lifted.in_open_box(f.id):
             continue
         for cid in lifted.chamber_ids[:4]:
             try:

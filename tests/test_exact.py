@@ -4,8 +4,11 @@ from math import gcd, prod
 
 from hypothesis import given, settings, strategies as st
 
-from toricarr.exact import (SparseMatrix, hnf, snf, solve_affine, rank,
-                            integer_kernel, saturation_basis, adjugate)
+import toricarr.exact
+from toricarr.exact import (SparseMatrix, hnf, snf, rank, integer_kernel,
+                            saturation_basis, adjugate)
+
+from conftest import solve_affine
 
 
 def sparse(rows):
@@ -164,6 +167,8 @@ def test_adjugate_inverts_up_to_det(rows):
     assert mat_mul(rows, adj) == scalar
 
 
+# -- the Fraction reference solver of the tests (conftest.py)
+
 def test_solve_point():
     part, basis = solve_affine([[1]], [0])
     assert part == (0,)
@@ -226,3 +231,12 @@ def test_integer_kernel_and_saturation(rows):
         sol = solve_affine([list(col) for col in zip(*sat)], row)
         assert sol is not None and not sol[1]
         assert all(x.denominator == 1 for x in sol[0])
+
+
+# -- the layer boundary
+
+def test_exact_binds_no_rational_elimination():
+    # the exact layer is integral; Fraction elimination is only the tests'
+    # reference (conftest.py)
+    names = {"fractions", "Fraction", "solve_affine", "kernel_basis"}
+    assert not names & set(vars(toricarr.exact))

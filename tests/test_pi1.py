@@ -69,7 +69,7 @@ def test_omega_unit_line(catalog):
     ctx = catalog("one_point").ctx
     word = ctx.omega((1,))
     assert len(word) == 1
-    assert word[0].ref() == (ctx.codim1_orbits[0], (1,)) or \
+    assert (word[0].orbit, word[0].shift) == (ctx.codim1_orbits[0], (1,)) or \
         word[0].shift == (1,)
     assert word[0].sign == 1
 

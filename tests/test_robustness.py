@@ -44,7 +44,7 @@ def test_coincident_walls_share_geometry():
     # t = 1 and t^2 = 1 overlap at the integers of the lift
     spec, lifted, fc, z = full_pipeline(
         '{"rank":1,"hypersurfaces":[{"chi":[1],"q":"0"},{"chi":[2],"q":"0"}]}')
-    assert len(lifted.class_rep) < len(lifted.hyperplanes)
+    assert len(set(lifted.geo_class.values())) < len(lifted.hyperplanes)
     assert fc.census() == [2, 2]
     chains, h = zeta_homology(spec, z)
     assert h == [(1, []), (3, [])]
