@@ -135,22 +135,12 @@ def nerve_chains(cat, max_dim):
 
 
 class ChainComplex:
-    """Integral chain complex: boundary[k] maps degree k to degree k-1."""
+    """Integral chain complex: `counts[k]` chains in degree k, and
+    `boundaries[k - 1]` the SparseMatrix of d_k, for k = 1 .. len(counts) - 1."""
 
     def __init__(self, counts, boundaries):
         self.counts = list(counts)
-        self.boundaries = list(boundaries)  # index k-1 holds d_k, k >= 1
-
-    def boundary(self, k):
-        if 1 <= k <= len(self.boundaries):
-            return self.boundaries[k - 1]
-        rows = self.counts[k - 1] if 0 <= k - 1 < len(self.counts) else 0
-        cols = self.counts[k] if 0 <= k < len(self.counts) else 0
-        return SparseMatrix.zero(rows, cols)
-
-    @property
-    def top_degree(self):
-        return len(self.counts) - 1
+        self.boundaries = list(boundaries)
 
 
 def boundary_matrices(chains, cat):
@@ -188,29 +178,19 @@ def boundary_matrices(chains, cat):
 
 
 def homology(cc):
-    """Integral homology of the complex: per degree (betti, torsion list)."""
-    top = cc.top_degree
-    factors = {}
-    for k in range(1, top + 2):
-        b = cc.boundary(k)
-        if b.rows == 0 or b.cols == 0:
-            factors[k] = []
-        else:
-            _, f = snf(b)
-            factors[k] = f
-    out = []
-    for k in range(top + 1):
-        nk = cc.counts[k]
-        rank_k = len(factors.get(k, []))
-        rank_k1 = len(factors.get(k + 1, []))
-        betti = nk - rank_k - rank_k1
-        torsion = [d for d in factors.get(k + 1, []) if d > 1]
-        out.append((betti, torsion))
-    return out
+    """Integral homology of the complex: per degree (betti, torsion list).
+
+    The boundaries beyond either end are zero and have no invariant
+    factors, like a boundary with no rows or no columns.
+    """
+    factors = [[]] + [snf(b) for b in cc.boundaries] + [[]]
+    return [(nk - len(out) - len(into), [d for d in into if d > 1])
+            for nk, out, into in zip(cc.counts, factors, factors[1:])]
 
 
-def euler_characteristic(chains):
-    return sum((-1) ** k * len(deg) for k, deg in enumerate(chains))
+def euler_characteristic(counts):
+    """Alternating sum of the counts: sum of (-1)^k counts[k]."""
+    return sum((-1) ** k * c for k, c in enumerate(counts))
 
 
 def verify_dd_zero(cc):
@@ -219,9 +199,9 @@ def verify_dd_zero(cc):
     Each column of d_{k-1} d_k is formed as a sparse sum of the columns
     of d_{k-1}; the check stops at the first nonzero one.
     """
-    for k in range(2, cc.top_degree + 1):
-        a = cc.boundary(k - 1).columns
-        for col in cc.boundary(k).columns:
+    for lower, upper in zip(cc.boundaries, cc.boundaries[1:]):
+        a = lower.columns
+        for col in upper.columns:
             prod = {}
             for r, x in col.items():
                 for i, y in a[r].items():

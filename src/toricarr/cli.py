@@ -56,20 +56,17 @@ def _prepare(spec, k):
     return work, basis, window, lifted
 
 
-def _alternating(counts):
-    return sum((-1) ** k * c for k, c in enumerate(counts))
-
-
 def _homology_json(h):
     return [{"degree": k, "betti": b, "torsion": t} for k, (b, t) in enumerate(h)]
 
 
 def _nerve_homology(cat, rank, max_dim):
-    """The whole nerve, its chain complex through degree max_dim + 1, and
-    the homology in degrees 0..max_dim, which that complex determines."""
+    """The whole nerve's chain counts, its chain complex through degree
+    max_dim + 1, and the homology in degrees 0..max_dim, which that complex
+    determines."""
     chains = nerve_chains(cat, rank)
     cc = boundary_matrices(chains[:max_dim + 2], cat)
-    return chains, cc, homology(cc)[:max_dim + 1]
+    return [len(d) for d in chains], cc, homology(cc)[:max_dim + 1]
 
 
 def cmd_validate(spec, args):
@@ -95,7 +92,7 @@ def cmd_faces(spec, args):
         "window": args.window,
         "census": fc.census(),
         "nonidentity_morphisms": nonid,
-        "euler": _alternating(fc.census()),
+        "euler": euler_characteristic(fc.census()),
     }
 
 
@@ -118,15 +115,15 @@ def cmd_salvetti(spec, args):
     counts, chi = cw_census(z)
     cat = z.as_category()
     max_dim = args.max_dim if args.max_dim is not None else work.rank
-    chains = nerve_chains(cat, work.rank)
+    chain_counts = [len(d) for d in nerve_chains(cat, work.rank)]
     return {
         "arrangement": spec_to_json_dict(work),
         "window": args.window,
         "face_census": fc.census(),
         "object_census_by_codim": counts,
         "euler_cw": chi,
-        "nerve_chain_counts": [len(d) for d in chains[:max_dim + 1]],
-        "euler_nerve": euler_characteristic(chains),
+        "nerve_chain_counts": chain_counts[:max_dim + 1],
+        "euler_nerve": euler_characteristic(chain_counts),
         "thick": is_thick(fc),
     }
 
@@ -139,16 +136,16 @@ def cmd_homology(spec, args):
         cat = fc.as_category()
     else:
         cat = toric_salvetti(lifted, fc).as_category()
-    chains, cc, h = _nerve_homology(cat, work.rank, max_dim)
+    chain_counts, cc, h = _nerve_homology(cat, work.rank, max_dim)
     if not verify_dd_zero(cc):
         raise InternalError("boundary of boundary is nonzero")
     return {
         "arrangement": spec_to_json_dict(work),
         "window": args.window,
         "space": args.space,
-        "chain_counts": [len(d) for d in chains[:max_dim + 1]],
+        "chain_counts": chain_counts[:max_dim + 1],
         "homology": _homology_json(h),
-        "euler": euler_characteristic(chains),
+        "euler": euler_characteristic(chain_counts),
     }
 
 
@@ -183,11 +180,11 @@ def cmd_check(spec, args):
     work, _, window, lifted = _prepare(spec, args.window)
     n = work.rank
     fc = quotient_faces(lifted)
-    results["face_euler_zero"] = _alternating(fc.census()) == 0
+    results["face_euler_zero"] = euler_characteristic(fc.census()) == 0
     fcat = fc.as_category()
     results["face_category_acyclic"], diagnostics["face_category_acyclic"] = \
         check_acyclic(fcat)
-    chains_f, cc_f, h_f = _nerve_homology(fcat, n, n)
+    _, cc_f, h_f = _nerve_homology(fcat, n, n)
     results["face_nerve_dd_zero"] = verify_dd_zero(cc_f)
     results["torus_recovery"] = all(
         h_f[k] == (comb(n, k), []) for k in range(n + 1))
@@ -196,12 +193,11 @@ def cmd_check(spec, args):
     results["salvetti_category_acyclic"], diagnostics["salvetti_category_acyclic"] = \
         check_acyclic(zcat)
     counts, chi = cw_census(z)
-    chains_z, cc_z, h_z = _nerve_homology(zcat, n, n)
+    counts_z, cc_z, h_z = _nerve_homology(zcat, n, n)
     results["salvetti_nerve_dd_zero"] = verify_dd_zero(cc_z)
-    results["euler_cw_matches_nerve"] = chi == euler_characteristic(chains_z)
+    results["euler_cw_matches_nerve"] = chi == euler_characteristic(counts_z)
     results["connected"] = h_z[0] == (1, [])
-    results["quotient_commutes_with_nerve"] = \
-        orbit_chain_counts(lifted, n) == [len(d) for d in chains_z]
+    results["quotient_commutes_with_nerve"] = orbit_chain_counts(lifted, n) == counts_z
     ctx = build_context(work, lifted, fc)
     pres = presentation_from_context(ctx)
     ab = abelianize(pres)

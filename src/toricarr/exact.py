@@ -5,7 +5,14 @@ is returned as integer numerators over one determinant (`adjugate`), and
 lattices come from Hermite forms (`hnf`, `integer_kernel`).  No floating
 point and no rational elimination anywhere; the geometric and homological
 layers above rely on exact signs and exact divisibility.
+
+`hnf` is the one general integer eliminator: kernels, saturation and the
+invariant factors of `snf` all come from it.  Beside it are the Bareiss
+determinant behind `adjugate` and the sparse +-1 elimination that `snf`
+runs before the dense residual block.
 """
+
+from math import gcd
 
 
 class SparseMatrix:
@@ -20,10 +27,6 @@ class SparseMatrix:
         self.rows = rows
         self.cols = cols
         self.columns = columns
-
-    @classmethod
-    def zero(cls, rows, cols):
-        return cls(rows, cols, [{} for _ in range(cols)])
 
 
 def hnf(m):
@@ -131,57 +134,31 @@ def integer_kernel(rows, n):
     return hnf([ui for ui, hi in zip(u, h) if not any(hi)])[0]
 
 
-def _smith_factors(a):
-    """Nonzero invariant factors d1 | d2 | ... of a dense integer matrix,
-    given as a list of rows and reduced in place.
+def _smith_factors(rows):
+    """Nonzero invariant factors d1 | d2 | ... of a dense integer matrix
+    given as a list of rows.
 
-    Pivoting always picks the smallest nonzero absolute value in the
-    remaining block, which keeps intermediate entries tame.  A pivot is
-    only accepted once it divides every entry of the remaining block, so
-    the divisibility chain holds by construction.
+    Row Hermite forms of the matrix and of its transpose alternate, each
+    dropping its zero rows, until every row has one nonzero entry; every
+    step is unimodular, so what is left is a diagonal with the Smith form
+    of the input (Kannan and Bachem, SIAM J. Comput. 8, 1979).  It ends:
+    the first pivot can only shrink to a proper divisor of itself, and
+    once it divides its row, its row and column stay split off, leaving
+    the same argument to the rest.  Replacing each pair (a, b) by
+    (gcd, lcm) sorts every prime's exponents, which makes the diagonal a
+    divisibility chain.
     """
-    rows, cols = len(a), len(a[0])
-    factors = []
-    t = 0
-    while t < min(rows, cols):
-        # smallest nonzero entry of the block a[t:, t:] becomes the pivot
-        best = min(((abs(a[i][j]), i, j) for i in range(t, rows)
-                    for j in range(t, cols) if a[i][j] != 0), default=None)
-        if best is None:
+    while True:
+        rows = [row for row in hnf(rows)[0] if any(row)]
+        if all(sum(map(bool, row)) == 1 for row in rows):
             break
-        _, i, j = best
-        a[t], a[i] = a[i], a[t]
-        for row in a:
-            row[t], row[j] = row[j], row[t]
-        if a[t][t] < 0:
-            a[t] = [-x for x in a[t]]
-        p = a[t][t]
-        clean = True
-        for i in range(t + 1, rows):
-            if a[i][t] != 0:
-                q = a[i][t] // p
-                a[i] = [x - q * y for x, y in zip(a[i], a[t])]
-                if a[i][t] != 0:
-                    clean = False
-        for j in range(t + 1, cols):
-            if a[t][j] != 0:
-                q = a[t][j] // p
-                for row in a:
-                    row[j] -= q * row[t]
-                if a[t][j] != 0:
-                    clean = False
-        if not clean:
-            continue
-        # pivot must divide the whole remaining block, else fold the
-        # offending row in and re-reduce
-        bad = next((i for i in range(t + 1, rows)
-                    if any(x % p for x in a[i][t + 1:])), None)
-        if bad is not None:
-            a[t] = [x + y for x, y in zip(a[t], a[bad])]
-            continue
-        factors.append(p)
-        t += 1
-    return factors
+        rows = [list(col) for col in zip(*rows)]
+    d = [sum(row) for row in rows]
+    for i in range(len(d)):
+        for j in range(i + 1, len(d)):
+            g = gcd(d[i], d[j])
+            d[i], d[j] = g, d[i] * d[j] // g
+    return d
 
 
 def _eliminate_units(columns, nrows):
@@ -235,13 +212,12 @@ def _eliminate_units(columns, nrows):
 
 
 def snf(m):
-    """Smith normal form of a SparseMatrix: returns (D, invariant_factors).
+    """Invariant factors d1 | d2 | ... of a SparseMatrix: the nonzero
+    diagonal entries of its Smith form, as a list ([] when m has no rows
+    or no columns).
 
     The +-1 pivots are eliminated by sparse unimodular operations first;
-    the dense Smith form then runs only on the block they leave and
-    computes only its invariant factors.  The invariant factors
-    d1 | d2 | ... are the nonzero diagonal entries of the Smith form D,
-    returned as a SparseMatrix of the shape of m.
+    only the block they leave goes to `_smith_factors`.
     """
     columns = [dict(col) for col in m.columns]
     factors = [1] * _eliminate_units(columns, m.rows)
@@ -249,9 +225,7 @@ def snf(m):
     if live:
         rows = sorted({i for col in live for i in col})
         factors += _smith_factors([[col.get(i, 0) for col in live] for i in rows])
-    diagonal = [{i: f} for i, f in enumerate(factors)]
-    diagonal += [{} for _ in range(m.cols - len(factors))]
-    return SparseMatrix(m.rows, m.cols, diagonal), factors
+    return factors
 
 
 def saturation_basis(char_rows, n):

@@ -85,7 +85,7 @@ def abelianize(pres):
         for x in r:
             col[abs(x) - 1] += 1 if x > 0 else -1
         columns.append({i: c for i, c in col.items() if c})
-    _, factors = snf(SparseMatrix(g, len(columns), columns))
+    factors = snf(SparseMatrix(g, len(columns), columns))
     return g - len(factors), [d for d in factors if d > 1]
 
 
@@ -153,16 +153,15 @@ def quotient_without_meridians(pres):
 class Crossing:
     """One wall crossing of a path, recorded on the lifted arrangement."""
 
-    __slots__ = ("orbit", "shift", "sign", "hyper_key")
+    __slots__ = ("orbit", "shift", "hyper_key")
 
-    def __init__(self, orbit, shift, sign, hyper_key):
+    def __init__(self, orbit, shift, hyper_key):
         self.orbit = orbit
         self.shift = shift
-        self.sign = sign
         self.hyper_key = hyper_key
 
     def __repr__(self):
-        return "Crossing(orbit=%d, shift=%s, sign=%+d)" % (self.orbit, self.shift, self.sign)
+        return "Crossing(orbit=%d, shift=%s)" % (self.orbit, self.shift)
 
 
 def positive_minimal_path(lifted, c_from, c_to):
@@ -250,12 +249,12 @@ class Pi1Context:
             raise WindowError("crossed face %d has no orbit data in the window" % fid)
         return self.fc.key((fid,))
 
-    def crossing_of_face(self, fid, sign=1):
+    def crossing_of_face(self, fid):
         orbit, u = self._orbit_ref(fid)
         key = _shifted_key(self._canonical_key[orbit], u)
-        return Crossing(orbit, u, sign, key)
+        return Crossing(orbit, u, key)
 
-    def crossing_at_point(self, point, sign=1):
+    def crossing_at_point(self, point):
         base = tuple(math.floor(x) for x in point)
         fid = self.lifted.locate(tuple(x - b for x, b in zip(point, base)))
         f = self.lifted.faces[fid]
@@ -264,7 +263,7 @@ class Pi1Context:
         orbit, u0 = self._orbit_ref(fid)
         shift = tuple(a + b for a, b in zip(base, u0))
         key = _shifted_key(self._canonical_key[orbit], shift)
-        return Crossing(orbit, shift, sign, key)
+        return Crossing(orbit, shift, key)
 
     def omega(self, u):
         u = tuple(int(x) for x in u)
@@ -358,8 +357,6 @@ def sigma(path):
     """Reduce a positive crossing word: repeatedly drop every crossing
     whose wall supports an odd number of later crossings, until stable."""
     seq = list(path)
-    if any(c.sign != 1 for c in seq):
-        raise SpecError("sigma applies to positive words only")
     while True:
         tail = Counter()
         marks = []

@@ -11,6 +11,7 @@ graded by the codimension of F.
 
 from .errors import WindowError
 from .cells import PeriodicCategory
+from .category import euler_characteristic
 
 __all__ = [
     "salvetti_below", "toric_salvetti", "is_thick", "cw_census", "orbit_chain_counts",
@@ -60,8 +61,7 @@ def cw_census(zcat):
     """Cell counts of the canonical CW structure, by codimension, with its
     Euler characteristic."""
     counts = zcat.census()
-    chi = sum((-1) ** c * k for c, k in enumerate(counts))
-    return counts, chi
+    return counts, euler_characteristic(counts)
 
 
 def orbit_chain_counts(lifted, max_dim):

@@ -72,7 +72,7 @@ def test_boundary_single_morphism():
     cat = interval_category()
     chains = nerve_chains(cat, 1)
     cc = boundary_matrices(chains, cat)
-    d1 = cc.boundary(1)
+    d1 = cc.boundaries[0]
     assert (d1.rows, d1.cols, d1.columns) == (2, 1, [{0: -1, 1: 1}])
 
 
@@ -81,7 +81,7 @@ def test_boundary_two_chain():
     chains = nerve_chains(cat, 2)
     assert chains[2] == [(3, 4)]
     cc = boundary_matrices(chains, cat)
-    d2 = cc.boundary(2)
+    d2 = cc.boundaries[1]
     # d(a->b->c) = (b->c) - (a->c) + (a->b), in chain order (3,), (4,), (5,)
     assert chains[1] == [(3,), (4,), (5,)]
     assert (d2.rows, d2.cols, d2.columns) == (3, 1, [{0: 1, 1: 1, 2: -1}])
@@ -135,10 +135,11 @@ def test_torus_homology_from_grid(catalog):
 
 
 def test_euler_characteristic_examples(catalog):
-    assert euler_characteristic(nerve_chains(interval_category(), 1)) == 1
-    assert euler_characteristic(nerve_chains(parallel_pair(), 1)) == 0
-    zcat = catalog("one_point").zeta.as_category()
-    assert euler_characteristic(nerve_chains(zcat, 1)) == -1
+    def euler(cat):
+        return euler_characteristic([len(d) for d in nerve_chains(cat, 1)])
+    assert euler(interval_category()) == 1
+    assert euler(parallel_pair()) == 0
+    assert euler(catalog("one_point").zeta.as_category()) == -1
 
 
 def test_euler_equals_alternating_betti(catalog):
@@ -147,7 +148,7 @@ def test_euler_equals_alternating_betti(catalog):
         n = catalog(name).spec.rank
         chains = nerve_chains(cat, n)
         h = homology(boundary_matrices(chains, cat))
-        assert euler_characteristic(chains) == \
+        assert euler_characteristic([len(d) for d in chains]) == \
             sum((-1) ** k * b for k, (b, _) in enumerate(h))
 
 

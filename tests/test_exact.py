@@ -109,35 +109,38 @@ def test_hnf_transform_properties(rows):
 # -- Smith normal form
 
 def test_snf_diag_ones():
-    _, factors = snf(sparse([[1, 0], [0, 1]]))
-    assert factors == [1, 1]
+    assert snf(sparse([[1, 0], [0, 1]])) == [1, 1]
 
 
 def test_snf_worked_example():
-    d, factors = snf(sparse([[2, 0], [0, 3]]))
-    assert factors == [1, 6]
+    assert snf(sparse([[2, 0], [0, 3]])) == [1, 6]
 
 
 def test_snf_zero():
-    d, factors = snf(SparseMatrix.zero(2, 3))
-    assert factors == []
-    assert (d.rows, d.cols, d.columns) == (2, 3, [{}, {}, {}])
+    assert snf(SparseMatrix(2, 3, [{}, {}, {}])) == []
 
 
 def test_snf_unit_elimination_leaves_torsion():
-    # the +-1 pivots leave the block [[-2]] for the dense Smith form
-    d, factors = snf(sparse([[1, 1], [1, -1]]))
-    assert factors == [1, 2]
-    assert d.columns == [{0: 1}, {1: 2}]
+    # the +-1 pivots leave the block [[-2]] for the residual Hermite rounds
+    assert snf(sparse([[1, 1], [1, -1]])) == [1, 2]
+
+
+def test_snf_residual_block_needs_two_rounds():
+    # no +-1 entry, so the whole matrix is the residual block; the first
+    # row-and-column round leaves [[1, 5], [0, 10]], the second a diagonal
+    assert snf(sparse([[2, 3], [0, 5]])) == [1, 10]
+    assert snf(sparse([[6, 10], [15, 0]])) == [1, 150]
+
+
+def test_snf_diagonal_made_a_chain():
+    # already diagonal, but 4 does not divide 6: gcd and lcm give the chain
+    assert snf(sparse([[4, 0], [0, 6]])) == [2, 12]
 
 
 @settings(max_examples=120, deadline=None)
 @given(small_matrices)
 def test_snf_transform_properties(rows):
-    d, factors = snf(sparse(rows))
-    assert (d.rows, d.cols) == (len(rows), len(rows[0]))
-    assert d.columns == [{i: f} for i, f in enumerate(factors)] + \
-        [{}] * (d.cols - len(factors))
+    factors = snf(sparse(rows))
     assert all(f > 0 for f in factors)
     assert all(b % a == 0 for a, b in zip(factors, factors[1:]))
     # independent reference: d1 ... dk is the gcd of the k x k minors
@@ -221,7 +224,7 @@ def test_integer_kernel_and_saturation(rows):
     assert len(kernel) == len(solve_affine(rows, [0] * len(rows))[1])
     if kernel:
         # every invariant factor 1: the kernel lattice is saturated
-        assert set(snf(sparse(kernel))[1]) == {1}
+        assert set(snf(sparse(kernel))) == {1}
     sat = saturation_basis(rows, n)
     for row in rows:
         if not sat:

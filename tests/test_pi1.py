@@ -71,7 +71,6 @@ def test_omega_unit_line(catalog):
     assert len(word) == 1
     assert (word[0].orbit, word[0].shift) == (ctx.codim1_orbits[0], (1,)) or \
         word[0].shift == (1,)
-    assert word[0].sign == 1
 
 
 def test_omega_diagonals_horizontal(catalog):
@@ -100,7 +99,7 @@ def test_omega_crosses_family_members_once(catalog):
 # -- sigma reduction
 
 def make_crossing(orbit, shift, key):
-    return Crossing(orbit, shift, 1, key)
+    return Crossing(orbit, shift, key)
 
 
 def test_sigma_distinct_walls_unchanged():

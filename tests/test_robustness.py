@@ -60,7 +60,7 @@ def test_mixed_angles_translate_the_diagonal_pair():
     assert fc.census() == [2, 4, 2]
     assert z.census() == [2, 8, 8]
     chains, h = zeta_homology(spec, z)
-    assert euler_characteristic(chains) == 2
+    assert euler_characteristic([len(d) for d in chains]) == 2
     assert h == [(1, []), (4, []), (5, [])]
     assert orbit_chain_counts(lifted, 2) == [len(d) for d in chains]
     ctx = build_context(spec, lifted, fc)

@@ -63,7 +63,7 @@ def test_zeta_one_point(catalog):
     assert ok, diags
     assert len(cat.nonidentity()) == 4
     chains, h = nerve_homology(cat, 1)
-    assert euler_characteristic(chains) == -1
+    assert euler_characteristic([len(d) for d in chains]) == -1
     assert h == [(1, []), (2, [])]
 
 
@@ -86,7 +86,7 @@ def test_zeta_diagonals(catalog):
     ok, diags = check_acyclic(cat)
     assert ok, diags
     chains, h = nerve_homology(cat, 2)
-    assert euler_characteristic(chains) == 2 == chi
+    assert euler_characteristic([len(d) for d in chains]) == 2 == chi
     assert h[0] == (1, [])
 
 
