@@ -1,17 +1,19 @@
 """Faces of the windowed lift and the face category of the torus.
 
 Faces are the sign classes of the finite hyperplane list inside the
-window box.  A face is stored with its exact sign vector, affine span,
-and barycenter (vertex average of its clipped closure).  Faces whose
-closure is entirely inside the closed box are honest faces of the
-periodic arrangement; the rest are flagged `boundary_cut` and never
-serve as orbit representatives.
+window box.  A face is stored with its signs as a pair of bit masks (the
+hyperplanes on its + side and on its - side; the rest contain it), its
+flat, and its barycenter (vertex average of its clipped closure).  The
+face order, the chamber operations and translation are mask operations.
+Faces whose closure is entirely inside the closed box are honest faces
+of the periodic arrangement; the rest are flagged `boundary_cut` and
+never serve as orbit representatives.
 
 `PeriodicCategory` quotients a lifted poset by the integer translation
 lattice; the face category and the toric Salvetti category are both
 built with it.  Objects are orbits keyed by the unique translate with
 barycenter in [0,1)^n, morphisms are orbits of incidences.  A face moves
-by an integer vector through a re-indexing of its sign vector
+by an integer vector through a shift of its masks, source by source
 (`LiftedFacePoset.translate`).
 """
 
@@ -33,11 +35,6 @@ def _dot(a, b):
     return sum(map(mul, a, b))
 
 
-def conforms(lower, upper):
-    """Face order on sign vectors: lower lies in the closure of upper."""
-    return all(a == 0 or a == b for a, b in zip(lower, upper))
-
-
 def _times(x, den):
     """The rational x times den, as an int; den is a multiple of x's
     denominator."""
@@ -52,18 +49,21 @@ def _scaled(point):
 
 
 class AffineFace:
-    """One cell of the windowed decomposition.  The barycenter is stored as
-    integer numerators `num` over `den`, one positive denominator for the
-    whole lift.  `cell` is its integer floor: the face lies in the orbit's
-    canonical position when it is zero."""
+    """One cell of the windowed decomposition.  `signs` is the pair of
+    masks (plus, minus): bit h is set in plus when the face lies on the +
+    side of hyperplane h, in minus when on its - side, and in neither when
+    h contains it.  The barycenter is stored as integer numerators `num`
+    over `den`, one positive denominator for the whole lift.  `cell` is its
+    integer floor: the face lies in the orbit's canonical position when it
+    is zero."""
 
-    __slots__ = ("id", "sign_vector", "dim", "num", "den", "cell", "flat_id",
+    __slots__ = ("id", "signs", "dim", "num", "den", "cell", "flat_id",
                  "boundary_cut", "vertex_ids")
 
-    def __init__(self, fid, sign_vector, dim, num, den, cell, flat_id,
+    def __init__(self, fid, signs, dim, num, den, cell, flat_id,
                  boundary_cut, vertex_ids):
         self.id = fid
-        self.sign_vector = sign_vector
+        self.signs = signs
         self.dim = dim
         self.num = num
         self.den = den
@@ -108,8 +108,8 @@ class LiftedFacePoset:
             self.lowers[fid] = tuple(sorted(self.lowers[fid]))
         self._star_ok = {}
         self._translated = {}
-        self._lifted_at = {(h.source, h.shift): i for i, h in enumerate(hyperplanes)}
-        self._preimages = {}
+        self._runs = _runs(hyperplanes)
+        self._all = (1 << len(hyperplanes)) - 1
         self._box = [(_times(a, den), _times(b, den)) for a, b in zip(window.lo, window.hi)]
 
     @property
@@ -119,12 +119,19 @@ class LiftedFacePoset:
     def zero_set(self, fid):
         return self.flats[self.faces[fid].flat_id][0]
 
+    def zero_mask(self, fid):
+        """The mask of the hyperplanes through the face, those of its flat."""
+        plus, minus = self.faces[fid].signs
+        return self._all ^ (plus | minus)
+
     def leq(self, f1, f2):
-        """True when face f1 lies in the closure of face f2."""
-        return conforms(self.faces[f1].sign_vector, self.faces[f2].sign_vector)
+        """True when face f1 lies in the closure of face f2: off f1's
+        zero mask the two agree, so f1's masks lie inside f2's."""
+        (p1, q1), (p2, q2) = self.faces[f1].signs, self.faces[f2].signs
+        return not (p1 & ~p2 or q1 & ~q2)
 
     def locate(self, point):
-        """Face containing an exact point, via its sign vector."""
+        """Face containing an exact point, via its sign masks."""
         if not self.window.contains(point):
             raise WindowError("point %s escapes the window" % (tuple(map(str, point)),))
         num, den = _scaled(point)
@@ -137,42 +144,25 @@ class LiftedFacePoset:
         """The face fid + u for an integer vector u, memoised.
 
         The arrangement is periodic: on the lifted hyperplane (source i,
-        shift k) the moved face has the sign that fid has on (i, k -
-        <alpha_i, u>), so its sign vector is a re-indexing of fid's (see
-        `_preimage` for the hyperplanes whose pre-image is not lifted).
-        The barycenter lies in the relative interior of its face, even when
-        the window clips it, so this is the face `locate` finds at the
-        moved barycenter, and `locate`'s `WindowError`s are raised when
-        that point escapes the window or no face was enumerated there.
+        shift k) the moved face has the sign that fid has on (i, k - s),
+        with s = <alpha_i, u>.  The lift of source i is one run of bits,
+        its shifts ascending (`_runs`), so the moved masks are fid's moved
+        by s bits inside each run.  The s vacated bits at one end have no
+        lifted pre-image: that hyperplane misses the closed box, so fid,
+        which meets the box, lies on the box's side of it, + when the
+        pre-image's shift lies below the run (s > 0) and - when above.
+
+        When fid + u meets the closed box, its moved masks are those of
+        the window's face there.  A `WindowError` says that no face has the
+        moved masks.  A face that misses the box can still share its masks
+        with a boundary-cut face of the window, the part of their common
+        lifted cell inside the box; callers move faces into the star of a
+        face in the open box, or discard cut results.
         """
         key = (fid, u)
         got = self._translated.get(key)
         if got is None:
             got = self._translated[key] = self._moved(fid, u) if any(u) else fid
-        return got
-
-    def _preimage(self, u):
-        """(pre, fixed) for a shift u: pre[h] is the lifted hyperplane whose
-        sign moves to h, or 0 for the (h, sign) pairs in `fixed`.
-
-        Those are the h = (i, k) whose pre-image (i, k - <alpha_i, u>) is
-        not in the lift.  The lift of source i holds every shift whose
-        hyperplane meets the closed box, a run of shifts that contains k,
-        so such a pre-image misses the box and has one sign on all of it,
-        the moved barycenter included (`_moved` tests the box first): +
-        when its shift lies below the run, that is when <alpha_i, u> > 0,
-        and - when it lies above.
-        """
-        got = self._preimages.get(u)
-        if got is None:
-            pre, fixed = [], []
-            for hidx, h in enumerate(self.hyperplanes):
-                step = _dot(h.alpha, u)
-                p = self._lifted_at.get((h.source, h.shift - step))
-                if p is None:
-                    fixed.append((hidx, 1 if step > 0 else -1))
-                pre.append(p or 0)
-            got = self._preimages[u] = (pre, fixed)
         return got
 
     def _moved(self, fid, u):
@@ -182,11 +172,18 @@ class LiftedFacePoset:
         if not all(lo <= x <= hi for x, (lo, hi) in zip(num, self._box)):
             raise WindowError("point %s escapes the window"
                               % (tuple(str(Q(x, den)) for x in num),))
-        pre, fixed = self._preimage(u)
-        sig = list(map(face.sign_vector.__getitem__, pre))
-        for hidx, s in fixed:
-            sig[hidx] = s
-        got = self.by_signs.get(tuple(sig))
+        plus, minus = face.signs
+        p = q = 0
+        for alpha, run in self._runs:
+            step = _dot(alpha, u)
+            p |= _shift(plus & run, step) & run
+            q |= _shift(minus & run, step) & run
+            fill = run & ~_shift(run, step)
+            if step > 0:
+                p |= fill
+            else:
+                q |= fill
+        got = self.by_signs.get((p, q))
         if got is None:
             raise WindowError("no face enumerated at %s"
                               % (tuple(str(Q(x, den)) for x in num),))
@@ -231,6 +228,32 @@ def _mask(flags):
     return int("".join(["01"[f] for f in reversed(flags)]), 2)
 
 
+def _shift(mask, step):
+    """The mask moved up by step bits, or down when step < 0."""
+    return mask << step if step >= 0 else mask >> -step
+
+
+def _runs(hyperplanes):
+    """(alpha, run) per source: run is the mask of its lifted hyperplanes.
+
+    `lift_to_window` lists each source's hyperplanes together, by
+    ascending shift, so bit j of a run above its lowest is the shift j
+    above the lowest; `translate` relies on it.
+    """
+    ids = {}
+    for i, h in enumerate(hyperplanes):
+        ids.setdefault(h.source, []).append(i)
+    runs = []
+    for source, idx in ids.items():
+        first = idx[0]
+        if idx[-1] - first + 1 != len(idx) or any(
+                hyperplanes[i].shift - hyperplanes[first].shift != i - first for i in idx):
+            raise InternalError("the lift of source %d is not one run of ascending "
+                                "shifts" % source)
+        runs.append((hyperplanes[first].alpha, ((1 << len(idx)) - 1) << first))
+    return runs
+
+
 class SignTable:
     """The hyperplanes' signs over a fixed list of points, as bit masks.
 
@@ -256,10 +279,11 @@ class SignTable:
             self.zero.append(_mask([v == c for v in dots[k]]))
 
     def signs(self, num, den):
-        """Sign vector, on every hyperplane, of the point num / (D den)."""
+        """The masks (plus, minus) of the hyperplanes that have the point
+        num / (D den) on their + side and on their - side."""
         dots = [_dot(a, num) for a in self.normals]
         values = [dots[k] - c * den for k, c in zip(self.normal_of, self.consts)]
-        return tuple([(v > 0) - (v < 0) for v in values])
+        return _mask([v > 0 for v in values]), _mask([v < 0 for v in values])
 
 
 def candidate_vertices(hyperplanes, window):
@@ -350,10 +374,10 @@ def _bits(mask):
 
 
 def _faces_on_flat(table, flat_id, rows, cands, cutting, weak, forced, on_wall):
-    """The faces on one flat, as (dim, coordinate sums, vertex ids, sign
-    vector, flat id, boundary_cut, + mask, - mask) tuples, the masks
-    holding the hyperplanes with each sign: a DFS over strict signs on the
-    cutting hyperplanes.  A node holds W, the mask of the flat's candidates
+    """The faces on one flat, as (dim, coordinate sums, vertex ids, (+ mask,
+    - mask), flat id, boundary_cut) tuples, the masks holding the
+    hyperplanes with each sign: a DFS over strict signs on the cutting
+    hyperplanes.  A node holds W, the mask of the flat's candidates
     `cands` weakly signed by its assignment, and `need`, the masks of the
     candidates strictly on each assigned side; by the lemma of
     `enumerate_faces` it is a region exactly when W meets every mask in
@@ -385,22 +409,19 @@ def _faces_on_flat(table, flat_id, rows, cands, cutting, weak, forced, on_wall):
             continue
         if not all(map(w.__and__, weak_sides)):
             continue
-        sig = [0] * len(pos)
         plus = minus = 0
         for h, s in forced + assigned + weak:
-            sig[h] = s
             if s > 0:
                 plus |= 1 << h
             else:
                 minus |= 1 << h
-        sig = tuple(sig)
         ids = _bits(w)
         sums = [sum(xs) for xs in zip(*map(coords.__getitem__, ids))]
-        if table.signs(sums, len(ids)) != sig:
+        if table.signs(sums, len(ids)) != (plus, minus):
             raise InternalError("barycenter escaped its own face")
         need = need + weak_sides
         cut = any(x and all(map(x.__and__, need)) for x in map(w.__and__, walls))
-        out.append((len(rows), sums, tuple(ids), sig, flat_id, cut, plus, minus))
+        out.append((len(rows), sums, tuple(ids), (plus, minus), flat_id, cut))
     return out
 
 
@@ -451,7 +472,7 @@ def enumerate_faces(hyperplanes, window):
     The lemma also decides `boundary_cut`, on the candidates on the box
     walls.  Each face's barycenter is kept as the coordinate sums of W,
     and every hyperplane is evaluated there to confirm the face's sign
-    vector.  The barycenters are then put over one denominator, D times
+    masks.  The barycenters are then put over one denominator, D times
     the lcm of the vertex counts, and compared in integers.
     """
     n = window.dim
@@ -552,13 +573,13 @@ def enumerate_faces(hyperplanes, window):
     # lcm of the vertex counts
     common = math.lcm(*{len(r[2]) for r in raw})
     den = scale * common
-    raw = sorted(((d, tuple(x * (common // len(ids)) for x in sums), ids, sig, flat_id, cut,
-                   plus, minus) for d, sums, ids, sig, flat_id, cut, plus, minus in raw),
+    raw = sorted(((d, tuple(x * (common // len(ids)) for x in sums), ids, sig, flat_id, cut)
+                  for d, sums, ids, sig, flat_id, cut in raw),
                  key=lambda r: r[:2])
     faces = []
     by_signs = {}
     cells = {}      # one tuple per distinct cell, shared by its faces
-    for fid, (d, num, ids, sig, flat_id, cut, _, _) in enumerate(raw):
+    for fid, (d, num, ids, sig, flat_id, cut) in enumerate(raw):
         cell = tuple(x // den for x in num)
         faces.append(AffineFace(fid, sig, d, num, den, cells.setdefault(cell, cell),
                                 flat_id, cut, ids))
@@ -570,14 +591,13 @@ def enumerate_faces(hyperplanes, window):
     for f in faces:
         for ci in f.vertex_ids:
             at_vertex.setdefault(ci, []).append(f.id)
-    # `conforms` on the sweep's masks of the + and - hyperplanes: lower's
-    # masks lie inside upper's.  at_vertex lists ids in order, so uppers
-    # are sorted.
-    plus = [r[6] for r in raw]
-    minus = [r[7] for r in raw]
+    # the order of `leq`: lower's masks lie inside upper's.  at_vertex
+    # lists ids in order, so uppers are sorted.
+    plus = [f.signs[0] for f in faces]
+    minus = [f.signs[1] for f in faces]
     uppers = {}
     for f in faces:
-        p, q = plus[f.id], minus[f.id]
+        p, q = f.signs
         uppers[f.id] = tuple(g for g in at_vertex[f.vertex_ids[0]]
                              if faces[g].dim > f.dim and not p & ~plus[g] and not q & ~minus[g])
 
@@ -819,10 +839,9 @@ def opposite_chamber(lifted, cid, fid):
         raise SpecError("opposite_chamber needs a chamber")
     if not lifted.leq(fid, cid):
         raise SpecError("face %d is not a face of chamber %d" % (fid, cid))
-    zero = lifted.zero_set(fid)
-    sig = tuple(-s if i in zero else s
-                for i, s in enumerate(lifted.faces[cid].sign_vector))
-    got = lifted.by_signs.get(sig)
+    zero = lifted.zero_mask(fid)
+    plus, minus = lifted.faces[cid].signs
+    got = lifted.by_signs.get((plus ^ zero, minus ^ zero))
     if got is None:
         raise WindowError("opposite chamber of (%d, %d) escapes the window" % (cid, fid))
     return got
@@ -834,11 +853,9 @@ def chamber_fiber(lifted, cid, fid):
     face's signs elsewhere."""
     if lifted.faces[cid].dim != lifted.dim:
         raise SpecError("chamber_fiber needs a chamber")
-    zero = lifted.zero_set(fid)
-    csig = lifted.faces[cid].sign_vector
-    fsig = lifted.faces[fid].sign_vector
-    sig = tuple(csig[i] if i in zero else fsig[i] for i in range(len(csig)))
-    got = lifted.by_signs.get(sig)
+    zero = lifted.zero_mask(fid)
+    (cp, cq), (fp, fq) = lifted.faces[cid].signs, lifted.faces[fid].signs
+    got = lifted.by_signs.get((cp & zero | fp, cq & zero | fq))
     if got is None:
         raise WindowError("fiber chamber of (%d, %d) escapes the window" % (cid, fid))
     return got

@@ -173,20 +173,21 @@ def positive_minimal_path(lifted, c_from, c_to):
     """
     steps = []
     x = c_from
-    tgt_sig = lifted.faces[c_to].sign_vector
+    tgt_plus = lifted.faces[c_to].signs[0]
     n = lifted.dim
     guard = len(lifted.hyperplanes) + 1
     while x != c_to:
         if guard == 0:
             raise InternalError("chamber walk failed to terminate")
         guard -= 1
-        x_sig = lifted.faces[x].sign_vector
+        x_plus = lifted.faces[x].signs[0]
         found = None
         for f in lifted.lowers[x]:
             if lifted.faces[f].dim != n - 1:
                 continue
-            rep = min(lifted.zero_set(f))
-            if x_sig[rep] == tgt_sig[rep]:
+            # chambers: the plus masks decide; one wall through f suffices
+            zero = lifted.zero_mask(f)
+            if not (x_plus ^ tgt_plus) & zero & -zero:
                 continue
             try:
                 opp = opposite_chamber(lifted, x, f)

@@ -23,10 +23,11 @@ def salvetti_below(lifted, element):
     chamber at F2 agreeing with C1 on every hyperplane through F1."""
     f1, c1 = element
     faces = lifted.faces
-    sig1 = faces[c1].sign_vector
-    zero1 = lifted.zero_set(f1)
+    plus1 = faces[c1].signs[0]
+    zero1 = lifted.zero_mask(f1)
+    # a chamber's minus mask is the complement of its plus mask
     return [(f2, c2) for f2 in lifted.lowers[f1] for c2 in lifted.chambers_above(f2)
-            if all(sig1[h] == faces[c2].sign_vector[h] for h in zero1)]
+            if not (plus1 ^ faces[c2].signs[0]) & zero1]
 
 
 def _check_stars_visible(lifted, canonical):
@@ -87,8 +88,8 @@ def orbit_chain_counts(lifted, max_dim):
     box, so that every chamber at it was enumerated.  Then the moved
     source face is uncut by (a), the moved faces below it are uncut, and
     the moved chambers are in the window by (b).  `salvetti_below` reads
-    only sign vectors, which translation re-indexes, so the moved chain is
-    a chain of the window from a canonical source.  Both conditions are
+    only the faces' sign masks, which translation shifts, so the moved
+    chain is a chain of the window from a canonical source.  Both conditions are
     checked, with the window containing [-1,2]^n, which puts the cell-0
     faces themselves inside the open box; a window that fails them raises
     `WindowError`, and `quotient_faces` or `toric_salvetti` fails first on

@@ -87,6 +87,13 @@ def catalog():
     return pipeline
 
 
+def sign_vector(lifted, fid):
+    """The face's signs on the lifted hyperplanes as a tuple of 1, -1 and
+    0, expanded from its (plus, minus) masks."""
+    plus, minus = lifted.faces[fid].signs
+    return tuple((plus >> h & 1) - (minus >> h & 1) for h in range(len(lifted.hyperplanes)))
+
+
 # -- the affine Salvetti poset of a lift: the brute-force reference for
 # the quotient Salvetti category and its chain counts
 

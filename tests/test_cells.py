@@ -15,7 +15,7 @@ from toricarr.cells import (enumerate_faces, quotient_faces, layers,
 from toricarr.exact import rank
 from toricarr.category import check_acyclic
 
-from conftest import CATALOG, solve_affine
+from conftest import CATALOG, sign_vector, solve_affine
 from test_cli import SPEC_G2_00
 from test_golden import DOCS
 
@@ -219,12 +219,13 @@ def test_sign_vectors_strict_on_barycenter():
             lifted = enumerate_faces(lift_to_window(spec, window), window)
             for f in lifted.faces:
                 assert reference_signs(lifted.hyperplanes, f.barycenter) == \
-                    f.sign_vector, (name, k, f)
+                    sign_vector(lifted, f.id), (name, k, f)
                 assert lifted.locate(f.barycenter) == f.id, (name, k, f)
     # x = 7/3 misses the box, so no candidate vertex has a denominator 3
     lifted = line_arrangement([0, Fraction(7, 3)], Window([-1], [2]))
     for f in lifted.faces:
-        assert reference_signs(lifted.hyperplanes, f.barycenter) == f.sign_vector, f
+        assert reference_signs(lifted.hyperplanes, f.barycenter) == \
+            sign_vector(lifted, f.id), f
 
 
 def test_vertex_ids_and_barycenters_match_reference():
@@ -240,8 +241,9 @@ def test_vertex_ids_and_barycenters_match_reference():
             cand = sorted(reference_candidates(hyperplanes, window))
             signs = [reference_signs(hyperplanes, p) for p in cand]
             for f in lifted.faces:
+                fsig = sign_vector(lifted, f.id)
                 ids = tuple(i for i, sig in enumerate(signs)
-                            if all(a == 0 or a == b for a, b in zip(sig, f.sign_vector)))
+                            if all(a == 0 or a == b for a, b in zip(sig, fsig)))
                 assert f.vertex_ids == ids, (name, k, f)
                 mean = tuple(sum(xs) / len(ids) for xs in zip(*(cand[i] for i in ids)))
                 assert f.barycenter == mean, (name, k, f)
@@ -255,7 +257,7 @@ def test_locate_clears_large_denominators(catalog):
     lifted = catalog("diagonals").lifted
     point = (Fraction(1, 53), Fraction(-7, 59))
     fid = lifted.locate(point)
-    assert lifted.faces[fid].sign_vector == reference_signs(lifted.hyperplanes, point)
+    assert sign_vector(lifted, fid) == reference_signs(lifted.hyperplanes, point)
     assert lifted.faces[fid].dim == 2
 
 
@@ -268,11 +270,12 @@ def reference_translate(lifted, fid, u):
         raise WindowError("point %s escapes the window" % (tuple(map(str, point)),))
     den = math.lcm(*(x.denominator for x in point))
     num = [x.numerator * (den // x.denominator) for x in point]
-    sig = []
-    for h in lifted.hyperplanes:
+    plus = minus = 0
+    for i, h in enumerate(lifted.hyperplanes):
         v = sum(a * x for a, x in zip(h.alpha, num)) * h.c.denominator - h.c.numerator * den
-        sig.append((v > 0) - (v < 0))
-    got = lifted.by_signs.get(tuple(sig))
+        plus |= (v > 0) << i
+        minus |= (v < 0) << i
+    got = lifted.by_signs.get((plus, minus))
     if got is None:
         raise WindowError("no face enumerated at %s" % (tuple(map(str, point)),))
     return got
@@ -399,7 +402,8 @@ def test_reduce_mod_lattice_is_exact_on_large_ints():
 
 def project(lifted, fid, g):
     """Signs of face g on the hyperplanes through face fid."""
-    return tuple(lifted.faces[g].sign_vector[i] for i in sorted(lifted.zero_set(fid)))
+    sig = sign_vector(lifted, g)
+    return tuple(sig[i] for i in sorted(lifted.zero_set(fid)))
 
 
 def test_project_chamber_is_constant(catalog):
