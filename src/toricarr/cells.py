@@ -147,17 +147,19 @@ class LiftedFacePoset:
         shift k) the moved face has the sign that fid has on (i, k - s),
         with s = <alpha_i, u>.  The lift of source i is one run of bits,
         its shifts ascending (`_runs`), so the moved masks are fid's moved
-        by s bits inside each run.  The s vacated bits at one end have no
-        lifted pre-image: that hyperplane misses the closed box, so fid,
-        which meets the box, lies on the box's side of it, + when the
-        pre-image's shift lies below the run (s > 0) and - when above.
-
-        When fid + u meets the closed box, its moved masks are those of
-        the window's face there.  A `WindowError` says that no face has the
-        moved masks.  A face that misses the box can still share its masks
-        with a boundary-cut face of the window, the part of their common
-        lifted cell inside the box; callers move faces into the star of a
-        face in the open box, or discard cut results.
+        by s bits inside each run.  The hyperplanes of source i outside the
+        run miss the closed box, and fid, which meets the box, lies on the
+        box's side of each: + below the run and - above it.  So the s
+        vacated bits at one end get the sign of that end's outside, + when
+        s > 0 and - when s < 0; and the s bits that leave the run at the
+        other end land outside it, where the box's side is - when s > 0 and
+        + when s < 0.  When fid has fewer than s bits of that sign in the
+        run, the moved face lies beyond a hyperplane that misses the box,
+        and a `WindowError` says it leaves the window.  Otherwise the moved
+        face has the box's side on every hyperplane outside the lift, so it
+        meets the box exactly when some face of the window has its moved
+        masks, and that face is the answer; a `WindowError` says that none
+        does.
         """
         key = (fid, u)
         got = self._translated.get(key)
@@ -166,16 +168,12 @@ class LiftedFacePoset:
         return got
 
     def _moved(self, fid, u):
-        face = self.faces[fid]
-        den = self.den
-        num = [x + den * s for x, s in zip(face.num, u)]
-        if not all(lo <= x <= hi for x, (lo, hi) in zip(num, self._box)):
-            raise WindowError("point %s escapes the window"
-                              % (tuple(str(Q(x, den)) for x in num),))
-        plus, minus = face.signs
+        plus, minus = self.faces[fid].signs
         p = q = 0
         for alpha, run in self._runs:
             step = _dot(alpha, u)
+            if step > (minus & run).bit_count() or -step > (plus & run).bit_count():
+                raise WindowError("face %d moved by %s leaves the window" % (fid, u))
             p |= _shift(plus & run, step) & run
             q |= _shift(minus & run, step) & run
             fill = run & ~_shift(run, step)
@@ -185,8 +183,9 @@ class LiftedFacePoset:
                 q |= fill
         got = self.by_signs.get((p, q))
         if got is None:
-            raise WindowError("no face enumerated at %s"
-                              % (tuple(str(Q(x, den)) for x in num),))
+            den = self.den
+            raise WindowError("no face enumerated at %s" % (tuple(
+                str(Q(x + den * s, den)) for x, s in zip(self.faces[fid].num, u)),))
         return got
 
     def canonical(self, element):

@@ -16,7 +16,7 @@ from toricarr.exact import rank
 from toricarr.category import check_acyclic
 
 from conftest import CATALOG, sign_vector, solve_affine
-from test_cli import SPEC_G2_00
+from test_cli import SPEC_G1_01, SPEC_G2_00
 from test_golden import DOCS
 
 
@@ -34,8 +34,7 @@ def crossing_lines(window):
 GENERATED = {
     "g1_00": '{"rank":2,"hypersurfaces":[{"chi":[-1,0],"q":"1/3"},'
              '{"chi":[-1,1],"q":"1/2"},{"chi":[0,-1],"q":"1/4"}]}',
-    "g1_01": '{"rank":2,"hypersurfaces":[{"chi":[1,0],"q":"0"},'
-             '{"chi":[1,-1],"q":"1/4"}]}',
+    "g1_01": SPEC_G1_01,
     "g1_02": '{"rank":1,"hypersurfaces":[{"chi":[2],"q":"0"},{"chi":[2],"q":"1/3"}]}',
     "g2_00": SPEC_G2_00,
 }
@@ -262,12 +261,19 @@ def test_locate_clears_large_denominators(catalog):
 
 
 def reference_translate(lifted, fid, u):
-    """The face at the moved barycenter, found as `locate` finds it and
-    with the same errors: each sign is <alpha, x> - c with x and c put
-    over one denominator."""
+    """The face fid + u, read at the moved barycenter x in Fraction
+    arithmetic.  The face leaves the window when x lies on or beyond
+    the unlifted neighbour of some source's lifted hyperplanes, the one
+    below the lowest or above the highest, as that hyperplane misses the
+    box.  Otherwise it is the face with x's signs on the lifted
+    hyperplanes, each sign being <alpha, x> - c with x and c put over one
+    denominator, and the errors are those of `translate`."""
     point = tuple(x + s for x, s in zip(lifted.faces[fid].barycenter, u))
-    if not lifted.window.contains(point):
-        raise WindowError("point %s escapes the window" % (tuple(map(str, point)),))
+    for source in {h.source for h in lifted.hyperplanes}:
+        run = [h for h in lifted.hyperplanes if h.source == source]
+        v = sum(a * x for a, x in zip(run[0].alpha, point))
+        if not min(h.c for h in run) - 1 < v < max(h.c for h in run) + 1:
+            raise WindowError("face %d moved by %s leaves the window" % (fid, u))
     den = math.lcm(*(x.denominator for x in point))
     num = [x.numerator * (den // x.denominator) for x in point]
     plus = minus = 0

@@ -159,6 +159,27 @@ def test_missing_face_orbit_needs_larger_window(tmp_path):
     assert run_cli(["faces", path, "--format", "json"]).stdout == res.stdout
 
 
+# the second draw of the benchmark's generator family 1
+SPEC_G1_01 = ('{"rank":2,"hypersurfaces":[{"chi":[1,0],"q":"0"},'
+              '{"chi":[1,-1],"q":"1/4"}]}')
+
+
+def test_translated_cut_chamber_needs_no_larger_window(tmp_path):
+    # at window 1, a cut chamber moved by (0, 1) meets the box although its
+    # clipped barycenter, moved along, does not; its shifted masks find it,
+    # so window 1 answers as window 2 does
+    path = write_spec(tmp_path, SPEC_G1_01)
+    for cmd in (["salvetti"], ["homology"]):
+        reports = []
+        for k in (1, 2):
+            res = run_cli(cmd + [path, "--window", str(k), "--format", "json"])
+            assert res.returncode == 0, res.stderr
+            report = json.loads(res.stdout)
+            assert report.pop("window") == k
+            reports.append(report)
+        assert reports[0] == reports[1]
+
+
 def test_max_dim_truncates_reports_not_homology(tmp_path):
     # the grid's complement has Betti numbers (1, 6, 9) and Euler number 4
     path = write_spec(tmp_path, SPEC_GRID)
