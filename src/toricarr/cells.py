@@ -1,13 +1,12 @@
 """Faces of the windowed lift and the face category of the torus.
 
 Faces are the sign classes of the finite hyperplane list inside the
-window box.  A face is stored with its signs as a pair of bit masks (the
-hyperplanes on its + side and on its - side; the rest contain it), its
-flat, and its barycenter (vertex average of its clipped closure).  The
-face order, the chamber operations and translation are mask operations.
-Faces whose closure is entirely inside the closed box are honest faces
-of the periodic arrangement; the rest are flagged `boundary_cut` and
-never serve as orbit representatives.
+window box.  A face is stored with its signs, as the bit masks of the
+hyperplanes on its + and on its - side, its flat, and its barycenter
+(vertex average of its clipped closure).  Faces whose closure is
+entirely inside the closed box are honest faces of the periodic
+arrangement; the rest are flagged `boundary_cut` and never serve as
+orbit representatives.
 
 `PeriodicCategory` quotients a lifted poset by the integer translation
 lattice; the face category and the toric Salvetti category are both
@@ -41,21 +40,12 @@ def _times(x, den):
     return x.numerator * (den // x.denominator)
 
 
-def _scaled(point):
-    """(num, den): an exact point as integers over one denominator, the
-    least common one, so equal points give equal pairs."""
-    den = math.lcm(*(x.denominator for x in point))
-    return [x.numerator * (den // x.denominator) for x in point], den
-
-
 class AffineFace:
-    """One cell of the windowed decomposition.  `signs` is the pair of
-    masks (plus, minus): bit h is set in plus when the face lies on the +
-    side of hyperplane h, in minus when on its - side, and in neither when
-    h contains it.  The barycenter is stored as integer numerators `num`
-    over `den`, one positive denominator for the whole lift.  `cell` is its
-    integer floor: the face lies in the orbit's canonical position when it
-    is zero."""
+    """One cell of the windowed decomposition.  `signs` is (plus, minus),
+    the masks of the hyperplanes with the face on their + and - sides.
+    The barycenter is stored as integer numerators `num` over `den`, one
+    positive denominator for the whole lift.  `cell` is its integer floor:
+    the face lies in the orbit's canonical position when it is zero."""
 
     __slots__ = ("id", "signs", "dim", "num", "den", "cell", "flat_id",
                  "boundary_cut", "vertex_ids")
@@ -96,7 +86,7 @@ class LiftedFacePoset:
         # (zero frozenset, point numerators, their positive denominator,
         # integer direction rows), as built by `enumerate_faces`
         self.flats = flats
-        self.by_signs = by_signs
+        self.by_signs = by_signs        # (plus, minus) masks -> face id
         self.uppers = uppers            # fid -> sorted tuple of fids (strict)
         self.geo_class = geo_class      # hyperplane idx -> geometric class id
         self.chamber_ids = tuple(f.id for f in faces if f.dim == window.dim)
@@ -125,8 +115,7 @@ class LiftedFacePoset:
         return self._all ^ (plus | minus)
 
     def leq(self, f1, f2):
-        """True when face f1 lies in the closure of face f2: off f1's
-        zero mask the two agree, so f1's masks lie inside f2's."""
+        """True when face f1 lies in the closure of f2: its masks lie in f2's."""
         (p1, q1), (p2, q2) = self.faces[f1].signs, self.faces[f2].signs
         return not (p1 & ~p2 or q1 & ~q2)
 
@@ -134,8 +123,9 @@ class LiftedFacePoset:
         """Face containing an exact point, via its sign masks."""
         if not self.window.contains(point):
             raise WindowError("point %s escapes the window" % (tuple(map(str, point)),))
-        num, den = _scaled(point)
-        fid = self.by_signs.get(self.table.signs([x * self.table.scale for x in num], den))
+        den = math.lcm(*(x.denominator for x in point))
+        fid = self.by_signs.get(self.table.signs(
+            [_times(x, den) * self.table.scale for x in point], den))
         if fid is None:
             raise WindowError("no face enumerated at %s" % (tuple(map(str, point)),))
         return fid
@@ -144,22 +134,16 @@ class LiftedFacePoset:
         """The face fid + u for an integer vector u, memoised.
 
         The arrangement is periodic: on the lifted hyperplane (source i,
-        shift k) the moved face has the sign that fid has on (i, k - s),
-        with s = <alpha_i, u>.  The lift of source i is one run of bits,
-        its shifts ascending (`_runs`), so the moved masks are fid's moved
-        by s bits inside each run.  The hyperplanes of source i outside the
-        run miss the closed box, and fid, which meets the box, lies on the
-        box's side of each: + below the run and - above it.  So the s
-        vacated bits at one end get the sign of that end's outside, + when
-        s > 0 and - when s < 0; and the s bits that leave the run at the
-        other end land outside it, where the box's side is - when s > 0 and
-        + when s < 0.  When fid has fewer than s bits of that sign in the
-        run, the moved face lies beyond a hyperplane that misses the box,
-        and a `WindowError` says it leaves the window.  Otherwise the moved
-        face has the box's side on every hyperplane outside the lift, so it
-        meets the box exactly when some face of the window has its moved
-        masks, and that face is the answer; a `WindowError` says that none
-        does.
+        shift k) fid + u has fid's sign on (i, k - s), s = <alpha_i, u>.
+        Source i's lift is one run of bits by ascending shift (`_runs`), so
+        the masks move s bits inside each run.  Source i's other
+        hyperplanes miss the box, so fid lies on the box's side of each: +
+        below the run, - above.  The |s| vacated bits get that side, + when
+        s > 0, and the |s| bits that leave the run must have the side where
+        they land, - when s > 0; if fid has fewer, fid + u misses the box.
+        Otherwise fid + u has the box's side off the lift, so it meets the
+        box exactly when a face of the window has the moved masks, and that
+        face is fid + u.  Both misses raise `WindowError`.
         """
         key = (fid, u)
         got = self._translated.get(key)
@@ -183,9 +167,7 @@ class LiftedFacePoset:
                 q |= fill
         got = self.by_signs.get((p, q))
         if got is None:
-            den = self.den
-            raise WindowError("no face enumerated at %s" % (tuple(
-                str(Q(x + den * s, den)) for x, s in zip(self.faces[fid].num, u)),))
+            raise WindowError("no face enumerated at face %d moved by %s" % (fid, u))
         return got
 
     def canonical(self, element):
@@ -233,24 +215,17 @@ def _shift(mask, step):
 
 
 def _runs(hyperplanes):
-    """(alpha, run) per source: run is the mask of its lifted hyperplanes.
-
-    `lift_to_window` lists each source's hyperplanes together, by
-    ascending shift, so bit j of a run above its lowest is the shift j
-    above the lowest; `translate` relies on it.
-    """
-    ids = {}
+    """(alpha, run) per source, run the mask of its lifted hyperplanes.
+    `translate` needs them listed together by ascending shift, as
+    `lift_to_window` lists them: index minus shift is one constant."""
+    runs = {}
     for i, h in enumerate(hyperplanes):
-        ids.setdefault(h.source, []).append(i)
-    runs = []
-    for source, idx in ids.items():
-        first = idx[0]
-        if idx[-1] - first + 1 != len(idx) or any(
-                hyperplanes[i].shift - hyperplanes[first].shift != i - first for i in idx):
-            raise InternalError("the lift of source %d is not one run of ascending "
-                                "shifts" % source)
-        runs.append((hyperplanes[first].alpha, ((1 << len(idx)) - 1) << first))
-    return runs
+        alpha, offset, run = runs.setdefault(h.source, (h.alpha, i - h.shift, 0))
+        if i - h.shift != offset or run and not run >> (i - 1) & 1:
+            raise InternalError("the lift of source %d is not one run of "
+                                "ascending shifts" % h.source)
+        runs[h.source] = alpha, offset, run | 1 << i
+    return [(alpha, run) for alpha, _, run in runs.values()]
 
 
 class SignTable:
@@ -271,18 +246,25 @@ class SignTable:
         self.consts = [_times(h.c, scale) for h in hyperplanes]
         self.coords = coords
         dots = [[_dot(a, p) for p in coords] for a in self.normals]
-        self.pos, self.neg, self.zero = [], [], []
-        for k, c in zip(self.normal_of, self.consts):
+        self.pos, self.neg, self.zero, self._planes = [], [], [], []
+        for h, (k, c) in enumerate(zip(self.normal_of, self.consts)):
             self.pos.append(_mask([v > c for v in dots[k]]))
             self.neg.append(_mask([v < c for v in dots[k]]))
             self.zero.append(_mask([v == c for v in dots[k]]))
+            self._planes.append((1 << h, k, c))
 
     def signs(self, num, den):
         """The masks (plus, minus) of the hyperplanes that have the point
         num / (D den) on their + side and on their - side."""
         dots = [_dot(a, num) for a in self.normals]
-        values = [dots[k] - c * den for k, c in zip(self.normal_of, self.consts)]
-        return _mask([v > 0 for v in values]), _mask([v < 0 for v in values])
+        plus = minus = 0
+        for bit, k, c in self._planes:
+            v = dots[k] - c * den
+            if v > 0:
+                plus |= bit
+            elif v < 0:
+                minus |= bit
+        return plus, minus
 
 
 def candidate_vertices(hyperplanes, window):
@@ -372,19 +354,19 @@ def _bits(mask):
     return out
 
 
-def _faces_on_flat(table, flat_id, rows, cands, cutting, weak, forced, on_wall):
+def _faces_on_flat(table, flat_id, rows, cands, cutting, weak_sides, forced, on_wall):
     """The faces on one flat, as (dim, coordinate sums, vertex ids, (+ mask,
     - mask), flat id, boundary_cut) tuples, the masks holding the
     hyperplanes with each sign: a DFS over strict signs on the cutting
     hyperplanes.  A node holds W, the mask of the flat's candidates
-    `cands` weakly signed by its assignment, and `need`, the masks of the
-    candidates strictly on each assigned side; by the lemma of
-    `enumerate_faces` it is a region exactly when W meets every mask in
-    `need`.  `weak` and `forced` are (hyperplane, sign) pairs of the
-    forced hyperplanes with and without a zero on the flat's candidates;
-    only the weak signs need checking."""
+    `cands` weakly signed by its assignment, its sign masks, and `need`,
+    the masks of the candidates strictly on each assigned side; by the
+    lemma of `enumerate_faces` it is a region exactly when W meets every
+    mask in `need`.  `forced` holds the sign masks of the forced
+    hyperplanes, and `weak_sides` the candidates on the forced side of
+    each forced hyperplane with a zero on the flat's candidates; only
+    those need checking."""
     pos, neg, coords = table.pos, table.neg, table.coords
-    weak_sides = [(pos if s > 0 else neg)[h] for h, s in weak]
 
     # the face's closure leaves the box exactly when the face meets a
     # wall x_j = b along which x_j varies on the flat; the wall's share
@@ -396,31 +378,27 @@ def _faces_on_flat(table, flat_id, rows, cands, cutting, weak, forced, on_wall):
              for wall in pair]
 
     out = []
-    stack = [(0, cands, [], [])]
+    stack = [(0, cands, forced, [])]
     while stack:
-        depth, w, assigned, need = stack.pop()
+        depth, w, signs, need = stack.pop()
         if depth < len(cutting):
             h = cutting[depth]
-            for s, strict, other in ((1, pos[h], neg[h]), (-1, neg[h], pos[h])):
+            plus, minus = signs
+            for strict, other, signs2 in ((pos[h], neg[h], (plus | 1 << h, minus)),
+                                          (neg[h], pos[h], (plus, minus | 1 << h))):
                 w2 = w & ~other
                 if w2 & strict and (w2 == w or all(map(w2.__and__, need))):
-                    stack.append((depth + 1, w2, assigned + [(h, s)], need + [strict]))
+                    stack.append((depth + 1, w2, signs2, need + [strict]))
             continue
         if not all(map(w.__and__, weak_sides)):
             continue
-        plus = minus = 0
-        for h, s in forced + assigned + weak:
-            if s > 0:
-                plus |= 1 << h
-            else:
-                minus |= 1 << h
         ids = _bits(w)
         sums = [sum(xs) for xs in zip(*map(coords.__getitem__, ids))]
-        if table.signs(sums, len(ids)) != (plus, minus):
+        if table.signs(sums, len(ids)) != signs:
             raise InternalError("barycenter escaped its own face")
         need = need + weak_sides
         cut = any(x and all(map(x.__and__, need)) for x in map(w.__and__, walls))
-        out.append((len(rows), sums, tuple(ids), (plus, minus), flat_id, cut))
+        out.append((len(rows), sums, tuple(ids), signs, flat_id, cut))
     return out
 
 
@@ -553,7 +531,7 @@ def enumerate_faces(hyperplanes, window):
     raw = []
     for flat_id, (zero_set, _, _, rows) in enumerate(flats):
         cands = cands_of[flat_id]
-        cutting, weak, forced = [], [], []
+        cutting, weak_sides, forced = [], [], [0, 0]
         for hidx in range(m):
             if hidx in zero_set:
                 continue
@@ -561,12 +539,14 @@ def enumerate_faces(hyperplanes, window):
             if p and q:
                 cutting.append(hidx)
             elif p or q:
-                (forced if p | q == cands else weak).append((hidx, 1 if p else -1))
+                forced[not p] |= 1 << hidx
+                if p | q != cands:
+                    weak_sides.append(p | q)
             else:
                 break  # dead
         else:
-            raw += _faces_on_flat(table, flat_id, rows, cands, cutting, weak, forced,
-                                  on_wall)
+            raw += _faces_on_flat(table, flat_id, rows, cands, cutting, weak_sides,
+                                  tuple(forced), on_wall)
 
     # by dimension, then barycenter: the numerators over D * L, with L the
     # lcm of the vertex counts
@@ -592,13 +572,11 @@ def enumerate_faces(hyperplanes, window):
             at_vertex.setdefault(ci, []).append(f.id)
     # the order of `leq`: lower's masks lie inside upper's.  at_vertex
     # lists ids in order, so uppers are sorted.
-    plus = [f.signs[0] for f in faces]
-    minus = [f.signs[1] for f in faces]
     uppers = {}
     for f in faces:
         p, q = f.signs
-        uppers[f.id] = tuple(g for g in at_vertex[f.vertex_ids[0]]
-                             if faces[g].dim > f.dim and not p & ~plus[g] and not q & ~minus[g])
+        uppers[f.id] = tuple(g.id for g in map(faces.__getitem__, at_vertex[f.vertex_ids[0]])
+                             if g.dim > f.dim and not p & ~g.signs[0] and not q & ~g.signs[1])
 
     return LiftedFacePoset(hyperplanes, table, window, den, faces, flats, by_signs,
                            uppers, geo_class)

@@ -6,7 +6,7 @@ from itertools import combinations, product
 from hypothesis import assume, given, settings, strategies as st
 import pytest
 
-from toricarr.errors import SpecError, WindowError
+from toricarr.errors import SpecError, WindowError, InternalError
 from toricarr.arrangement import (AffineHyperplane, Window, parse_spec,
                                   lift_to_window, essentialize)
 from toricarr.cells import (enumerate_faces, quotient_faces, layers,
@@ -283,7 +283,7 @@ def reference_translate(lifted, fid, u):
         minus |= (v < 0) << i
     got = lifted.by_signs.get((plus, minus))
     if got is None:
-        raise WindowError("no face enumerated at %s" % (tuple(map(str, point)),))
+        raise WindowError("no face enumerated at face %d moved by %s" % (fid, u))
     return got
 
 
@@ -303,8 +303,9 @@ TRANSLATE_CASES = [(name, doc, k, 1) for name, doc in CUT_CASES.items()
 
 def test_translate_matches_reference_locate():
     # signs moved from a lifted pre-image, and signs fixed by the side of
-    # the box that a pre-image outside the lift lies on
-    paths = {"lifted": 0, "fixed": 0}
+    # the box that a pre-image outside the lift lies on; faces found with
+    # the moved barycenter outside the box, and faces that leave the box
+    paths = {"lifted": 0, "fixed": 0, "found outside": 0, "leaves": 0}
     for name, doc, k, step in TRANSLATE_CASES:
         spec = parse_spec(doc)
         window = Window.standard(spec.rank, k)
@@ -322,7 +323,22 @@ def test_translate_matches_reference_locate():
                 if isinstance(got, int):
                     paths["lifted"] += moved
                     paths["fixed"] += len(lifted.hyperplanes) - moved
-    assert paths["lifted"] and paths["fixed"], paths
+                    paths["found outside"] += not window.contains(
+                        tuple(x + s for x, s in zip(f.barycenter, u)))
+                else:
+                    paths["leaves"] += "leaves" in got
+    assert all(paths.values()), paths
+
+
+def test_lift_must_list_each_source_as_one_run():
+    # translate moves each source's bits as one run by ascending shift: a
+    # shift out of order, or a run split by another source, is refused
+    window = Window([-1], [2])
+    for hps in ([AffineHyperplane((1,), 1, 0, 1), AffineHyperplane((1,), 0, 0, 0)],
+                [AffineHyperplane((1,), 0, 0, 0), AffineHyperplane((1,), Fraction(1, 2), 1, 0),
+                 AffineHyperplane((1,), 2, 0, 2)]):
+        with pytest.raises(InternalError, match="one run"):
+            enumerate_faces(hps, window)
 
 
 # -- quotient
