@@ -260,22 +260,30 @@ def test_locate_clears_large_denominators(catalog):
     assert lifted.faces[fid].dim == 2
 
 
-def reference_translate(lifted, fid, u):
+def source_slabs(lifted):
+    """(alpha, lo, hi) per source: the constants of the unlifted
+    hyperplanes next to its lifted ones, below the lowest and above the
+    highest; both miss the box."""
+    runs = {}
+    for h in lifted.hyperplanes:
+        runs.setdefault(h.source, []).append(h)
+    return [(run[0].alpha, min(h.c for h in run) - 1, max(h.c for h in run) + 1)
+            for run in runs.values()]
+
+
+def reference_translate(lifted, slabs, fid, u):
     """The face fid + u, read at the moved barycenter x in Fraction
     arithmetic.  The face leaves the window when x lies on or beyond
-    the unlifted neighbour of some source's lifted hyperplanes, the one
-    below the lowest or above the highest, as that hyperplane misses the
-    box.  Otherwise it is the face with x's signs on the lifted
-    hyperplanes, each sign being <alpha, x> - c with x and c put over one
-    denominator, and the errors are those of `translate`."""
+    an unlifted hyperplane of `source_slabs`.  Otherwise it is the face
+    with x's signs on the lifted hyperplanes, each sign being
+    <alpha, x> - c with x and c put over one denominator, and the errors
+    are those of `translate`."""
     point = tuple(x + s for x, s in zip(lifted.faces[fid].barycenter, u))
-    for source in {h.source for h in lifted.hyperplanes}:
-        run = [h for h in lifted.hyperplanes if h.source == source]
-        v = sum(a * x for a, x in zip(run[0].alpha, point))
-        if not min(h.c for h in run) - 1 < v < max(h.c for h in run) + 1:
-            raise WindowError("face %d moved by %s leaves the window" % (fid, u))
     den = math.lcm(*(x.denominator for x in point))
     num = [x.numerator * (den // x.denominator) for x in point]
+    for alpha, lo, hi in slabs:
+        if not lo * den < sum(a * x for a, x in zip(alpha, num)) < hi * den:
+            raise WindowError("face %d moved by %s leaves the window" % (fid, u))
     plus = minus = 0
     for i, h in enumerate(lifted.hyperplanes):
         v = sum(a * x for a, x in zip(h.alpha, num)) * h.c.denominator - h.c.numerator * den
@@ -311,6 +319,7 @@ def test_translate_matches_reference_locate():
         window = Window.standard(spec.rank, k)
         lifted = enumerate_faces(lift_to_window(spec, window), window)
         lifted_at = {(h.source, h.shift) for h in lifted.hyperplanes}
+        slabs = source_slabs(lifted)
         for u in product((-1, 0, 1), repeat=spec.rank):
             if not any(u):
                 continue
@@ -318,7 +327,7 @@ def test_translate_matches_reference_locate():
                         in lifted_at for h in lifted.hyperplanes)
             for f in lifted.faces[::step]:
                 got = outcome(lifted.translate, f.id, u)
-                assert got == outcome(reference_translate, lifted, f.id, u), \
+                assert got == outcome(reference_translate, lifted, slabs, f.id, u), \
                     (name, k, f, u)
                 if isinstance(got, int):
                     paths["lifted"] += moved
