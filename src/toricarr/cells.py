@@ -96,7 +96,6 @@ class LiftedFacePoset:
                 self.lowers[g].append(fid)
         for fid in self.lowers:
             self.lowers[fid] = tuple(sorted(self.lowers[fid]))
-        self._star_ok = {}
         self._translated = {}
         self._runs = _runs(hyperplanes)
         self._all = (1 << len(hyperplanes)) - 1
@@ -177,21 +176,6 @@ class LiftedFacePoset:
         u = self.faces[element[0]].cell
         back = tuple(-s for s in u)
         return tuple(self.translate(f, back) for f in element), u
-
-    def star_ok(self, fid):
-        """Closed star of the face lies inside the window box.
-
-        Faces contained in the box boundary are rejected outright: parts
-        of their true star never intersect the window, so its visible
-        portion proves nothing.
-        """
-        cached = self._star_ok.get(fid)
-        if cached is None:
-            f = self.faces[fid]
-            cached = (not f.boundary_cut and self.in_open_box(fid) and
-                      all(not self.faces[g].boundary_cut for g in self.uppers[fid]))
-            self._star_ok[fid] = cached
-        return cached
 
     def in_open_box(self, fid):
         """The face's barycenter lies inside the open window box."""

@@ -3,10 +3,11 @@
 Generators: one loop t_i per lattice direction and one meridian g_o per
 codimension-1 face orbit.  Relators: commutators of the t_i, plus, for
 every codimension-2 face orbit, the cyclic relations read off the star
-of a translated representative.  Each meridian entering a relation is
-conjugated back to the base chamber by an explicit word produced from
-crossing sequences of straight segments and minimal positive chamber
-paths.
+of its canonical face.  Each meridian entering a relation is conjugated
+back to the base chamber by an explicit word produced from crossing
+sequences of straight segments and minimal positive chamber paths.
+Such a word moves with the lattice, so each orbit's chamber path is
+found once, at its canonical face, and moved by arithmetic.
 """
 
 from collections import Counter
@@ -163,6 +164,11 @@ class Crossing:
     def __repr__(self):
         return "Crossing(orbit=%d, shift=%s)" % (self.orbit, self.shift)
 
+    def moved(self, u):
+        """The same crossing on the lift moved by the integer vector u."""
+        return Crossing(self.orbit, tuple(a + b for a, b in zip(self.shift, u)),
+                        _shifted_key(self.hyper_key, u))
+
 
 def positive_minimal_path(lifted, c_from, c_to):
     """A directed chamber path crossing each separating wall exactly once.
@@ -210,7 +216,7 @@ def _shifted_key(key, shift):
 
 class Pi1Context:
     """Base data for the presentation: base point, base chamber, crossing
-    sequences of the coordinate segments, and generator bookkeeping."""
+    sequences, and generator bookkeeping."""
 
     def __init__(self, spec, lifted, fc):
         self.spec = spec
@@ -226,6 +232,7 @@ class Pi1Context:
             h = lifted.hyperplanes[min(lifted.zero_set(fc.objects[o][0]))]
             self._canonical_key[o] = geometric_key(h.alpha, h.c)
         self._omega_cache = {}
+        self._access_cache = {}
 
     # generator numbering: 1..n are lattice loops, then meridians
     @property
@@ -245,32 +252,35 @@ class Pi1Context:
             word.extend([i + 1 if s > 0 else -(i + 1)] * abs(s))
         return word
 
-    def _orbit_ref(self, fid):
+    def crossing_of_face(self, fid):
         if self.lifted.faces[fid].boundary_cut:
             raise WindowError("crossed face %d has no orbit data in the window" % fid)
-        return self.fc.key((fid,))
-
-    def crossing_of_face(self, fid):
-        orbit, u = self._orbit_ref(fid)
-        key = _shifted_key(self._canonical_key[orbit], u)
-        return Crossing(orbit, u, key)
+        orbit, u = self.fc.key((fid,))
+        return Crossing(orbit, u, _shifted_key(self._canonical_key[orbit], u))
 
     def crossing_at_point(self, point):
         base = tuple(math.floor(x) for x in point)
         fid = self.lifted.locate(tuple(x - b for x, b in zip(point, base)))
-        f = self.lifted.faces[fid]
-        if f.dim != self.n - 1:
+        if self.lifted.faces[fid].dim != self.n - 1:
             raise InternalError("crossing point does not lie on a single wall")
-        orbit, u0 = self._orbit_ref(fid)
-        shift = tuple(a + b for a, b in zip(base, u0))
-        key = _shifted_key(self._canonical_key[orbit], shift)
-        return Crossing(orbit, shift, key)
+        return self.crossing_of_face(fid).moved(base)
 
     def omega(self, u):
         u = tuple(int(x) for x in u)
         if u not in self._omega_cache:
             self._omega_cache[u] = omega_paths(self, u)
         return self._omega_cache[u]
+
+    def access(self, orbit):
+        """Crossings of the positive minimal path from the base chamber to
+        the fiber chamber at the orbit's canonical face, found once."""
+        got = self._access_cache.get(orbit)
+        if got is None:
+            fib = chamber_fiber(self.lifted, self.c0, self.fc.objects[orbit][0])
+            got = self._access_cache[orbit] = [
+                self.crossing_of_face(f)
+                for f, _ in positive_minimal_path(self.lifted, self.c0, fib)]
+        return got
 
 
 def _primes():
@@ -371,16 +381,15 @@ def sigma(path):
 
 
 def delta_word(ctx, ref):
-    """Conjugating word of a codim-1 face of the lift: the product of the
-    based meridians of the surviving crossings of the access path."""
+    """Conjugating word of the codim-1 face (orbit, shift), the orbit's
+    canonical face moved by a nonnegative shift: the product of the based
+    meridians of the surviving crossings of the access path, `omega` to
+    the moved base chamber, then the canonical face's `access` path moved
+    by the shift, each crossing's orbit shift and wall key with it."""
     orbit, shift = ref
     if any(s < 0 for s in shift):
         raise SpecError("expansion faces must have nonnegative shifts")
-    lifted = ctx.lifted
-    f_fid = lifted.translate(ctx.fc.objects[orbit][0], shift)
-    c0u = lifted.locate(tuple(x + s for x, s in zip(ctx.x0, shift)))
-    fib = chamber_fiber(lifted, c0u, f_fid)
-    mu = [ctx.crossing_of_face(f) for f, _ in positive_minimal_path(lifted, c0u, fib)]
+    mu = [c.moved(shift) for c in ctx.access(orbit)]
     word = []
     for g in sigma(list(ctx.omega(shift)) + mu):
         tau = ctx.tau_word(g.shift)
@@ -402,8 +411,8 @@ def gamma_delta_word(ctx, ref):
 def h_of_G(lifted, gfid):
     """The codim-1 faces around a codim-2 face, in cyclic angular order.
 
-    Starts at the face with the smallest id; the first half meets each
-    wall once and the second half repeats the walls on opposite sides.
+    Starts at the first face counterclockwise from the plane's first
+    axis; each half meets each wall once, on opposite sides.
     Angles are read in the plane orthogonal to G's flat, in the
     coordinates of `_direction`'s kernel rows for the flat's direction
     rows: det > 0 times the reduced-echelon kernel basis, which fixes the
@@ -444,8 +453,6 @@ def h_of_G(lifted, gfid):
         raise InternalError("two adjacent faces share a direction")
 
     ordered = sorted(ups, key=cmp_to_key(cmp))
-    start = ordered.index(min(ordered))
-    ordered = ordered[start:] + ordered[:start]
     if len(ordered) % 2 != 0:
         raise InternalError("odd number of faces around a codim-2 face")
     k = len(ordered) // 2
@@ -458,24 +465,32 @@ def h_of_G(lifted, gfid):
 
 def relations_for_G(ctx, canonical_gfid):
     """Relators of one codim-2 orbit: all consecutive equalities of the
-    cyclic window products of the based meridians around a translated
-    representative whose star has nonnegative shifts."""
-    lifted = ctx.lifted
-    refs = None
-    for scale in (0, 1, 2, 3):
-        try:
-            g2 = lifted.translate(canonical_gfid, (scale,) * ctx.n)
-        except WindowError:
-            break
-        if not lifted.star_ok(g2):
-            continue
-        ordered = h_of_G(lifted, g2)
-        cand = [ctx._orbit_ref(f) for f in ordered]
-        if all(all(s >= 0 for s in shift) for _, shift in cand):
-            refs = cand
-            break
-    if refs is None:
-        raise WindowError("no expansion star with nonnegative shifts fits the window")
+    cyclic window products of the based meridians around its canonical
+    face G.  The incidence orbit from orbit o to G's orbit moved by u
+    names the coface (o, -u); `quotient_faces` gives G one per coface, cut
+    ones included.  They go in `h_of_G`'s order, as a clipped barycenter
+    stays on its coface's ray, from the smallest true barycenter.  Every
+    shift then rises by s = max(0, -min entry): the star of G + (s, ...,
+    s), whose shifts are nonnegative, as `delta_word` needs."""
+    lifted, fc = ctx.lifted, ctx.fc
+    g, ref_of = fc.index[(canonical_gfid,)], {}
+    for m in fc.morphisms:
+        if m.tgt == g and fc.grades[m.src] == 1:
+            back = tuple(-s for s in m.shift)
+            ref_of[lifted.translate(fc.objects[m.src][0], back)] = (m.src, back)
+    ordered = h_of_G(lifted, canonical_gfid)
+    if set(ordered) != set(ref_of):
+        raise InternalError("cofaces of face %d and their incidence orbits differ"
+                            % canonical_gfid)
+    refs = [ref_of[f] for f in ordered]
+
+    def barycenter(ref):  # the canonical face's, moved by the shift
+        num = lifted.faces[fc.objects[ref[0]][0]].num
+        return [x + lifted.den * s for x, s in zip(num, ref[1])]
+
+    start = refs.index(min(refs, key=barycenter))
+    s = max(0, -min(x for _, u in refs for x in u))
+    refs = [(orbit, tuple(x + s for x in u)) for orbit, u in refs[start:] + refs[:start]]
     words = [gamma_delta_word(ctx, ref) for ref in refs]
     two_k = len(words)
     k = two_k // 2

@@ -94,6 +94,14 @@ def sign_vector(lifted, fid):
     return tuple((plus >> h & 1) - (minus >> h & 1) for h in range(len(lifted.hyperplanes)))
 
 
+def star_ok(lifted, fid):
+    """The face's closed star lies inside the window box: the face is uncut,
+    its barycenter lies in the open box, and no coface is cut.  A face in
+    the box boundary fails, as parts of its true star miss the window."""
+    return (not lifted.faces[fid].boundary_cut and lifted.in_open_box(fid) and
+            not any(lifted.faces[g].boundary_cut for g in lifted.uppers[fid]))
+
+
 # -- the affine Salvetti poset of a lift: the brute-force reference for
 # the quotient Salvetti category and its chain counts
 
@@ -155,7 +163,7 @@ def salvetti_poset(lifted, truncated=True):
     """
     elements = []
     for f in lifted.faces:
-        if truncated and not lifted.star_ok(f.id):
+        if truncated and not star_ok(lifted, f.id):
             continue
         for cid in lifted.chambers_above(f.id):
             elements.append((f.id, cid))

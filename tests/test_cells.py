@@ -15,7 +15,7 @@ from toricarr.cells import (enumerate_faces, quotient_faces, layers,
 from toricarr.exact import rank
 from toricarr.category import check_acyclic
 
-from conftest import CATALOG, sign_vector, solve_affine
+from conftest import CATALOG, sign_vector, solve_affine, star_ok
 from test_cli import SPEC_G1_01, SPEC_G2_00
 from test_golden import DOCS
 
@@ -456,7 +456,7 @@ def test_project_vertex_separates_quadrants(catalog):
 def test_opposite_chamber_involution(catalog):
     lifted = catalog("grid").lifted
     for f in lifted.faces:
-        if f.dim != lifted.dim - 1 or not lifted.star_ok(f.id):
+        if f.dim != lifted.dim - 1 or not star_ok(lifted, f.id):
             continue
         for cid in lifted.chambers_above(f.id):
             opp = opposite_chamber(lifted, cid, f.id)

@@ -231,22 +231,64 @@ def test_window_above_cap_exits_one_at_once(tmp_path):
     assert "cap 2" in res.stderr
 
 
-# passes `check` only at window 4, which is this arrangement's cap
+# this arrangement's cap is 4, and every command answers at window 2
 SPEC_TWO_WALL = ('{"rank":2,"hypersurfaces":[{"chi":[-1,1],"q":"1/4"},'
                  '{"chi":[1,-2],"q":"0"}]}')
 
 
-def test_default_window_reaches_a_tight_cap(tmp_path):
+def _json_report(capsys, argv):
+    from toricarr import cli
+    code = cli.run(argv + ["--format", "json"])
+    out, err = capsys.readouterr()
+    assert code == 0, err
+    return json.loads(out)
+
+
+def test_default_window_reaches_a_tight_cap(tmp_path, capsys):
     from toricarr.arrangement import parse_spec, window_cap
     assert window_cap(parse_spec(SPEC_TWO_WALL)) == 4
     path = write_spec(tmp_path, SPEC_TWO_WALL)
-    res = run_cli(["check", path, "--format", "json"])
-    assert res.returncode == 0
-    report = json.loads(res.stdout)
-    assert report["window"] == 4 and report["verdict"] == "pass"
-    res = run_cli(["check", path, "--window", "3"])
-    assert res.returncode == 2
-    assert "try again with --window 4" in res.stderr
+    report = _json_report(capsys, ["check", path])
+    assert report["window"] == 2 and report["verdict"] == "pass"
+    at_cap = _json_report(capsys, ["check", path, "--window", "4"])
+    assert at_cap.pop("window") == 4
+    report.pop("window")
+    assert report == at_cap
+
+
+def test_window_error_at_every_window_exits_three_at_the_cap(tmp_path, monkeypatch,
+                                                             capsys):
+    from toricarr import cli
+    from toricarr.errors import WindowError
+    tried = []
+
+    def never_fits(spec, args):
+        tried.append(args.window)
+        raise WindowError("window %d is too small" % args.window)
+
+    monkeypatch.setitem(cli.COMMANDS, "faces", (never_fits, ()))
+    path = write_spec(tmp_path, SPEC_TWO_WALL)
+    assert cli.run(["faces", path]) == 3
+    assert tried == [1, 2, 3, 4]
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert "window error at the cap 4: window 4 is too small" in err
+
+
+def test_pi1_answers_at_the_salvetti_window(tmp_path, capsys):
+    # pi1 reads each codim-2 star at its canonical face, so it needs no
+    # window beyond what the quotient needs: g1_01 answers at window 1 as
+    # at window 3
+    path = write_spec(tmp_path, SPEC_G1_01)
+    reports = [_json_report(capsys, ["pi1", path, "--window", str(k)]) for k in (1, 3)]
+    assert [r.pop("window") for r in reports] == [1, 3]
+    assert reports[0] == reports[1]
+
+
+def test_two_wall_check_passes_at_window_two(tmp_path, capsys):
+    path = write_spec(tmp_path, SPEC_TWO_WALL)
+    report = _json_report(capsys, ["check", path, "--window", "2"])
+    assert report["verdict"] == "pass" and all(report["checks"].values())
 
 
 # Each usage error, and the word its "error:" line must name.

@@ -107,6 +107,18 @@ def test_golden(tmp_path, name, cmd, window):
     assert stdout == expected
 
 
+def test_three_walls_pi1_at_window_one_matches_window_two(tmp_path):
+    # the window-2 golden, apart from its window: the relators are read at
+    # each codim-2 orbit's canonical face, which window 1 already holds
+    code, stdout = run_case(str(tmp_path), DOCS["three_walls"], "pi1", 1)
+    assert code == 0
+    with open(os.path.join(GOLDEN, "three_walls.pi1.w2.stdout"), encoding="utf-8") as fh:
+        expected = json.load(fh)
+    report = json.loads(stdout)
+    assert (report.pop("window"), expected.pop("window")) == (1, 2)
+    assert report == expected
+
+
 def write_goldens():
     import tempfile
     os.makedirs(GOLDEN, exist_ok=True)
