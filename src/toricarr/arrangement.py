@@ -284,8 +284,10 @@ def essentialize(spec):
 def lift_to_window(spec, window):
     """All hyperplanes <alpha, x> = q + k meeting the closed box.
 
-    Ordered by (source index, shift); requires an essential spec so the
-    induced cell structure has bounded faces.
+    Ordered by (source index, shift), which fixes each hyperplane's bit in
+    the face masks; faces are named by codes per source, which no order
+    affects.  Requires an essential spec so the induced cell structure has
+    bounded faces.
     """
     if spec.rank != window.dim:
         raise SpecError("window dimension does not match arrangement rank")

@@ -8,19 +8,22 @@ entirely inside the closed box are honest faces of the periodic
 arrangement; the rest are flagged `boundary_cut` and never serve as
 orbit representatives.
 
+A face is named by its integer code (`code_of_point`), one entry per
+source: the masks decide incidence, the code names the face.  A lattice
+move, a point lookup and the opposite and fiber chambers are arithmetic
+on codes and one dictionary lookup.
+
 `PeriodicCategory` quotients a lifted poset by the integer translation
 lattice; the face category and the toric Salvetti category are both
 built with it.  Objects are orbits keyed by the unique translate with
-barycenter in [0,1)^n, morphisms are orbits of incidences.  A face moves
-by an integer vector through a shift of its masks, source by source
-(`LiftedFacePoset.translate`).
+barycenter in [0,1)^n, morphisms are orbits of incidences.
 """
 
 from collections import namedtuple
 from fractions import Fraction
 from itertools import combinations, product
 import math
-from operator import mul
+from operator import add, mul
 
 from .errors import SpecError, WindowError, InternalError
 from .exact import adjugate, rank, integer_kernel, hnf
@@ -76,17 +79,14 @@ class AffineFace:
 class LiftedFacePoset:
     """All faces of the windowed lift with their incidence structure."""
 
-    def __init__(self, hyperplanes, table, window, den, faces, flats, by_signs,
-                 uppers, geo_class):
+    def __init__(self, hyperplanes, window, den, faces, flats, uppers, geo_class):
         self.hyperplanes = hyperplanes
-        self.table = table              # SignTable of the candidate vertices
         self.window = window
         self.den = den                  # the faces' barycenter denominator
         self.faces = faces
         # (zero frozenset, point numerators, their positive denominator,
         # integer direction rows), as built by `enumerate_faces`
         self.flats = flats
-        self.by_signs = by_signs        # (plus, minus) masks -> face id
         self.uppers = uppers            # fid -> sorted tuple of fids (strict)
         self.geo_class = geo_class      # hyperplane idx -> geometric class id
         self.chamber_ids = tuple(f.id for f in faces if f.dim == window.dim)
@@ -96,8 +96,18 @@ class LiftedFacePoset:
                 self.lowers[g].append(fid)
         for fid in self.lowers:
             self.lowers[fid] = tuple(sorted(self.lowers[fid]))
-        self._translated = {}
-        self._runs = _runs(hyperplanes)
+        # (alpha, p, q) per source, its angle p / q; a clipped barycenter
+        # lies inside its face, so it gives the face's code
+        sources = {}
+        for h in hyperplanes:
+            angle = h.c - h.shift
+            sources.setdefault(h.source, (h.alpha, angle.numerator, angle.denominator))
+        self.sources = tuple(sources.values())
+        self._steps = {}                # u -> 2 <alpha_i, u> per source
+        self.codes = [code_of_point(self.sources, f.num, den) for f in faces]
+        self.by_code = {code: fid for fid, code in enumerate(self.codes)}
+        if len(self.by_code) != len(faces):
+            raise InternalError("two faces share a code")
         self._all = (1 << len(hyperplanes)) - 1
         self._box = [(_times(a, den), _times(b, den)) for a, b in zip(window.lo, window.hi)]
 
@@ -119,54 +129,31 @@ class LiftedFacePoset:
         return not (p1 & ~p2 or q1 & ~q2)
 
     def locate(self, point):
-        """Face containing an exact point, via its sign masks."""
+        """Face containing an exact point in the box: the face with the
+        point's code."""
         if not self.window.contains(point):
             raise WindowError("point %s escapes the window" % (tuple(map(str, point)),))
         den = math.lcm(*(x.denominator for x in point))
-        fid = self.by_signs.get(self.table.signs(
-            [_times(x, den) * self.table.scale for x in point], den))
+        fid = self.by_code.get(code_of_point(self.sources, [_times(x, den) for x in point], den))
         if fid is None:
             raise WindowError("no face enumerated at %s" % (tuple(map(str, point)),))
         return fid
 
     def translate(self, fid, u):
-        """The face fid + u for an integer vector u, memoised.
+        """The face fid + u for an integer vector u.
 
-        The arrangement is periodic: on the lifted hyperplane (source i,
-        shift k) fid + u has fid's sign on (i, k - s), s = <alpha_i, u>.
-        Source i's lift is one run of bits by ascending shift (`_runs`), so
-        the masks move s bits inside each run.  Source i's other
-        hyperplanes miss the box, so fid lies on the box's side of each: +
-        below the run, - above.  The |s| vacated bits get that side, + when
-        s > 0, and the |s| bits that leave the run must have the side where
-        they land, - when s > 0; if fid has fewer, fid + u misses the box.
-        Otherwise fid + u has the box's side off the lift, so it meets the
-        box exactly when a face of the window has the moved masks, and that
-        face is fid + u.  Both misses raise `WindowError`.
+        Moving a point by u adds <alpha_i, u> to its value on source i, so
+        fid + u has the code of fid plus 2 <alpha_i, u> at entry i.  A code
+        names one face of the periodic arrangement, and that face meets the
+        box exactly when the window has a face with that code; that face is
+        fid + u.  A miss raises `WindowError`.
         """
-        key = (fid, u)
-        got = self._translated.get(key)
+        step = self._steps.get(u)
+        if step is None:
+            step = self._steps[u] = [2 * _dot(alpha, u) for alpha, _, _ in self.sources]
+        got = self.by_code.get(tuple(map(add, self.codes[fid], step)))
         if got is None:
-            got = self._translated[key] = self._moved(fid, u) if any(u) else fid
-        return got
-
-    def _moved(self, fid, u):
-        plus, minus = self.faces[fid].signs
-        p = q = 0
-        for alpha, run in self._runs:
-            step = _dot(alpha, u)
-            if step > (minus & run).bit_count() or -step > (plus & run).bit_count():
-                raise WindowError("face %d moved by %s leaves the window" % (fid, u))
-            p |= _shift(plus & run, step) & run
-            q |= _shift(minus & run, step) & run
-            fill = run & ~_shift(run, step)
-            if step > 0:
-                p |= fill
-            else:
-                q |= fill
-        got = self.by_signs.get((p, q))
-        if got is None:
-            raise WindowError("no face enumerated at face %d moved by %s" % (fid, u))
+            raise WindowError("face %d moved by %s leaves the window" % (fid, u))
         return got
 
     def canonical(self, element):
@@ -188,28 +175,20 @@ class LiftedFacePoset:
         return tuple(g for g in self.uppers[fid] if self.faces[g].dim == n)
 
 
+def code_of_point(sources, num, den):
+    """The code of the point x = num / den, den > 0: per source (alpha, p,
+    q) with angle p / q, 2k when <alpha, x> = p / q + k and 2k + 1 when it
+    lies strictly between p / q + k and p / q + k + 1."""
+    code = []
+    for alpha, p, q in sources:
+        k, r = divmod(_dot(alpha, num) * q - p * den, q * den)
+        code.append(2 * k + (r != 0))
+    return tuple(code)
+
+
 def _mask(flags):
     """The int whose bit i is set when flags[i] is true."""
     return int("".join(["01"[f] for f in reversed(flags)]), 2)
-
-
-def _shift(mask, step):
-    """The mask moved up by step bits, or down when step < 0."""
-    return mask << step if step >= 0 else mask >> -step
-
-
-def _runs(hyperplanes):
-    """(alpha, run) per source, run the mask of its lifted hyperplanes.
-    `translate` needs them listed together by ascending shift, as
-    `lift_to_window` lists them: index minus shift is one constant."""
-    runs = {}
-    for i, h in enumerate(hyperplanes):
-        alpha, offset, run = runs.setdefault(h.source, (h.alpha, i - h.shift, 0))
-        if i - h.shift != offset or run and not run >> (i - 1) & 1:
-            raise InternalError("the lift of source %d is not one run of "
-                                "ascending shifts" % h.source)
-        runs[h.source] = alpha, offset, run | 1 << i
-    return [(alpha, run) for alpha, _, run in runs.values()]
 
 
 class SignTable:
@@ -540,13 +519,11 @@ def enumerate_faces(hyperplanes, window):
                   for d, sums, ids, sig, flat_id, cut in raw),
                  key=lambda r: r[:2])
     faces = []
-    by_signs = {}
     cells = {}      # one tuple per distinct cell, shared by its faces
     for fid, (d, num, ids, sig, flat_id, cut) in enumerate(raw):
         cell = tuple(x // den for x in num)
         faces.append(AffineFace(fid, sig, d, num, den, cells.setdefault(cell, cell),
                                 flat_id, cut, ids))
-        by_signs[sig] = fid
 
     # closure order: a face's clipped vertices all recur on larger faces,
     # so one shared vertex narrows the candidate uppers
@@ -562,8 +539,7 @@ def enumerate_faces(hyperplanes, window):
         uppers[f.id] = tuple(g.id for g in map(faces.__getitem__, at_vertex[f.vertex_ids[0]])
                              if g.dim > f.dim and not p & ~g.signs[0] and not q & ~g.signs[1])
 
-    return LiftedFacePoset(hyperplanes, table, window, den, faces, flats, by_signs,
-                           uppers, geo_class)
+    return LiftedFacePoset(hyperplanes, window, den, faces, flats, uppers, geo_class)
 
 
 # ---------------------------------------------------------------------------
@@ -795,14 +771,15 @@ def layers(spec, lifted):
 
 
 def opposite_chamber(lifted, cid, fid):
-    """The chamber opposite a chamber across one of its faces."""
+    """The chamber opposite a chamber across one of its faces: code entry
+    c_i goes to 2 f_i - c_i wherever the face's entry f_i is even, that is
+    on the sources with a hyperplane through the face."""
     if lifted.faces[cid].dim != lifted.dim:
         raise SpecError("opposite_chamber needs a chamber")
     if not lifted.leq(fid, cid):
         raise SpecError("face %d is not a face of chamber %d" % (fid, cid))
-    zero = lifted.zero_mask(fid)
-    plus, minus = lifted.faces[cid].signs
-    got = lifted.by_signs.get((plus ^ zero, minus ^ zero))
+    got = lifted.by_code.get(tuple(c if f & 1 else 2 * f - c
+                                   for c, f in zip(lifted.codes[cid], lifted.codes[fid])))
     if got is None:
         raise WindowError("opposite chamber of (%d, %d) escapes the window" % (cid, fid))
     return got
@@ -811,12 +788,13 @@ def opposite_chamber(lifted, cid, fid):
 def chamber_fiber(lifted, cid, fid):
     """The unique chamber of the localization fiber of `cid` whose closure
     contains the face: keep signs through the face's span, take the
-    face's signs elsewhere."""
+    face's signs elsewhere.  In codes, an even face entry f_i becomes
+    f_i + 1 or f_i - 1, toward the chamber's entry c_i, and an odd one
+    stays."""
     if lifted.faces[cid].dim != lifted.dim:
         raise SpecError("chamber_fiber needs a chamber")
-    zero = lifted.zero_mask(fid)
-    (cp, cq), (fp, fq) = lifted.faces[cid].signs, lifted.faces[fid].signs
-    got = lifted.by_signs.get((cp & zero | fp, cq & zero | fq))
+    got = lifted.by_code.get(tuple(f if f & 1 else (f + 1 if c > f else f - 1)
+                                   for c, f in zip(lifted.codes[cid], lifted.codes[fid])))
     if got is None:
         raise WindowError("fiber chamber of (%d, %d) escapes the window" % (cid, fid))
     return got

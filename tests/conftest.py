@@ -1,6 +1,7 @@
 import json
 from fractions import Fraction
 
+from hypothesis import Phase, settings
 import pytest
 
 from toricarr.arrangement import parse_spec, Window, lift_to_window
@@ -9,6 +10,12 @@ from toricarr.cells import enumerate_faces, quotient_faces
 from toricarr.errors import InternalError
 from toricarr.salvetti import salvetti_below, toric_salvetti
 from toricarr.pi1 import build_context
+
+# A failure reports its first falsifying example unshrunk: each example
+# of the pipeline tests enumerates a lift, and shrinking one failure took
+# minutes of tier-1 time.
+settings.register_profile("no_shrink", phases=[p for p in Phase if p is not Phase.shrink])
+settings.load_profile("no_shrink")
 
 CATALOG = {
     "one_point": {"rank": 1, "hypersurfaces": [{"chi": [1], "q": "0"}]},

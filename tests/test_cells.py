@@ -6,12 +6,12 @@ from itertools import combinations, product
 from hypothesis import assume, given, settings, strategies as st
 import pytest
 
-from toricarr.errors import SpecError, WindowError, InternalError
+from toricarr.errors import SpecError, WindowError
 from toricarr.arrangement import (AffineHyperplane, Window, parse_spec,
                                   lift_to_window, essentialize)
 from toricarr.cells import (enumerate_faces, quotient_faces, layers,
                             opposite_chamber, chamber_fiber, candidate_vertices,
-                            _dot, _reduce_mod_lattice)
+                            SignTable, _dot, _reduce_mod_lattice)
 from toricarr.exact import rank
 from toricarr.category import check_acyclic
 
@@ -132,9 +132,12 @@ def test_candidates_match_reference(rank_, k, data):
     assert set(cand) == reference_candidates(hyperplanes, window), (doc, k)
     assert cand == sorted(set(cand))
     if spec.rank == 2:
-        # the sign table holds them as they are
-        table = enumerate_faces(hyperplanes, window).table
-        assert (table.scale, table.coords) == (scale, coords)
+        # the sign table's masks hold the candidates' signs
+        table = SignTable(hyperplanes, scale, coords)
+        for i, p in enumerate(cand):
+            for h, s in enumerate(reference_signs(hyperplanes, p)):
+                assert (table.pos[h] >> i & 1, table.neg[h] >> i & 1,
+                        table.zero[h] >> i & 1) == (s > 0, s < 0, s == 0), (doc, k, p, h)
 
 
 def integer_matrices(rows, cols):
@@ -271,27 +274,28 @@ def source_slabs(lifted):
             for run in runs.values()]
 
 
-def reference_translate(lifted, slabs, fid, u):
+def reference_translate(lifted, slabs, by_masks, fid, u):
     """The face fid + u, read at the moved barycenter x in Fraction
     arithmetic.  The face leaves the window when x lies on or beyond
     an unlifted hyperplane of `source_slabs`.  Otherwise it is the face
     with x's signs on the lifted hyperplanes, each sign being
-    <alpha, x> - c with x and c put over one denominator, and the errors
-    are those of `translate`."""
+    <alpha, x> - c with x and c put over one denominator, looked up in
+    `by_masks`, and it leaves the window when no face has them."""
     point = tuple(x + s for x, s in zip(lifted.faces[fid].barycenter, u))
     den = math.lcm(*(x.denominator for x in point))
     num = [x.numerator * (den // x.denominator) for x in point]
+    leaves = WindowError("face %d moved by %s leaves the window" % (fid, u))
     for alpha, lo, hi in slabs:
         if not lo * den < sum(a * x for a, x in zip(alpha, num)) < hi * den:
-            raise WindowError("face %d moved by %s leaves the window" % (fid, u))
+            raise leaves
     plus = minus = 0
     for i, h in enumerate(lifted.hyperplanes):
         v = sum(a * x for a, x in zip(h.alpha, num)) * h.c.denominator - h.c.numerator * den
         plus |= (v > 0) << i
         minus |= (v < 0) << i
-    got = lifted.by_signs.get((plus, minus))
+    got = by_masks.get((plus, minus))
     if got is None:
-        raise WindowError("no face enumerated at face %d moved by %s" % (fid, u))
+        raise leaves
     return got
 
 
@@ -320,6 +324,7 @@ def test_translate_matches_reference_locate():
         lifted = enumerate_faces(lift_to_window(spec, window), window)
         lifted_at = {(h.source, h.shift) for h in lifted.hyperplanes}
         slabs = source_slabs(lifted)
+        by_masks = {f.signs: f.id for f in lifted.faces}
         for u in product((-1, 0, 1), repeat=spec.rank):
             if not any(u):
                 continue
@@ -327,27 +332,56 @@ def test_translate_matches_reference_locate():
                         in lifted_at for h in lifted.hyperplanes)
             for f in lifted.faces[::step]:
                 got = outcome(lifted.translate, f.id, u)
-                assert got == outcome(reference_translate, lifted, slabs, f.id, u), \
-                    (name, k, f, u)
+                assert got == outcome(reference_translate, lifted, slabs, by_masks,
+                                      f.id, u), (name, k, f, u)
                 if isinstance(got, int):
                     paths["lifted"] += moved
                     paths["fixed"] += len(lifted.hyperplanes) - moved
                     paths["found outside"] += not window.contains(
                         tuple(x + s for x, s in zip(f.barycenter, u)))
                 else:
-                    paths["leaves"] += "leaves" in got
+                    paths["leaves"] += 1
     assert all(paths.values()), paths
 
 
-def test_lift_must_list_each_source_as_one_run():
-    # translate moves each source's bits as one run by ascending shift: a
-    # shift out of order, or a run split by another source, is refused
-    window = Window([-1], [2])
-    for hps in ([AffineHyperplane((1,), 1, 0, 1), AffineHyperplane((1,), 0, 0, 0)],
-                [AffineHyperplane((1,), 0, 0, 0), AffineHyperplane((1,), Fraction(1, 2), 1, 0),
-                 AffineHyperplane((1,), 2, 0, 2)]):
-        with pytest.raises(InternalError, match="one run"):
-            enumerate_faces(hps, window)
+def reference_code(lifted, fid):
+    """The face's code read from its signs: per source, with k0 its lowest
+    lifted shift and p the count of its lifted hyperplanes with the face on
+    their + side, 2 (k0 + p) when the face lies on one of them and
+    2 (k0 + p) - 1 otherwise."""
+    sig = sign_vector(lifted, fid)
+    by_source = {}
+    for h, s in zip(lifted.hyperplanes, sig):
+        by_source.setdefault(h.source, []).append((h.shift, s))
+    return tuple(2 * (min(k for k, _ in run) + sum(s > 0 for _, s in run))
+                 - (0 not in {s for _, s in run}) for run in by_source.values())
+
+
+# (name, document, window): the cut cases at windows 1 and 2, and r3
+CODE_CASES = [(name, doc, k) for name, doc in CUT_CASES.items() for k in (1, 2)] + \
+    [("r3", json.dumps(DOCS["r3"]), 1)]
+
+
+def test_codes_match_signs_and_locate():
+    # each face's code is the one its signs give, no two faces share one,
+    # and locate finds the face with a point's reference signs at every
+    # 7th point off the vertices of a grid of step 1/6, which meets the
+    # walls at angles 0, 1/3 and 1/2
+    for name, doc, k in CODE_CASES:
+        spec = parse_spec(doc)
+        window = Window.standard(spec.rank, k)
+        lifted = enumerate_faces(lift_to_window(spec, window), window)
+        codes = [reference_code(lifted, f.id) for f in lifted.faces]
+        assert lifted.codes == codes, (name, k)
+        assert len(set(codes)) == len(codes), (name, k)
+        face_of_signs = {sign_vector(lifted, f.id): f.id for f in lifted.faces}
+        grid = [[lo + Fraction(j, 6) for j in range(int(6 * (hi - lo)) + 1)]
+                for lo, hi in zip(window.lo, window.hi)]
+        vertices = {f.barycenter for f in lifted.faces if f.dim == 0}
+        points = [p for p in product(*grid) if p not in vertices]
+        for point in points[::7]:
+            assert lifted.locate(point) == \
+                face_of_signs[reference_signs(lifted.hyperplanes, point)], (name, k, point)
 
 
 # -- quotient
