@@ -1,34 +1,47 @@
-"""Faces of the windowed lift and the face category of the torus.
-
-Faces are the sign classes of the finite hyperplane list inside the
-window box.  A face is stored with its signs, as the bit masks of the
-hyperplanes on its + and on its - side, its flat, and its barycenter
-(vertex average of its clipped closure).  Faces whose closure is
-entirely inside the closed box are honest faces of the periodic
-arrangement; the rest are flagged `boundary_cut` and never serve as
-orbit representatives.
+"""Faces of the periodic arrangement, from vertex stars and from the
+windowed lift, and the face and Salvetti categories of the torus.
 
 A face is named by its integer code (`code_of_point`), one entry per
-source: the masks decide incidence, the code names the face.  A lattice
-move, a point lookup and the opposite and fiber chambers are arithmetic
-on codes and one dictionary lookup.
+source (alpha_i, q_i): 2k where <alpha_i, x> = q_i + k on the face, 2k + 1
+where it lies strictly between q_i + k and q_i + k + 1.  A code names
+exactly one face, translation by u adds 2 <alpha_i, u> to entry i, and F
+lies in the closure of G exactly when each entry of F equals G's where
+G's is even and lies within 1 of it where G's is odd (`code_leq`).
 
-`PeriodicCategory` quotients a lifted poset by the integer translation
-lattice; the face category and the toric Salvetti category are both
-built with it.  Objects are orbits keyed by the unique translate with
-barycenter in [0,1)^n, morphisms are orbits of incidences.
+`VertexStars` builds the torus's categories with no window.  Every face
+has a vertex in its closure, so the faces at one vertex per vertex orbit
+meet every face orbit; the faces at a vertex v are the covectors of the
+central arrangement through v, written as codes.  Codes are made
+canonical modulo the lattice 2A Z^n, A the matrix of the characters,
+and `face_category` and `salvetti_category` move codes to compose.
+`faces`, `salvetti` and `homology` read only these.
+
+The windowed lift (`enumerate_faces`) stays for `layers`, `pi1` and as
+`check`'s independent reference.  Its faces are the sign classes of the
+finite hyperplane list inside the window box, stored with their signs,
+as the bit masks of the hyperplanes on their + and - sides, their flat,
+their barycenter (vertex average of the clipped closure) and their code.
+Faces whose closure is entirely inside the closed box are honest faces
+of the periodic arrangement; the rest are flagged `boundary_cut` and
+never serve as orbit representatives.  The masks decide incidence, the
+code names the face: a lattice move, a point lookup and the opposite
+and fiber chambers are code arithmetic and one dictionary lookup.
+
+`PeriodicCategory` quotients either space by the translation lattice:
+objects are orbits keyed by a canonical translate, morphisms are orbits
+of incidences.
 """
 
-from collections import namedtuple
+from collections import Counter, namedtuple
 from fractions import Fraction
 from itertools import combinations, product
 import math
-from operator import add, mul
+from operator import add, mul, sub
 
 from .errors import SpecError, WindowError, InternalError
 from .exact import adjugate, rank, integer_kernel, hnf
 from .category import AcyclicCategory
-from .arrangement import geometric_key
+from .arrangement import geometric_key, Window, lift_to_window
 
 Q = Fraction
 
@@ -104,6 +117,7 @@ class LiftedFacePoset:
             sources.setdefault(h.source, (h.alpha, angle.numerator, angle.denominator))
         self.sources = tuple(sources.values())
         self._steps = {}                # u -> 2 <alpha_i, u> per source
+        self.zero = (0,) * window.dim
         self.codes = [code_of_point(self.sources, f.num, den) for f in faces]
         self.by_code = {code: fid for fid, code in enumerate(self.codes)}
         if len(self.by_code) != len(faces):
@@ -156,13 +170,23 @@ class LiftedFacePoset:
             raise WindowError("face %d moved by %s leaves the window" % (fid, u))
         return got
 
+    def codim(self, fid):
+        return self.dim - self.faces[fid].dim
+
     def canonical(self, element):
         """Split a lifted element, a tuple of face ids, as (translate, u):
         the translate's first face has its barycenter in [0,1)^n, its
         `cell` is zero, and the element is the translate moved by u."""
-        u = self.faces[element[0]].cell
+        first = self.faces[element[0]]
+        u = first.cell
         back = tuple(-s for s in u)
-        return tuple(self.translate(f, back) for f in element), u
+        moved = self.move(element, back)
+        if self.faces[moved[0]].num != tuple(x - self.den * s for x, s in zip(first.num, u)):
+            raise InternalError("orbit representative mismatch for %s" % (element,))
+        return moved, u
+
+    def move(self, element, u):
+        return tuple([self.translate(f, u) for f in element])
 
     def in_open_box(self, fid):
         """The face's barycenter lies inside the open window box."""
@@ -184,6 +208,14 @@ def code_of_point(sources, num, den):
         k, r = divmod(_dot(alpha, num) * q - p * den, q * den)
         code.append(2 * k + (r != 0))
     return tuple(code)
+
+
+def code_leq(f, g):
+    """True when the face with code f lies in the closure of the face with
+    code g: on each source, f's entry is g's where g's is even (g lies on
+    that hyperplane) and within 1 of it where g's is odd (the closed
+    strip around g)."""
+    return all(a == b if not b & 1 else -1 <= a - b <= 1 for a, b in zip(f, g))
 
 
 def _mask(flags):
@@ -550,37 +582,36 @@ Morphism = namedtuple("Morphism", "src tgt shift target")
 
 
 class PeriodicCategory:
-    """Quotient of a periodic lifted poset by the translation lattice.
+    """Quotient of a periodic space of faces by the translation lattice.
 
-    Lifted elements are tuples of face ids whose first face grades them:
-    an object's grade is that face's codimension.  `below(e)` lists, from
-    the star of e, every element that e maps to; grades strictly rise
-    along it.  An orbit is keyed by its translate whose first face has
-    its barycenter in [0,1)^n, and `objects` lists these canonical
-    elements.  A morphism orbit is stored on its canonical source with its
-    lifted target and the target's (object, shift), so distinct
-    translates of one orbit below the same element give parallel
-    morphisms.  The first `len(objects)` morphisms are the identities.
+    The space is the windowed lift (faces are ids) or the vertex stars
+    (faces are codes).  It gives a face's codimension (`codim`), splits an
+    element, a tuple of faces, as its canonical translate and the shift
+    from it (`canonical`), moves an element by a shift (`move`), and
+    names the zero shift (`zero`).  An element's first face grades it:
+    an object's grade is that face's codimension.  `below(e)` lists every
+    element that e maps to; grades strictly rise along it.  `objects`
+    lists one canonical element per orbit.  A morphism orbit is stored on
+    its canonical source with its target and the target's (object,
+    shift), so distinct translates of one orbit below the same element
+    give parallel morphisms.  The first `len(objects)` morphisms are the
+    identities.
     """
 
-    def __init__(self, lifted, elements, below):
-        if not lifted.window.covers_quotient_core():
-            raise WindowError("window must contain [-1,2]^n to canonicalize orbits")
-        n = lifted.dim
-        self.lifted = lifted
+    def __init__(self, space, elements, below):
+        self.space = space
         self.objects = list(elements)
         self.index = {e: k for k, e in enumerate(self.objects)}
-        self.grades = [n - lifted.faces[e[0]].dim for e in self.objects]
-        self.morphisms = [Morphism(k, k, (0,) * n, e)
-                          for k, e in enumerate(self.objects)]
+        self.grades = [space.codim(e[0]) for e in self.objects]
+        self.morphisms = [Morphism(k, k, space.zero, e) for k, e in enumerate(self.objects)]
         for k, e in enumerate(self.objects):
             for target in below(e):
                 tgt, u = self.key(target)
                 self.morphisms.append(Morphism(k, tgt, u, target))
         self.by_rep = {(m.src, m.target): mid for mid, m in enumerate(self.morphisms)}
 
-        # composition through lifts: move the second factor's target along
-        # the first factor's shift and look the pair up
+        # composition through translates: move the second factor's target
+        # along the first factor's shift and look the pair up
         nonid = range(len(self.objects), len(self.morphisms))
         by_src = {}
         for mid in nonid:
@@ -589,30 +620,24 @@ class PeriodicCategory:
         for mid1 in nonid:
             m1 = self.morphisms[mid1]
             for mid2 in by_src.get(m1.tgt, ()):
-                target = tuple(lifted.translate(f, m1.shift)
-                               for f in self.morphisms[mid2].target)
+                target = space.move(self.morphisms[mid2].target, m1.shift)
                 comp = self.by_rep.get((m1.src, target))
                 if comp is None:
                     raise InternalError("composition fell outside the star")
                 self.table[(mid2, mid1)] = comp
 
     def key(self, element):
-        """(object, u) of a lifted element: the element is objects[object] + u."""
-        lifted = self.lifted
-        canonical, u = lifted.canonical(element)
+        """(object, u) of an element: the element is objects[object] + u."""
+        canonical, u = self.space.canonical(element)
         k = self.index.get(canonical)
         if k is None:
             raise WindowError("the orbit of %s has no whole representative in the "
                               "window" % (element,))
-        den = lifted.den
-        if lifted.faces[canonical[0]].num != \
-                tuple(x - den * s for x, s in zip(lifted.faces[element[0]].num, u)):
-            raise InternalError("orbit representative mismatch for %s" % (element,))
         return k, u
 
     def census(self):
         """Object counts by grade 0..n."""
-        counts = [0] * (self.lifted.dim + 1)
+        counts = [0] * (self.space.dim + 1)
         for g in self.grades:
             counts[g] += 1
         return counts
@@ -634,7 +659,7 @@ class FaceCategory(PeriodicCategory):
 
     @property
     def orbits(self):
-        """Canonical face id of each orbit, in object order."""
+        """Canonical face of each orbit, in object order."""
         return [e[0] for e in self.objects]
 
     def census(self):
@@ -650,6 +675,8 @@ def quotient_faces(lifted):
     so each missing orbit lies above a present one, which then receives
     fewer morphism orbits than its canonical face has cofaces.
     """
+    if not lifted.window.covers_quotient_core():
+        raise WindowError("window must contain [-1,2]^n to canonicalize orbits")
     faces = lifted.faces
 
     def below(e):
@@ -669,6 +696,149 @@ def quotient_faces(lifted):
                               "it: some face orbit has no whole representative in "
                               "the window" % (fid, len(lifted.uppers[fid]), arriving[k]))
     return fc
+
+
+# ---------------------------------------------------------------------------
+# the categories from vertex stars
+
+
+class VertexStars:
+    """The faces at one vertex per vertex orbit, as codes.
+
+    The vertices are the points of [0,1)^n where hyperplanes of rank n
+    meet: each vertex orbit has exactly one translate there.  They come
+    from `candidate_vertices` on the lift to the unit cube, which also
+    lists points cut out by the cube's walls; a point is kept where the
+    sources through it, those with an even code entry, have normals of
+    rank n.
+
+    Near a vertex v, a point v + y has v's code plus sign <alpha_i, y> on
+    each source i through v, so the faces at v are v's code plus the
+    covectors of the central arrangement of those normals.  In an
+    essential central arrangement every covector is a composition of
+    cocircuits, the sign vectors of the lines where n - 1 independent
+    normals vanish (Bjoerner et al., Oriented Matroids, ch. 3 and 4), and
+    any order of the cocircuits below a covector composes to it, so one
+    pass that composes each covector found so far with the next cocircuit
+    finds them all.  Every face has a vertex in its closure, and its
+    cofaces all lie in that vertex's star: the first face met with each
+    canonical code represents its orbit, and `star` lists its cofaces.
+
+    A face orbit is a code modulo 2A Z^n, A the matrix of the characters;
+    `canonical` reduces by the lattice's Hermite basis.  Shifts are code
+    differences in that lattice.  The arrangement must be essential.
+    """
+
+    def __init__(self, spec):
+        n = self.dim = spec.rank
+        alphas = [chi.alpha for chi, _ in spec.hypersurfaces]
+        self._alphas = alphas
+        self._basis = _column_hnf([[2 * a[j] for a in alphas] for j in range(n)])
+        self._ranks = {}
+        self._shifts = {}       # code -> its difference from its reduced code
+        self.zero = (0,) * len(alphas)
+        sources = [(chi.alpha, a.q.numerator, a.q.denominator)
+                   for chi, a in spec.hypersurfaces]
+        unit = Window([0] * n, [1] * n)
+        scale, coords = candidate_vertices(lift_to_window(spec, unit), unit)
+        lines = {}
+        self.vertices = []
+        self.star = {}          # canonical code -> (representative, its strict cofaces)
+        for num in coords:
+            if scale in num:
+                continue        # on the far wall of the unit cube
+            vcode = code_of_point(sources, num, scale)
+            through = [i for i, c in enumerate(vcode) if not c & 1]
+            if self.codim(vcode) < n:
+                continue
+            self.vertices.append(vcode)
+            rays = set()
+            for rows in combinations(sorted({alphas[i] for i in through}), n - 1):
+                if rows not in lines:
+                    kernel = integer_kernel(rows, n)
+                    lines[rows] = kernel[0] if len(kernel) == 1 else None
+                y = lines[rows]
+                if y is not None:
+                    values = [_dot(alphas[i], y) for i in through]
+                    rays.add(tuple((x > 0) - (x < 0) for x in values))
+                    rays.add(tuple((x < 0) - (x > 0) for x in values))
+            covectors = {(0,) * len(through)}
+            for ray in sorted(rays):
+                covectors |= {tuple(a or b for a, b in zip(x, ray)) for x in covectors}
+            faces = []
+            for x in sorted(covectors):
+                code = list(vcode)
+                for i, s in zip(through, x):
+                    code[i] += s
+                faces.append(tuple(code))
+            for f in faces:
+                key = self.canonical((f,))[0][0]
+                if key not in self.star:
+                    self.star[key] = (f, [g for g in faces if g != f and code_leq(f, g)])
+
+    def codim(self, code):
+        """The codimension of the face with this code: the rank of the
+        normals of the sources with an even entry."""
+        evens = frozenset(a for a, c in zip(self._alphas, code) if not c & 1)
+        got = self._ranks.get(evens)
+        if got is None:
+            got = self._ranks[evens] = rank(list(evens)) if evens else 0
+        return got
+
+    def canonical(self, element):
+        """(canonical translate, shift) of a tuple of codes: the translate
+        whose first code is reduced modulo 2A Z^n, and the code difference
+        the element lies from it."""
+        shift = self._shifts.get(element[0])
+        if shift is None:
+            shift = self._shifts[element[0]] = tuple(
+                map(sub, element[0], _reduce_mod_lattice(element[0], self._basis)))
+        return tuple([tuple(map(sub, code, shift)) for code in element]), shift
+
+    def move(self, element, shift):
+        return tuple([tuple(map(add, code, shift)) for code in element])
+
+    def face_category(self):
+        """The face category: each incidence orbit F <= G is met once, at
+        F's representative, and moved to G's canonical translate."""
+        lowers = {}
+        for f, cofaces in self.star.values():
+            for g in cofaces:
+                e, _ = self.canonical((g, f))
+                lowers.setdefault(e[:1], []).append(e[1:])
+        return FaceCategory(self, [(f,) for f in self.star],
+                            lambda e: lowers.get(e, ()))
+
+    def salvetti_category(self):
+        """The toric Salvetti category: objects are orbits of pairs [F, C],
+        C a chamber at F.  [G, C'] maps to [F, C] when F < G and C' is the
+        composite G o C, which keeps G's odd entries and takes C's where
+        G's are even (`salvetti.salvetti_below` on the lift).  Each
+        morphism orbit is met once, at F's representative."""
+        objects, lowers = [], {}
+        for f, cofaces in self.star.values():
+            for c in [f] if self.codim(f) == 0 else \
+                    [g for g in cofaces if self.codim(g) == 0]:
+                objects.append(self.canonical((f, c))[0])
+                for g in cofaces:
+                    pair = (g, tuple(a if a & 1 else b for a, b in zip(g, c)))
+                    e, _ = self.canonical(pair + (f, c))
+                    lowers.setdefault(e[:2], []).append(e[2:])
+        return PeriodicCategory(self, objects, lambda e: lowers.get(e, ()))
+
+
+def same_quotient(lifted, lift_cat, stars, star_cat):
+    """True when a category built on the lift and the same category built
+    from the vertex stars have the same census and the same morphism
+    multiplicities, each lifted object matched to the star object with
+    its canonical codes."""
+    def name(e):
+        return star_cat.index.get(stars.canonical(tuple(lifted.codes[f] for f in e))[0])
+
+    names = [name(e) for e in lift_cat.objects]
+    return (lift_cat.census() == star_cat.census() and
+            Counter((names[m.src], names[m.tgt]) for m in lift_cat.morphisms) ==
+            Counter((m.src, m.tgt) for m in star_cat.morphisms))
 
 
 # ---------------------------------------------------------------------------

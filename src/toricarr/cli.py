@@ -2,16 +2,19 @@
 
 Subcommands: validate, faces, layers, salvetti, homology, pi1, check.
 Input is a JSON arrangement document (file path or '-' for stdin); output
-is a deterministic report in text or JSON form on stdout.  Without
---window, a command runs at K = 1, 2, ... in this process until one
-answers; the arrangement's `window_cap` bounds K, and the report's
-"window" is the K used.  Options come anywhere after the command, as
---option value or --option=value, unabbreviated.  Exit codes: 0 success,
-1 malformed input or command line (an explicit --window above the cap
-included) or a stdout closed by its reader, 2 window too
-small (only with an explicit --window; a suggested --window value is
-printed on stderr), 3 internal invariant violation (a window error at
-the cap included).
+is a deterministic report in text or JSON form on stdout.  `faces`,
+`salvetti` and `homology` build the torus's categories from vertex
+stars and take no window.  `layers`, `pi1` and `check` lift the
+arrangement to a window: without --window they run at K = 1, 2, ... in
+this process until one answers, the arrangement's `window_cap` bounds K,
+and the report's "window" is the K used.  Options come anywhere after
+the command, as --option value or --option=value, unabbreviated.  Exit
+codes: 0 success, 1 malformed input or command line (an explicit
+--window above the cap, or on a command that takes none, included) or a
+stdout closed by its reader, 2 window too small (only for `layers`,
+`pi1` and `check` with an explicit --window; a suggested --window value
+is printed on stderr), 3 internal invariant violation (a window error
+at the cap, or in a command without a window, included).
 """
 
 import gc
@@ -24,7 +27,8 @@ import types
 from .errors import SpecError, WindowError, InternalError
 from .arrangement import (parse_spec, spec_to_json_dict, is_essential,
                           essentialize, Window, lift_to_window, window_cap)
-from .cells import enumerate_faces, quotient_faces, layers
+from .cells import (enumerate_faces, quotient_faces, layers, VertexStars,
+                    same_quotient)
 from .category import (check_acyclic, nerve_chains, boundary_matrices,
                        homology, euler_characteristic, verify_dd_zero)
 from .salvetti import toric_salvetti, is_thick, cw_census, orbit_chain_counts
@@ -46,14 +50,19 @@ def _load_spec(path):
     return parse_spec(text)
 
 
-def _prepare(spec, k):
-    """Essentialize if needed and lift into the window [-k, k+1]^n."""
-    work, basis = essentialize(spec)
+def _essential(spec):
+    """The essentialized arrangement; one without hypersurfaces is an error."""
+    work, _ = essentialize(spec)
     if work.rank == 0 or not work.hypersurfaces:
         raise SpecError("arrangement has no hypersurfaces after essentialization")
+    return work
+
+
+def _prepare(spec, k):
+    """Essentialize if needed and lift into the window [-k, k+1]^n."""
+    work = _essential(spec)
     window = Window.standard(work.rank, k)
-    lifted = enumerate_faces(lift_to_window(work, window), window)
-    return work, basis, window, lifted
+    return work, enumerate_faces(lift_to_window(work, window), window)
 
 
 def _homology_json(h):
@@ -83,13 +92,11 @@ def cmd_validate(spec, args):
 
 
 def cmd_faces(spec, args):
-    work, _, window, lifted = _prepare(spec, args.window)
-    fc = quotient_faces(lifted)
-    mult = fc.morphism_multiplicities()
-    nonid = sum(mult.values())
+    work = _essential(spec)
+    fc = VertexStars(work).face_category()
+    nonid = sum(fc.morphism_multiplicities().values())
     return {
         "arrangement": spec_to_json_dict(work),
-        "window": args.window,
         "census": fc.census(),
         "nonidentity_morphisms": nonid,
         "euler": euler_characteristic(fc.census()),
@@ -97,7 +104,7 @@ def cmd_faces(spec, args):
 
 
 def cmd_layers(spec, args):
-    work, _, window, lifted = _prepare(spec, args.window)
+    work, lifted = _prepare(spec, args.window)
     lp = layers(work, lifted)
     return {
         "arrangement": spec_to_json_dict(work),
@@ -109,16 +116,16 @@ def cmd_layers(spec, args):
 
 
 def cmd_salvetti(spec, args):
-    work, _, window, lifted = _prepare(spec, args.window)
-    fc = quotient_faces(lifted)
-    z = toric_salvetti(lifted, fc)
+    work = _essential(spec)
+    stars = VertexStars(work)
+    fc = stars.face_category()
+    z = stars.salvetti_category()
     counts, chi = cw_census(z)
     cat = z.as_category()
     max_dim = args.max_dim if args.max_dim is not None else work.rank
     chain_counts = [len(d) for d in nerve_chains(cat, work.rank)]
     return {
         "arrangement": spec_to_json_dict(work),
-        "window": args.window,
         "face_census": fc.census(),
         "object_census_by_codim": counts,
         "euler_cw": chi,
@@ -129,19 +136,18 @@ def cmd_salvetti(spec, args):
 
 
 def cmd_homology(spec, args):
-    work, _, window, lifted = _prepare(spec, args.window)
-    fc = quotient_faces(lifted)
+    work = _essential(spec)
+    stars = VertexStars(work)
     max_dim = args.max_dim if args.max_dim is not None else work.rank
     if args.space == "face":
-        cat = fc.as_category()
+        cat = stars.face_category().as_category()
     else:
-        cat = toric_salvetti(lifted, fc).as_category()
+        cat = stars.salvetti_category().as_category()
     chain_counts, cc, h = _nerve_homology(cat, work.rank, max_dim)
     if not verify_dd_zero(cc):
         raise InternalError("boundary of boundary is nonzero")
     return {
         "arrangement": spec_to_json_dict(work),
-        "window": args.window,
         "space": args.space,
         "chain_counts": chain_counts[:max_dim + 1],
         "homology": _homology_json(h),
@@ -150,7 +156,7 @@ def cmd_homology(spec, args):
 
 
 def cmd_pi1(spec, args):
-    work, _, window, lifted = _prepare(spec, args.window)
+    work, lifted = _prepare(spec, args.window)
     fc = quotient_faces(lifted)
     ctx = build_context(work, lifted, fc)
     pres = presentation_from_context(ctx)
@@ -174,12 +180,22 @@ def cmd_pi1(spec, args):
 
 
 def cmd_check(spec, args):
-    """Run the arrangement through every structural invariant we know."""
+    """Run the arrangement through every structural invariant we know.
+
+    The face and Salvetti categories come from the vertex stars.  The
+    lift at the window is the independent reference: its quotients must
+    match the stars' (`lift_matches_stars`), its chain orbits must count
+    the stars' nerve, and pi1 is read on it."""
     results = {}
     diagnostics = {}
-    work, _, window, lifted = _prepare(spec, args.window)
+    work, lifted = _prepare(spec, args.window)
     n = work.rank
-    fc = quotient_faces(lifted)
+    lift_fc = quotient_faces(lifted)
+    lift_z = toric_salvetti(lifted, lift_fc)
+    lift_chains = orbit_chain_counts(lifted, n)
+    pres = presentation_from_context(build_context(work, lifted, lift_fc))
+    stars = VertexStars(work)
+    fc = stars.face_category()
     results["face_euler_zero"] = euler_characteristic(fc.census()) == 0
     fcat = fc.as_category()
     results["face_category_acyclic"], diagnostics["face_category_acyclic"] = \
@@ -188,7 +204,7 @@ def cmd_check(spec, args):
     results["face_nerve_dd_zero"] = verify_dd_zero(cc_f)
     results["torus_recovery"] = all(
         h_f[k] == (comb(n, k), []) for k in range(n + 1))
-    z = toric_salvetti(lifted, fc)
+    z = stars.salvetti_category()
     zcat = z.as_category()
     results["salvetti_category_acyclic"], diagnostics["salvetti_category_acyclic"] = \
         check_acyclic(zcat)
@@ -197,20 +213,14 @@ def cmd_check(spec, args):
     results["salvetti_nerve_dd_zero"] = verify_dd_zero(cc_z)
     results["euler_cw_matches_nerve"] = chi == euler_characteristic(counts_z)
     results["connected"] = h_z[0] == (1, [])
-    results["quotient_commutes_with_nerve"] = orbit_chain_counts(lifted, n) == counts_z
-    ctx = build_context(work, lifted, fc)
-    pres = presentation_from_context(ctx)
+    results["quotient_commutes_with_nerve"] = lift_chains == counts_z
     ab = abelianize(pres)
     results["abelianization_matches_h1"] = (ab[0], list(ab[1])) == \
         (h_z[1][0], list(h_z[1][1]))
     results["meridian_quotient_is_lattice"] = \
         abelianize(quotient_without_meridians(pres)) == (n, [])
-    bigger = Window.standard(n, args.window + 1)
-    lifted2 = enumerate_faces(lift_to_window(work, bigger), bigger)
-    fc2 = quotient_faces(lifted2)
-    z2 = toric_salvetti(lifted2, fc2)
-    results["window_stable_censuses"] = (fc2.census() == fc.census()
-                                         and z2.census() == z.census())
+    results["lift_matches_stars"] = (same_quotient(lifted, lift_fc, stars, fc) and
+                                     same_quotient(lifted, lift_z, stars, z))
     failed = [k for k, v in results.items() if not v]
     if failed:
         lines = ["invariant check failed: %s" % ", ".join(failed)]
@@ -285,14 +295,14 @@ def _one_of(*choices):
 COMMANDS = {
     "validate": (cmd_validate, ()),
     "faces": (cmd_faces, ()),
-    "layers": (cmd_layers, ()),
+    "layers": (cmd_layers, ("--window",)),
     "salvetti": (cmd_salvetti, ("--max-dim",)),
     "homology": (cmd_homology, ("--max-dim", "--space")),
-    "pi1": (cmd_pi1, ("--simplify",)),
-    "check": (cmd_check, ()),
+    "pi1": (cmd_pi1, ("--window", "--simplify")),
+    "check": (cmd_check, ("--window",)),
 }
 
-COMMON_OPTIONS = ("--window", "--format")
+COMMON_OPTIONS = ("--format",)
 
 # Each option: the parser of its value (None for a flag, which takes no
 # value), its default, and the name of its value in the usage text.
@@ -314,8 +324,9 @@ complexified toric arrangements.  INPUT is a JSON arrangement file, or -
 for stdin.  Options may come anywhere after the command, as --option
 value or --option=value, and may not be abbreviated; -- ends them.
 
-  --window K             use the box [-K, K+1]^n, K at most the cap ceil(e)+1
-                         (default: the smallest K that works, up to the cap)
+  --window K             layers, pi1 and check: use the box [-K, K+1]^n, K at
+                         most the cap ceil(e)+1 (default: the smallest K that
+                         works, up to the cap)
   --format text|json     report format (default: text)
   --max-dim D            report nerve chains and homology in degrees 0..D
                          only (default: the rank)
@@ -389,10 +400,16 @@ def parse_args(argv):
 
 
 def _answer(spec, args):
-    """Run the command at the explicit --window, or else at K = 1, 2, ...
-    until it answers.  A window error at the cap is a bug; below it,
-    K + 1 is the window to try next."""
+    """Run the command; one that takes a window runs at the explicit
+    --window, or else at K = 1, 2, ... until it answers.  A window error
+    at the cap or without a window is a bug; below the cap, K + 1 is the
+    window to try next."""
     command = COMMANDS[args.command][0]
+    if not hasattr(args, "window"):
+        try:
+            return command(spec, args)
+        except WindowError as e:
+            raise InternalError("window error without a window: %s" % e) from None
     cap = window_cap(spec)
     explicit = args.window is not None
     if explicit and args.window > cap:

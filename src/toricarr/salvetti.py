@@ -7,6 +7,11 @@ translation lattice is an acyclic category whose nerve models the
 homotopy type of the arrangement complement; its objects are in
 bijection with the cells of a (generally non-regular) CW structure,
 graded by the codimension of F.
+
+The commands build that category from vertex stars, with no window
+(`cells.VertexStars.salvetti_category`).  This module builds it on the
+windowed lift (`toric_salvetti`) and counts the lift's chain orbits
+(`orbit_chain_counts`): `check` compares both with the stars'.
 """
 
 from .errors import WindowError

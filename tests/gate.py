@@ -7,7 +7,8 @@ source tree and compared with another's.
 `record` imports `toricarr` from TREE/src and calls `cli.run` in-process
 with `--format json` and the document on stdin.  It runs `validate`,
 `faces`, `layers`, `salvetti`, `homology` in both spaces, `pi1` with and
-without `--simplify`, and `check`, with no `--window` and at each window
+without `--simplify`, and `check`, with no `--window`, and each command
+whose parser in TREE takes `--window` (`cli._takes`) also at each window
 from 1 to the arrangement's cap.  Each run is one JSON line: the input's
 name, the command line, the window (null for none), the exit code, the
 stdout and the stderr without its `elapsed` line.  `--only` and
@@ -16,8 +17,8 @@ stdout and the stderr without its `elapsed` line.  `--only` and
 The inputs are fixed: the catalog, the first 12 draws of generator
 families 1 and 2 (`perfbench/workloads.generate`), two three-wall cases,
 a two-wall case, a non-essential rank-3 spec, a rank-1 spec whose two
-sources share their hyperplanes, and `r3` at window 1 only, without
-`pi1 --simplify`.
+sources share their hyperplanes, and `r3` at window 1 only (with no
+window for the commands that take none), without `pi1 --simplify`.
 
 `diff` pairs the runs of two recordings and groups the changed ones by
 kind: the command, default or explicit window, the exit codes and what
@@ -70,7 +71,8 @@ R3 = (3, _hyps(((1, 0, 0), "0"), ((0, 1, 0), "0"), ((0, 0, 1), "0"),
 
 def inputs():
     """(name, document, windows, commands) per input, in recording order;
-    windows None means no --window and each window from 1 to the cap."""
+    windows None means no --window and each window from 1 to the cap.
+    A command that takes no --window runs once, with none."""
     sys.path.insert(0, ROOT)
     try:
         from perfbench.workloads import generate
@@ -119,7 +121,8 @@ def record(tree, path, only=None, exclude=()):
                 cap = arrangement.window_cap(arrangement.parse_spec(json.dumps(doc)))
                 windows = [None] + list(range(1, cap + 1))
             for command in commands:
-                for k in windows:
+                takes = "--window" in cli._takes(command[0])
+                for k in windows if takes else [None]:
                     argv = command + ["-", "--format", "json"]
                     if k is not None:
                         argv += ["--window", str(k)]

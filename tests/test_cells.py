@@ -8,15 +8,18 @@ import pytest
 
 from toricarr.errors import SpecError, WindowError
 from toricarr.arrangement import (AffineHyperplane, Window, parse_spec,
-                                  lift_to_window, essentialize)
+                                  lift_to_window, essentialize, window_cap)
 from toricarr.cells import (enumerate_faces, quotient_faces, layers,
                             opposite_chamber, chamber_fiber, candidate_vertices,
-                            SignTable, _dot, _reduce_mod_lattice)
+                            SignTable, VertexStars, same_quotient, code_leq,
+                            _dot, _reduce_mod_lattice)
+from toricarr.salvetti import toric_salvetti
 from toricarr.exact import rank
 from toricarr.category import check_acyclic
 
 from conftest import CATALOG, sign_vector, solve_affine, star_ok
 from test_cli import SPEC_G1_01, SPEC_G2_00
+from test_generated import Q_VALUES
 from test_golden import DOCS
 
 
@@ -542,7 +545,7 @@ def test_quotient_functorial_on_lifted_incidences(catalog):
     # composing two incidence orbits through their lifts agrees with the
     # orbit of the composed incidence
     fc = catalog("diagonals").fc
-    lifted = fc.lifted
+    lifted = catalog("diagonals").lifted
     cat = fc.as_category()
     for k, (g,) in enumerate(fc.objects):
         for mid_fid in lifted.lowers[g]:
@@ -555,3 +558,71 @@ def test_quotient_functorial_on_lifted_incidences(catalog):
                 composed = cat.compose(m2, m1)
                 direct = fc.by_rep[(k, (low_fid,))]
                 assert composed == direct
+
+
+# -- the categories from vertex stars against the lift
+
+def lift_reference(spec):
+    """The lift at the first window where its face and Salvetti quotients
+    exist, with those two categories."""
+    for k in range(1, window_cap(spec) + 1):
+        window = Window.standard(spec.rank, k)
+        lifted = enumerate_faces(lift_to_window(spec, window), window)
+        try:
+            fc = quotient_faces(lifted)
+            return lifted, fc, toric_salvetti(lifted, fc)
+        except WindowError:
+            continue
+    raise AssertionError("the lift has no quotient up to the cap")
+
+
+def assert_stars_match_lift(doc):
+    spec, _ = essentialize(parse_spec(json.dumps(doc)))
+    lifted, fc, z = lift_reference(spec)
+    stars = VertexStars(spec)
+    star_fc, star_z = stars.face_category(), stars.salvetti_category()
+    # one star per vertex orbit
+    assert len(stars.vertices) == fc.census()[0]
+    for lift_cat, star_cat in ((fc, star_fc), (z, star_z)):
+        assert star_cat.census() == lift_cat.census()
+        assert sorted(star_cat.morphism_multiplicities().values()) == \
+            sorted(lift_cat.morphism_multiplicities().values())
+        assert same_quotient(lifted, lift_cat, stars, star_cat)
+    assert not same_quotient(lifted, fc, stars, star_z)
+
+
+@st.composite
+def ranks_two_and_three(draw):
+    """Two or three walls in rank 2, entries in [-2, 2]; three or four in
+    rank 3, entries in [-1, 1]; angles as in the `check` battery."""
+    rank = draw(st.sampled_from((2, 3)))
+    entries = st.integers(-2, 2) if rank == 2 else st.integers(-1, 1)
+    chi = st.lists(entries, min_size=rank, max_size=rank).filter(any)
+    walls = draw(st.lists(st.tuples(chi.map(tuple), st.sampled_from(Q_VALUES)),
+                          min_size=rank, max_size=rank + 1, unique=True))
+    return {"rank": rank,
+            "hypersurfaces": [{"chi": list(c), "q": q} for c, q in walls]}
+
+
+@settings(max_examples=12, deadline=None, derandomize=True, database=None)
+@given(ranks_two_and_three())
+def test_stars_match_lift_on_generated(doc):
+    assert_stars_match_lift(doc)
+
+
+@pytest.mark.parametrize("name", ["coincident", "nonessential", "g2_00", "three_walls_2"])
+def test_stars_match_lift(name):
+    # two sources share the lift's integer walls; a rank-3 spec whose
+    # characters span rank 2; a lift that needs window 2; flats with
+    # non-integral directions
+    docs = dict(DOCS, coincident={"rank": 1, "hypersurfaces": [
+        {"chi": [1], "q": "0"}, {"chi": [2], "q": "0"}]})
+    assert_stars_match_lift(docs[name])
+
+
+def test_code_leq_is_the_closure_order(catalog):
+    lifted = catalog("diagonals").lifted
+    codes = lifted.codes
+    for f in lifted.faces:
+        for g in lifted.faces:
+            assert code_leq(codes[f.id], codes[g.id]) == lifted.leq(f.id, g.id)

@@ -99,18 +99,18 @@ def test_exit_one_on_missing_file():
     assert res.returncode == 1
 
 
-def test_exit_two_when_window_too_small(tmp_path):
+def test_exit_two_when_window_too_small(tmp_path, capsys):
     # the sheared pair has a canonical chamber whose closure reaches the
-    # boundary of window 1, so the quotient needs --window 2
+    # boundary of window 1, so the lift behind check needs --window 2
     path = write_spec(tmp_path, SPEC_SHEARED)
-    res = run_cli(["salvetti", path, "--window", "1"])
+    res = run_cli(["check", path, "--window", "1"])
     assert res.returncode == 2
-    assert "--window" in res.stderr
-    res2 = run_cli(["salvetti", path, "--window", "2", "--format", "json"])
+    assert "try again with --window 2" in res.stderr
+    res2 = run_cli(["check", path, "--window", "2", "--format", "json"])
     assert res2.returncode == 0
-    report = json.loads(res2.stdout)
-    assert report["face_census"][0] > 0
-    assert run_cli(["salvetti", path, "--format", "json"]).stdout == res2.stdout
+    assert json.loads(res2.stdout)["verdict"] == "pass"
+    assert run_cli(["check", path, "--format", "json"]).stdout == res2.stdout
+    assert_window_free_reports(capsys, path, SPEC_SHEARED)
 
 
 def test_text_format_mentions_fields(tmp_path):
@@ -147,16 +147,67 @@ SPEC_G2_00 = ('{"rank":2,"hypersurfaces":[{"chi":[-1,2],"q":"1/4"},'
               '{"chi":[-1,2],"q":"0"},{"chi":[0,-1],"q":"1/3"}]}')
 
 
-def test_missing_face_orbit_needs_larger_window(tmp_path):
+def test_missing_face_orbit_needs_larger_window(tmp_path, capsys):
     path = write_spec(tmp_path, SPEC_G2_00)
-    for cmd in (["faces"], ["homology", "--space", "face"]):
+    for cmd in (["pi1"], ["check"]):
         res = run_cli(cmd + [path, "--window", "1", "--format", "json"])
         assert res.returncode == 2
         assert "try again with --window 2" in res.stderr
-    res = run_cli(["faces", path, "--window", "2", "--format", "json"])
-    assert res.returncode == 0
-    assert json.loads(res.stdout)["census"] == [2, 4, 2]
-    assert run_cli(["faces", path, "--format", "json"]).stdout == res.stdout
+    assert_window_free_reports(capsys, path, SPEC_G2_00)
+
+
+def _homology(*betti):
+    return [{"degree": k, "betti": b, "torsion": []} for k, b in enumerate(betti)]
+
+
+# the reports of the window-free commands: those of the lift at window 2,
+# which they read before they used the vertex stars, without `window`
+WINDOW_TWO_REPORTS = {
+    SPEC_SHEARED: {
+        "faces": {"census": [1, 2, 1], "nonidentity_morphisms": 12, "euler": 0},
+        "salvetti": {"face_census": [1, 2, 1], "object_census_by_codim": [1, 4, 4],
+                     "euler_cw": 1, "nerve_chain_counts": [9, 40, 32], "euler_nerve": 1,
+                     "thick": False},
+        "homology": {"space": "salvetti", "chain_counts": [9, 40, 32],
+                     "homology": _homology(1, 4, 4), "euler": 1},
+        "homology --space face": {"space": "face", "chain_counts": [4, 12, 8],
+                                  "homology": _homology(1, 2, 1), "euler": 0}},
+    SPEC_G2_00: {
+        "faces": {"census": [2, 4, 2], "nonidentity_morphisms": 24, "euler": 0},
+        "salvetti": {"face_census": [2, 4, 2], "object_census_by_codim": [2, 8, 8],
+                     "euler_cw": 2, "nerve_chain_counts": [18, 80, 64], "euler_nerve": 2,
+                     "thick": False},
+        "homology": {"space": "salvetti", "chain_counts": [18, 80, 64],
+                     "homology": _homology(1, 5, 6), "euler": 2},
+        "homology --space face": {"space": "face", "chain_counts": [8, 24, 16],
+                                  "homology": _homology(1, 2, 1), "euler": 0}},
+}
+
+
+def assert_window_free_reports(capsys, path, spec):
+    for command, expected in WINDOW_TWO_REPORTS[spec].items():
+        report = _json_report(capsys, command.split() + [path])
+        assert report.pop("arrangement") == json.loads(spec)
+        assert report == expected, command
+
+
+def test_window_free_commands_never_lift(tmp_path, capsys, monkeypatch):
+    from toricarr import arrangement
+
+    def no_window(*args):
+        raise AssertionError("a window was built")
+
+    monkeypatch.setattr(arrangement.Window, "standard", classmethod(no_window))
+    path = write_spec(tmp_path, SPEC_GRID)
+    census = _json_report(capsys, ["faces", path])["census"]
+    assert census == [4, 8, 4]
+    assert _json_report(capsys, ["salvetti", path])["object_census_by_codim"] == [4, 16, 16]
+    for space in ("face", "salvetti"):
+        report = _json_report(capsys, ["homology", path, "--space", space])
+        assert report["homology"][2]["betti"] == (1 if space == "face" else 9)
+    from toricarr import cli
+    with pytest.raises(AssertionError, match="a window was built"):
+        cli.run(["layers", path])
 
 
 # the second draw of the benchmark's generator family 1
@@ -164,20 +215,15 @@ SPEC_G1_01 = ('{"rank":2,"hypersurfaces":[{"chi":[1,0],"q":"0"},'
               '{"chi":[1,-1],"q":"1/4"}]}')
 
 
-def test_translated_cut_chamber_needs_no_larger_window(tmp_path):
+def test_translated_cut_chamber_needs_no_larger_window(tmp_path, capsys):
     # at window 1, a cut chamber moved by (0, 1) meets the box although its
-    # clipped barycenter, moved along, does not; its shifted masks find it,
-    # so window 1 answers as window 2 does
+    # clipped barycenter, moved along, does not; its code finds it, so the
+    # lift's Salvetti category behind check answers at window 1 as at 2
     path = write_spec(tmp_path, SPEC_G1_01)
-    for cmd in (["salvetti"], ["homology"]):
-        reports = []
-        for k in (1, 2):
-            res = run_cli(cmd + [path, "--window", str(k), "--format", "json"])
-            assert res.returncode == 0, res.stderr
-            report = json.loads(res.stdout)
-            assert report.pop("window") == k
-            reports.append(report)
-        assert reports[0] == reports[1]
+    reports = [_json_report(capsys, ["check", path, "--window", str(k)]) for k in (1, 2)]
+    assert [r.pop("window") for r in reports] == [1, 2]
+    assert reports[0] == reports[1]
+    assert reports[0]["verdict"] == "pass"
 
 
 def test_max_dim_truncates_reports_not_homology(tmp_path):
@@ -223,7 +269,7 @@ def test_check_failure_reports_diagnostics(tmp_path, monkeypatch, capsys):
 def test_window_above_cap_exits_one_at_once(tmp_path):
     # without the cap this call lifts 200002 points and does not finish
     path = write_spec(tmp_path, SPEC_ONE_POINT)
-    res = subprocess.run([sys.executable, "-m", "toricarr", "faces", path,
+    res = subprocess.run([sys.executable, "-m", "toricarr", "layers", path,
                           "--window", "100000"],
                          capture_output=True, text=True, timeout=30)
     assert res.returncode == 1
@@ -266,13 +312,21 @@ def test_window_error_at_every_window_exits_three_at_the_cap(tmp_path, monkeypat
         tried.append(args.window)
         raise WindowError("window %d is too small" % args.window)
 
-    monkeypatch.setitem(cli.COMMANDS, "faces", (never_fits, ()))
+    monkeypatch.setitem(cli.COMMANDS, "layers", (never_fits, ("--window",)))
     path = write_spec(tmp_path, SPEC_TWO_WALL)
-    assert cli.run(["faces", path]) == 3
+    assert cli.run(["layers", path]) == 3
     assert tried == [1, 2, 3, 4]
     out, err = capsys.readouterr()
     assert out == ""
     assert "window error at the cap 4: window 4 is too small" in err
+
+    # a command without a window has no window to retry at
+    def no_window(spec, args):
+        raise WindowError("no window here")
+
+    monkeypatch.setitem(cli.COMMANDS, "faces", (no_window, ()))
+    assert cli.run(["faces", path]) == 3
+    assert "window error without a window: no window here" in capsys.readouterr().err
 
 
 def test_pi1_answers_at_the_salvetti_window(tmp_path, capsys):
@@ -298,11 +352,15 @@ USAGE_ERRORS = [
     (["faces"], "faces"),
     (["faces", "{path}", "other.json"], "other.json"),
     (["faces", "{path}", "--bogus"], "--bogus"),
-    (["faces", "{path}", "--window"], "--window"),
+    (["layers", "{path}", "--window"], "--window"),
     (["faces", "{path}", "--format", "xml"], "--format"),
     (["homology", "{path}", "--space", "cell"], "--space"),
-    (["faces", "{path}", "--window", "abc"], "--window"),
-    (["faces", "{path}", "--window", "1.5"], "--window"),
+    (["pi1", "{path}", "--window", "abc"], "--window"),
+    (["check", "{path}", "--window", "1.5"], "--window"),
+    (["faces", "{path}", "--window", "1"], "--window"),
+    (["salvetti", "{path}", "--window=2"], "--window"),
+    (["homology", "{path}", "--window", "1"], "--window"),
+    (["validate", "{path}", "--window", "1"], "--window"),
     (["homology", "{path}", "--max-dim", "-1"], "--max-dim"),
     (["faces", "{path}", "--max-dim", "1"], "--max-dim"),
     (["homology", "{path}", "--simplify"], "--simplify"),
@@ -326,7 +384,7 @@ def test_command_line_grammar(tmp_path, capsys):
         out, err = capsys.readouterr()
         assert out.startswith("usage: toricarr ") and err == "", argv
     outputs = []
-    for argv in (["faces", path, "--window", "2"], ["faces", "--window=2", path]):
+    for argv in (["layers", path, "--window", "2"], ["layers", "--window=2", path]):
         assert cli.run(argv + ["--format=json"]) == 0
         outputs.append(capsys.readouterr().out)
     assert outputs[0] == outputs[1]

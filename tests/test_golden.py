@@ -1,10 +1,11 @@
 """Golden outputs of the command line: `--format json` stdout and exit code.
 
-Each case runs `cli.run` in-process on an arrangement document at one
-`--window` and compares the exit code and the exact stdout bytes with
-the files under `tests/golden/`.  The documents are the catalog, a
-three-wall rank-2 arrangement with the angle 2/3 (every catalog angle has
-a power-of-two denominator), `g2_00`, which needs window 2, a
+Each case runs `cli.run` in-process on an arrangement document, at one
+`--window` for the commands that take one, and compares the exit code
+and the exact stdout bytes with the files under `tests/golden/`.  The
+documents are the catalog, a three-wall rank-2 arrangement with the
+angle 2/3 (every catalog angle has a power-of-two denominator), `g2_00`,
+whose lift needs window 2 and whose faces come from vertex stars, a
 three-wall arrangement whose flats have non-integral direction vectors
 and a non-essential rank-3 arrangement, which pin the essentialization
 basis and the layer lattices, and `r3`, a rank-3 arrangement with oblique
@@ -68,7 +69,7 @@ CASES = [(name, cmd, 1) for name in ("one_point", "two_points", "three_points")
          for cmd in COMMANDS if cmd not in ("check", "pi1-raw")] + \
         [("grid", "check", 1), ("coord3", "homology", 1),
          ("three_walls", "faces", 1), ("three_walls", "homology", 1),
-         ("three_walls", "pi1", 2), ("g2_00", "faces", 1), ("g2_00", "faces", 2)] + \
+         ("three_walls", "pi1", 2), ("g2_00", "faces", 1)] + \
         [("three_walls_2", "layers", 1)] + \
         [("nonessential", cmd, 1) for cmd in ("validate", "layers", "homology")] + \
         [("r3", cmd, 1) for cmd in ("faces", "layers", "salvetti", "homology", "pi1-raw")] + \
@@ -85,10 +86,12 @@ def run_case(tmp_dir, doc, cmd, window):
     path = os.path.join(tmp_dir, "spec.json")
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(doc, fh)
+    argv = COMMANDS[cmd] + [path, "--format", "json"]
+    if "--window" in cli._takes(argv[0]):
+        argv += ["--window", str(window)]
     out = io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
-        code = cli.run(COMMANDS[cmd] + [path, "--window", str(window),
-                                        "--format", "json"])
+        code = cli.run(argv)
     return code, out.getvalue()
 
 
