@@ -93,7 +93,12 @@ def cmd_validate(spec, args):
 
 def cmd_faces(spec, args):
     work = _essential(spec)
-    fc = VertexStars(work).face_category()
+    return faces_report(work, VertexStars(work).face_category())
+
+
+def faces_report(work, fc):
+    """The `faces` report of a face category: the stars' here, the lift's
+    quotient where a test reads the lift at a window."""
     nonid = sum(fc.morphism_multiplicities().values())
     return {
         "arrangement": spec_to_json_dict(work),

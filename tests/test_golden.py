@@ -5,7 +5,8 @@ Each case runs `cli.run` in-process on an arrangement document, at one
 and the exact stdout bytes with the files under `tests/golden/`.  The
 documents are the catalog, a three-wall rank-2 arrangement with the
 angle 2/3 (every catalog angle has a power-of-two denominator), `g2_00`,
-whose lift needs window 2 and whose faces come from vertex stars, a
+whose lift needs window 2 and whose faces come from vertex stars
+(`g2_00.faces.w2` pins the lift's face quotient at window 2), a
 three-wall arrangement whose flats have non-integral direction vectors
 and a non-essential rank-3 arrangement, which pin the essentialization
 basis and the layer lattices, and `r3`, a rank-3 arrangement with oblique
@@ -28,6 +29,8 @@ import os
 import pytest
 
 from toricarr import cli
+from toricarr.arrangement import parse_spec
+from toricarr.cells import quotient_faces
 
 from conftest import CATALOG
 from test_cli import SPEC_G2_00
@@ -69,7 +72,7 @@ CASES = [(name, cmd, 1) for name in ("one_point", "two_points", "three_points")
          for cmd in COMMANDS if cmd not in ("check", "pi1-raw")] + \
         [("grid", "check", 1), ("coord3", "homology", 1),
          ("three_walls", "faces", 1), ("three_walls", "homology", 1),
-         ("three_walls", "pi1", 2), ("g2_00", "faces", 1)] + \
+         ("three_walls", "pi1", 2), ("g2_00", "faces", 1), ("g2_00", "faces", 2)] + \
         [("three_walls_2", "layers", 1)] + \
         [("nonessential", cmd, 1) for cmd in ("validate", "layers", "homology")] + \
         [("r3", cmd, 1) for cmd in ("faces", "layers", "salvetti", "homology", "pi1-raw")] + \
@@ -83,6 +86,8 @@ def case_name(name, cmd, window):
 
 
 def run_case(tmp_dir, doc, cmd, window):
+    if cmd == "faces" and window != 1:
+        return 0, lift_faces_report(doc, window)
     path = os.path.join(tmp_dir, "spec.json")
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(doc, fh)
@@ -93,6 +98,15 @@ def run_case(tmp_dir, doc, cmd, window):
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
         code = cli.run(argv)
     return code, out.getvalue()
+
+
+def lift_faces_report(doc, window):
+    """The `faces` report read off the lift at `window`, with the window:
+    `faces` takes none, as it reads the vertex stars, but the lift is the
+    reference they are checked against."""
+    work, lifted = cli._prepare(parse_spec(json.dumps(doc)), window)
+    report = dict(cli.faces_report(work, quotient_faces(lifted)), window=window)
+    return json.dumps(report, sort_keys=True, indent=2) + "\n"
 
 
 def assert_same(got, expected):
