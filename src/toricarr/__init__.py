@@ -1,11 +1,11 @@
 """Combinatorial models for complements of complexified toric arrangements.
 
 The pipeline: describe an arrangement by integer characters and rational
-angles, lift it to a periodic affine hyperplane arrangement inside a
-window box, enumerate the induced cells exactly, quotient by the
-translation lattice to get the face category of the compact torus, build
-the Salvetti category whose nerve models the complement, and read off
-integral homology and a finite presentation of the fundamental group.
+angles, enumerate the faces of its periodic lift at one vertex per
+vertex orbit, quotient by the translation lattice to get the face
+category of the compact torus, build the Salvetti category whose nerve
+models the complement, and read off layers, integral homology and a
+finite presentation of the fundamental group.
 """
 
 from .errors import SpecError, WindowError, InternalError

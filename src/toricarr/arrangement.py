@@ -162,9 +162,6 @@ class Window:
     def dim(self):
         return len(self.lo)
 
-    def contains(self, point):
-        return all(a <= x <= b for a, x, b in zip(self.lo, point, self.hi))
-
     def covers_quotient_core(self):
         """True when the box contains [-1, 2]^n, enough for canonicalizing."""
         return all(a <= -1 for a in self.lo) and all(b >= 2 for b in self.hi)

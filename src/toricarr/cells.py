@@ -14,18 +14,17 @@ meet every face orbit; the faces at a vertex v are the covectors of the
 central arrangement through v, written as codes.  Codes are made
 canonical modulo the lattice 2A Z^n, A the matrix of the characters,
 and `face_category` and `salvetti_category` move codes to compose.
-`faces`, `salvetti` and `homology` read only these.
+Every command reads only these; `layers` reads the stars' flats.
 
-The windowed lift (`enumerate_faces`) stays for `layers`, `pi1` and as
-`check`'s independent reference.  Its faces are the sign classes of the
-finite hyperplane list inside the window box, stored with their signs,
-as the bit masks of the hyperplanes on their + and - sides, their flat,
-their barycenter (vertex average of the clipped closure) and their code.
-Faces whose closure is entirely inside the closed box are honest faces
-of the periodic arrangement; the rest are flagged `boundary_cut` and
-never serve as orbit representatives.  The masks decide incidence, the
-code names the face: a lattice move, a point lookup and the opposite
-and fiber chambers are code arithmetic and one dictionary lookup.
+The windowed lift (`enumerate_faces`) stays as `check`'s independent
+reference.  Its faces are the sign classes of the finite hyperplane list
+inside the window box, stored with their signs, as the bit masks of the
+hyperplanes on their + and - sides, their barycenter (vertex average of
+the clipped closure) and their code.  Faces whose closure is entirely
+inside the closed box are honest faces of the periodic arrangement; the
+rest are flagged `boundary_cut` and never serve as orbit
+representatives.  The masks decide incidence, the code names the face:
+a lattice move is code arithmetic and one dictionary lookup.
 
 `PeriodicCategory` quotients either space by the translation lattice:
 objects are orbits keyed by a canonical translate, morphisms are orbits
@@ -41,7 +40,7 @@ from operator import add, mul, sub
 from .errors import SpecError, WindowError, InternalError
 from .exact import adjugate, rank, integer_kernel, hnf
 from .category import AcyclicCategory
-from .arrangement import geometric_key, Window, lift_to_window
+from .arrangement import Window, lift_to_window
 
 Q = Fraction
 
@@ -63,18 +62,16 @@ class AffineFace:
     positive denominator for the whole lift.  `cell` is its integer floor:
     the face lies in the orbit's canonical position when it is zero."""
 
-    __slots__ = ("id", "signs", "dim", "num", "den", "cell", "flat_id",
-                 "boundary_cut", "vertex_ids")
+    __slots__ = ("id", "signs", "dim", "num", "den", "cell", "boundary_cut",
+                 "vertex_ids")
 
-    def __init__(self, fid, signs, dim, num, den, cell, flat_id,
-                 boundary_cut, vertex_ids):
+    def __init__(self, fid, signs, dim, num, den, cell, boundary_cut, vertex_ids):
         self.id = fid
         self.signs = signs
         self.dim = dim
         self.num = num
         self.den = den
         self.cell = cell
-        self.flat_id = flat_id
         self.boundary_cut = boundary_cut
         self.vertex_ids = vertex_ids
 
@@ -92,17 +89,15 @@ class AffineFace:
 class LiftedFacePoset:
     """All faces of the windowed lift with their incidence structure."""
 
-    def __init__(self, hyperplanes, window, den, faces, flats, uppers, geo_class):
+    def __init__(self, hyperplanes, window, den, faces, flats, uppers):
         self.hyperplanes = hyperplanes
         self.window = window
         self.den = den                  # the faces' barycenter denominator
         self.faces = faces
-        # (zero frozenset, point numerators, their positive denominator,
-        # integer direction rows), as built by `enumerate_faces`
+        # (zero frozenset, integer direction rows), as built by
+        # `enumerate_faces`
         self.flats = flats
         self.uppers = uppers            # fid -> sorted tuple of fids (strict)
-        self.geo_class = geo_class      # hyperplane idx -> geometric class id
-        self.chamber_ids = tuple(f.id for f in faces if f.dim == window.dim)
         self.lowers = {f.id: [] for f in faces}
         for fid, ups in uppers.items():
             for g in ups:
@@ -129,29 +124,10 @@ class LiftedFacePoset:
     def dim(self):
         return self.window.dim
 
-    def zero_set(self, fid):
-        return self.flats[self.faces[fid].flat_id][0]
-
     def zero_mask(self, fid):
         """The mask of the hyperplanes through the face, those of its flat."""
         plus, minus = self.faces[fid].signs
         return self._all ^ (plus | minus)
-
-    def leq(self, f1, f2):
-        """True when face f1 lies in the closure of f2: its masks lie in f2's."""
-        (p1, q1), (p2, q2) = self.faces[f1].signs, self.faces[f2].signs
-        return not (p1 & ~p2 or q1 & ~q2)
-
-    def locate(self, point):
-        """Face containing an exact point in the box: the face with the
-        point's code."""
-        if not self.window.contains(point):
-            raise WindowError("point %s escapes the window" % (tuple(map(str, point)),))
-        den = math.lcm(*(x.denominator for x in point))
-        fid = self.by_code.get(code_of_point(self.sources, [_times(x, den) for x in point], den))
-        if fid is None:
-            raise WindowError("no face enumerated at %s" % (tuple(map(str, point)),))
-        return fid
 
     def translate(self, fid, u):
         """The face fid + u for an integer vector u.
@@ -208,6 +184,12 @@ def code_of_point(sources, num, den):
         k, r = divmod(_dot(alpha, num) * q - p * den, q * den)
         code.append(2 * k + (r != 0))
     return tuple(code)
+
+
+def code_at(sources, point):
+    """The code of an exact point, a tuple of Fractions (`code_of_point`)."""
+    den = math.lcm(*(x.denominator for x in point))
+    return code_of_point(sources, [_times(x, den) for x in point], den)
 
 
 def code_leq(f, g):
@@ -307,22 +289,19 @@ def candidate_vertices(hyperplanes, window):
 
 
 def _direction(rows, normals, n):
-    """(kernel, parallel, pivot_cols, transform, det, adj): the direction
-    of the flats cut out by hyperplanes with the integer normals `rows`.
+    """(kernel, parallel): the direction of the flats cut out by
+    hyperplanes with the integer normals `rows`.
 
-    With A the matrix of those rows and H = U A its Hermite form
-    (`exact.hnf`), the r nonzero rows of H are invertible on the pivot
-    columns P; `det` and `adj` belong to that block H_P, and det > 0, as
-    H_P is upper triangular with positive pivots.  `transform` is the
-    first r rows of U.  The reduced row echelon form of A is adj H / det,
-    so det times its kernel basis is integral: `kernel` has, for each free
-    column f in ascending order, the row that is det at f and -adj H_f on
-    P.  A flat with the constants c on A has the reduced form's particular
-    solution as its point: adj (U c) / det on P and 0 elsewhere.
+    With A the matrix of those rows and H its Hermite form (`exact.hnf`),
+    the nonzero rows of H are invertible on the pivot columns P, with a
+    determinant det > 0, as H_P is upper triangular with positive pivots.
+    The reduced row echelon form of A is adj(H_P) H / det, so det times
+    its kernel basis is integral: `kernel` has, for each free column f in
+    ascending order, the row that is det at f and -adj(H_P) H_f on P.  It
+    depends only on the span of A, up to the positive factor det.
     `parallel[k]` is True when normals[k] lies in the span of A.
     """
-    h, u = hnf(rows)
-    h = [row for row in h if any(row)]
+    h = [row for row in hnf(rows)[0] if any(row)]
     cols = [next(j for j, x in enumerate(row) if x) for row in h]
     det, adj = adjugate([[row[j] for j in cols] for row in h])
     kernel = []
@@ -336,7 +315,7 @@ def _direction(rows, normals, n):
             v[col] = -_dot(row, at_f)
         kernel.append(tuple(v))
     parallel = [all(_dot(a, v) == 0 for v in kernel) for a in normals]
-    return tuple(kernel), parallel, cols, u[:len(h)], det, adj
+    return tuple(kernel), parallel
 
 
 def _bits(mask):
@@ -349,9 +328,9 @@ def _bits(mask):
     return out
 
 
-def _faces_on_flat(table, flat_id, rows, cands, cutting, weak_sides, forced, on_wall):
+def _faces_on_flat(table, rows, cands, cutting, weak_sides, forced, on_wall):
     """The faces on one flat, as (dim, coordinate sums, vertex ids, (+ mask,
-    - mask), flat id, boundary_cut) tuples, the masks holding the
+    - mask), boundary_cut) tuples, the masks holding the
     hyperplanes with each sign: a DFS over strict signs on the cutting
     hyperplanes.  A node holds W, the mask of the flat's candidates
     `cands` weakly signed by its assignment, its sign masks, and `need`,
@@ -393,7 +372,7 @@ def _faces_on_flat(table, flat_id, rows, cands, cutting, weak_sides, forced, on_
             raise InternalError("barycenter escaped its own face")
         need = need + weak_sides
         cut = any(x and all(map(x.__and__, need)) for x in map(w.__and__, walls))
-        out.append((len(rows), sums, tuple(ids), signs, flat_id, cut))
+        out.append((len(rows), sums, tuple(ids), signs, cut))
     return out
 
 
@@ -410,9 +389,8 @@ def enumerate_faces(hyperplanes, window):
     carries the mask of the candidates on it (its parent's masked by the
     new hyperplane's zeros), and a flat with none misses the box.  A
     flat's direction depends only on the set of its hyperplanes' normals,
-    so its integer direction rows, parallel mask and pivot adjugate are
-    computed once per normal set (`_direction`), and a new flat's point
-    comes from that adjugate, as integer numerators over det * D.
+    so its integer direction rows and parallel mask are computed once per
+    normal set (`_direction`).
 
     Faces on a flat are found by a depth-first sweep over strict sign
     assignments, certified by averages of the clipped regions' vertices.
@@ -452,11 +430,6 @@ def enumerate_faces(hyperplanes, window):
     if m == 0 or rank([h.alpha for h in hyperplanes]) < n:
         raise SpecError("hyperplane normals must span the ambient space")
 
-    geo_class = {}
-    seen_geo = {}
-    for i, h in enumerate(hyperplanes):
-        geo_class[i] = seen_geo.setdefault(geometric_key(h.alpha, h.c), len(seen_geo))
-
     scale, coords = candidate_vertices(hyperplanes, window)
     if not coords:
         raise InternalError("window contains no arrangement vertices")
@@ -478,13 +451,13 @@ def enumerate_faces(hyperplanes, window):
     # flats: closure of the hyperplane list under intersection, inside box;
     # a vertex of flat & box is cut out by n of the planes, so every flat
     # meeting the box holds a candidate.  keys[f] is the normal set of f.
-    flats = [(frozenset(), (0,) * n, 1, direction(frozenset())[0])]
+    flats = [(frozenset(), direction(frozenset())[0])]
     cands_of = [(1 << len(coords)) - 1]
     keys = [frozenset()]
     flat_index = {frozenset(): 0}
     head = 0
     while head < len(flats):
-        rows = flats[head][3]
+        rows = flats[head][1]
         cands = cands_of[head]
         key = keys[head]
         head += 1
@@ -499,22 +472,16 @@ def enumerate_faces(hyperplanes, window):
             if not cands2:
                 continue  # misses the box entirely
             key2 = key | {normal_of[hidx]}
-            rows2, par2, cols2, transform, det, adj = direction(key2)
+            rows2, par2 = direction(key2)
             on = cands2 & -cands2
             zero2 = frozenset(i for k, p in enumerate(par2) if p
                               for i in with_normal[k] if zero[i] & on)
             if zero2 in flat_index:
                 continue
-            const_of = {normal_of[i]: table.consts[i] for i in zero2}
-            cs = [const_of[k] for k in sorted(key2)]
-            uc = [_dot(row, cs) for row in transform]
-            num = [0] * n
-            for row, j in zip(adj, cols2):
-                num[j] = _dot(row, uc)
             flat_index[zero2] = len(flats)
-            flats.append((zero2, tuple(num), det * scale, rows2))
+            flats.append((zero2, rows2))
             cands_of.append(cands2)
-            keys.append(frozenset(const_of))
+            keys.append(frozenset(normal_of[i] for i in zero2))
 
     # the masks of the candidates on the two box walls of each axis
     on_wall = [[_mask([p[j] == b for p in coords])
@@ -524,8 +491,7 @@ def enumerate_faces(hyperplanes, window):
     # faces per flat: classify the other hyperplanes on the flat's
     # candidates, then sweep the cutting ones unless one is dead
     raw = []
-    for flat_id, (zero_set, _, _, rows) in enumerate(flats):
-        cands = cands_of[flat_id]
+    for (zero_set, rows), cands in zip(flats, cands_of):
         cutting, weak_sides, forced = [], [], [0, 0]
         for hidx in range(m):
             if hidx in zero_set:
@@ -540,22 +506,22 @@ def enumerate_faces(hyperplanes, window):
             else:
                 break  # dead
         else:
-            raw += _faces_on_flat(table, flat_id, rows, cands, cutting, weak_sides,
+            raw += _faces_on_flat(table, rows, cands, cutting, weak_sides,
                                   tuple(forced), on_wall)
 
     # by dimension, then barycenter: the numerators over D * L, with L the
     # lcm of the vertex counts
     common = math.lcm(*{len(r[2]) for r in raw})
     den = scale * common
-    raw = sorted(((d, tuple(x * (common // len(ids)) for x in sums), ids, sig, flat_id, cut)
-                  for d, sums, ids, sig, flat_id, cut in raw),
+    raw = sorted(((d, tuple(x * (common // len(ids)) for x in sums), ids, sig, cut)
+                  for d, sums, ids, sig, cut in raw),
                  key=lambda r: r[:2])
     faces = []
     cells = {}      # one tuple per distinct cell, shared by its faces
-    for fid, (d, num, ids, sig, flat_id, cut) in enumerate(raw):
+    for fid, (d, num, ids, sig, cut) in enumerate(raw):
         cell = tuple(x // den for x in num)
         faces.append(AffineFace(fid, sig, d, num, den, cells.setdefault(cell, cell),
-                                flat_id, cut, ids))
+                                cut, ids))
 
     # closure order: a face's clipped vertices all recur on larger faces,
     # so one shared vertex narrows the candidate uppers
@@ -563,7 +529,7 @@ def enumerate_faces(hyperplanes, window):
     for f in faces:
         for ci in f.vertex_ids:
             at_vertex.setdefault(ci, []).append(f.id)
-    # the order of `leq`: lower's masks lie inside upper's.  at_vertex
+    # the closure order: lower's masks lie inside upper's.  at_vertex
     # lists ids in order, so uppers are sorted.
     uppers = {}
     for f in faces:
@@ -571,7 +537,7 @@ def enumerate_faces(hyperplanes, window):
         uppers[f.id] = tuple(g.id for g in map(faces.__getitem__, at_vertex[f.vertex_ids[0]])
                              if g.dim > f.dim and not p & ~g.signs[0] and not q & ~g.signs[1])
 
-    return LiftedFacePoset(hyperplanes, window, den, faces, flats, uppers, geo_class)
+    return LiftedFacePoset(hyperplanes, window, den, faces, flats, uppers)
 
 
 # ---------------------------------------------------------------------------
@@ -726,32 +692,37 @@ class VertexStars:
 
     A face orbit is a code modulo 2A Z^n, A the matrix of the characters;
     `canonical` reduces by the lattice's Hermite basis.  Shifts are code
-    differences in that lattice.  The arrangement must be essential.
+    differences in that lattice, and `lattice_vector` turns one into the
+    translation that makes it.  `vertices` lists each vertex as its
+    numerators over `scale` with the codes of the faces at it.  The
+    arrangement must be essential.
     """
 
     def __init__(self, spec):
         n = self.dim = spec.rank
-        alphas = [chi.alpha for chi, _ in spec.hypersurfaces]
-        self._alphas = alphas
-        self._basis = _column_hnf([[2 * a[j] for a in alphas] for j in range(n)])
+        alphas = self.alphas = [chi.alpha for chi, _ in spec.hypersurfaces]
+        # H = U G, G the rows 2A e_j spanning the lattice; all n rows of H
+        # are nonzero, A having rank n
+        self._basis, self._unimodular = hnf([[2 * a[j] for a in alphas] for j in range(n)])
         self._ranks = {}
         self._shifts = {}       # code -> its difference from its reduced code
         self.zero = (0,) * len(alphas)
-        sources = [(chi.alpha, a.q.numerator, a.q.denominator)
-                   for chi, a in spec.hypersurfaces]
+        # (alpha, p, q) per source, its angle p / q, as `code_of_point` reads it
+        self.sources = [(chi.alpha, a.q.numerator, a.q.denominator)
+                        for chi, a in spec.hypersurfaces]
         unit = Window([0] * n, [1] * n)
         scale, coords = candidate_vertices(lift_to_window(spec, unit), unit)
+        self.scale = scale
         lines = {}
         self.vertices = []
         self.star = {}          # canonical code -> (representative, its strict cofaces)
         for num in coords:
             if scale in num:
                 continue        # on the far wall of the unit cube
-            vcode = code_of_point(sources, num, scale)
+            vcode = code_of_point(self.sources, num, scale)
             through = [i for i, c in enumerate(vcode) if not c & 1]
             if self.codim(vcode) < n:
                 continue
-            self.vertices.append(vcode)
             rays = set()
             for rows in combinations(sorted({alphas[i] for i in through}), n - 1):
                 if rows not in lines:
@@ -771,6 +742,7 @@ class VertexStars:
                 for i, s in zip(through, x):
                     code[i] += s
                 faces.append(tuple(code))
+            self.vertices.append((num, faces))
             for f in faces:
                 key = self.canonical((f,))[0][0]
                 if key not in self.star:
@@ -779,7 +751,7 @@ class VertexStars:
     def codim(self, code):
         """The codimension of the face with this code: the rank of the
         normals of the sources with an even entry."""
-        evens = frozenset(a for a, c in zip(self._alphas, code) if not c & 1)
+        evens = frozenset(a for a, c in zip(self.alphas, code) if not c & 1)
         got = self._ranks.get(evens)
         if got is None:
             got = self._ranks[evens] = rank(list(evens)) if evens else 0
@@ -792,11 +764,44 @@ class VertexStars:
         shift = self._shifts.get(element[0])
         if shift is None:
             shift = self._shifts[element[0]] = tuple(
-                map(sub, element[0], _reduce_mod_lattice(element[0], self._basis)))
+                map(sub, element[0], _reduce_mod_lattice(element[0], self._basis)[0]))
         return tuple([tuple(map(sub, code, shift)) for code in element]), shift
 
     def move(self, element, shift):
         return tuple([tuple(map(add, code, shift)) for code in element])
+
+    def lattice_vector(self, shift):
+        """The u in Z^n whose translation adds `shift`, a code difference
+        in 2A Z^n: the shift's coefficients t on the Hermite basis H = U G
+        give shift = t U G = 2A (t U)."""
+        rest, t = _reduce_mod_lattice(shift, self._basis)
+        if any(rest):
+            raise InternalError("code difference outside the lattice 2A Z^n")
+        return tuple(_dot(t, col) for col in zip(*self._unimodular))
+
+    def barycenters(self):
+        """(den, canon): per orbit, keyed by its reduced code, the code of
+        its translate with barycenter in [0,1)^n and that barycenter as
+        numerators over den.  The barycenter is the mean of the closure's
+        vertices: each is a translate v + u of one vertex v, and the face
+        moved by -u lies in v's star, so it is met once, at v."""
+        sums = {}
+        for num, faces in self.vertices:
+            for f in faces:
+                (key,), shift = self.canonical((f,))
+                u = self.lattice_vector(shift)
+                total, count = sums.get(key, (self.dim * (0,), 0))
+                sums[key] = ([x + y - self.scale * s for x, y, s in zip(total, num, u)],
+                             count + 1)
+        common = math.lcm(*(count for _, count in sums.values()))
+        den = self.scale * common
+        canon = {}
+        for key, (total, count) in sums.items():
+            num = [x * (common // count) for x in total]
+            u = [x // den for x in num]
+            canon[key] = (tuple(c - 2 * _dot(a, u) for c, a in zip(key, self.alphas)),
+                          tuple(x - den * s for x, s in zip(num, u)))
+        return den, canon
 
     def face_category(self):
         """The face category: each incidence orbit F <= G is met once, at
@@ -846,13 +851,13 @@ def same_quotient(lifted, lift_cat, stars, star_cat):
 
 
 class Layer:
-    __slots__ = ("index", "dim", "key", "rep_flat")
+    __slots__ = ("index", "dim", "key", "flat")
 
-    def __init__(self, index, dim, key, rep_flat):
+    def __init__(self, index, dim, key, flat):
         self.index = index
         self.dim = dim
         self.key = key
-        self.rep_flat = rep_flat
+        self.flat = flat
 
     def __repr__(self):
         return "Layer(%d, dim=%d)" % (self.index, self.dim)
@@ -876,46 +881,59 @@ def _column_hnf(rows):
 
 
 def _reduce_mod_lattice(vec, hbasis):
-    v = list(vec)
+    """(r, t): r = vec - t H, each pivot entry brought into [0, pivot) by
+    the rows of the Hermite basis H in turn."""
+    v, t = list(vec), []
     for row in hbasis:
         piv = next(j for j, x in enumerate(row) if x != 0)
-        t = v[piv] // row[piv]
-        if t:
-            v = [x - t * y for x, y in zip(v, row)]
-    return tuple(v)
+        t.append(v[piv] // row[piv])
+        if t[-1]:
+            v = [x - t[-1] * y for x, y in zip(v, row)]
+    return tuple(v), t
 
 
-def layers(spec, lifted):
-    """Connected components of hypersurface intersections on the torus."""
+def layers(spec, stars):
+    """Connected components of hypersurface intersections on the torus.
+
+    Every flat holds a vertex, so a translate of it is the span of a face
+    at a vertex v of the stars: the flat through v of the sources with an
+    even entry.  A layer is keyed by the characters vanishing on the
+    flat's direction (`integer_kernel`) and their values on the flat,
+    reduced modulo the image of the translation lattice."""
     n = spec.rank
     recs = {}
-    for flat_id, (_, num, den, rows) in enumerate(lifted.flats):
-        # the characters vanishing on the flat's direction
-        a_rows = integer_kernel(rows, n)
-        r = len(a_rows)
-        if r == 0:
-            key = ((), ())
-            image = []
-        else:
-            # Fraction constants: layers are ordered by the key's printed form
-            b = [Q(_dot(row, num), den) for row in a_rows]
-            # the translation lattice acts on constants through the columns
-            cols = [[a_rows[i][j] for i in range(r)] for j in range(n)]
-            image = _column_hnf(cols)
-            key = (tuple(tuple(row) for row in a_rows),
-                   _reduce_mod_lattice(b, image))
-        if key not in recs:
-            recs[key] = (n - r, flat_id, a_rows, image)
+    kernels = {}        # normals -> (direction rows, characters vanishing there)
+    for num, faces in stars.vertices:
+        for normals in {frozenset(a for a, c in zip(stars.alphas, f) if not c & 1)
+                        for f in faces}:
+            if normals not in kernels:
+                rows = integer_kernel(sorted(normals), n)
+                kernels[normals] = rows, integer_kernel(rows, n)
+            rows, a_rows = kernels[normals]
+            r = len(a_rows)
+            if r == 0:
+                key = ((), ())
+                image = []
+            else:
+                # Fraction constants: layers are ordered by the key's printed form
+                b = [Q(_dot(row, num), stars.scale) for row in a_rows]
+                # the translation lattice acts on constants through the columns
+                cols = [[a_rows[i][j] for i in range(r)] for j in range(n)]
+                image = _column_hnf(cols)
+                key = (tuple(tuple(row) for row in a_rows),
+                       _reduce_mod_lattice(b, image)[0])
+            if key not in recs:
+                recs[key] = (n - r, (num, stars.scale, rows), a_rows, image)
     ordered = sorted(recs.items(), key=lambda kv: (-kv[1][0], str(kv[0])))
-    layers_list = [Layer(i, dim, key, flat_id)
-                   for i, (key, (dim, flat_id, _, _)) in enumerate(ordered)]
+    layers_list = [Layer(i, dim, key, flat)
+                   for i, (key, (dim, flat, _, _)) in enumerate(ordered)]
 
     def contained(l1, l2):
         # some integer translate of flat(l1) lies inside flat(l2)
         if l1.dim > l2.dim:
             return False
-        _, p1, d1, rows1 = lifted.flats[l1.rep_flat]
-        _, p2, d2, _ = lifted.flats[l2.rep_flat]
+        p1, d1, rows1 = l1.flat
+        p2, d2, _ = l2.flat
         _, _, a2, image = recs[l2.key]
         if not a2:
             return True
@@ -926,7 +944,7 @@ def layers(spec, lifted):
         w = [_dot(row, p2) * d1 - _dot(row, p1) * d2 for row in a2]
         if any(x % d for x in w):
             return False
-        return not any(_reduce_mod_lattice([x // d for x in w], image))
+        return not any(_reduce_mod_lattice([x // d for x in w], image)[0])
 
     relations = []
     for l1 in layers_list:
@@ -937,34 +955,23 @@ def layers(spec, lifted):
 
 
 # ---------------------------------------------------------------------------
-# local chamber operations
+# local chamber operations on codes
 
 
-def opposite_chamber(lifted, cid, fid):
-    """The chamber opposite a chamber across one of its faces: code entry
-    c_i goes to 2 f_i - c_i wherever the face's entry f_i is even, that is
-    on the sources with a hyperplane through the face."""
-    if lifted.faces[cid].dim != lifted.dim:
+def opposite_chamber(c, f):
+    """The code of the chamber opposite the chamber c across its face f:
+    c_i goes to 2 f_i - c_i wherever f_i is even, that is on the sources
+    with a hyperplane through the face."""
+    if not all(x & 1 for x in c):
         raise SpecError("opposite_chamber needs a chamber")
-    if not lifted.leq(fid, cid):
-        raise SpecError("face %d is not a face of chamber %d" % (fid, cid))
-    got = lifted.by_code.get(tuple(c if f & 1 else 2 * f - c
-                                   for c, f in zip(lifted.codes[cid], lifted.codes[fid])))
-    if got is None:
-        raise WindowError("opposite chamber of (%d, %d) escapes the window" % (cid, fid))
-    return got
+    if not code_leq(f, c):
+        raise SpecError("face %s is not a face of chamber %s" % (f, c))
+    return tuple(x if y & 1 else 2 * y - x for x, y in zip(c, f))
 
 
-def chamber_fiber(lifted, cid, fid):
-    """The unique chamber of the localization fiber of `cid` whose closure
-    contains the face: keep signs through the face's span, take the
-    face's signs elsewhere.  In codes, an even face entry f_i becomes
-    f_i + 1 or f_i - 1, toward the chamber's entry c_i, and an odd one
-    stays."""
-    if lifted.faces[cid].dim != lifted.dim:
-        raise SpecError("chamber_fiber needs a chamber")
-    got = lifted.by_code.get(tuple(f if f & 1 else (f + 1 if c > f else f - 1)
-                                   for c, f in zip(lifted.codes[cid], lifted.codes[fid])))
-    if got is None:
-        raise WindowError("fiber chamber of (%d, %d) escapes the window" % (cid, fid))
-    return got
+def chamber_fiber(c, f):
+    """The code of the unique chamber of the localization fiber of the
+    chamber c whose closure contains the face f: keep signs through the
+    face's span, take the face's signs elsewhere.  An even face entry f_i
+    becomes f_i + 1 or f_i - 1, toward c_i, and an odd one stays."""
+    return tuple(y if y & 1 else (y + 1 if x > y else y - 1) for x, y in zip(c, f))

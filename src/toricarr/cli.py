@@ -2,19 +2,19 @@
 
 Subcommands: validate, faces, layers, salvetti, homology, pi1, check.
 Input is a JSON arrangement document (file path or '-' for stdin); output
-is a deterministic report in text or JSON form on stdout.  `faces`,
-`salvetti` and `homology` build the torus's categories from vertex
-stars and take no window.  `layers`, `pi1` and `check` lift the
-arrangement to a window: without --window they run at K = 1, 2, ... in
-this process until one answers, the arrangement's `window_cap` bounds K,
-and the report's "window" is the K used.  Options come anywhere after
-the command, as --option value or --option=value, unabbreviated.  Exit
-codes: 0 success, 1 malformed input or command line (an explicit
---window above the cap, or on a command that takes none, included) or a
-stdout closed by its reader, 2 window too small (only for `layers`,
-`pi1` and `check` with an explicit --window; a suggested --window value
-is printed on stderr), 3 internal invariant violation (a window error
-at the cap, or in a command without a window, included).
+is a deterministic report in text or JSON form on stdout.  Every command
+reads the torus's face and Salvetti categories, layers and pi1 off the
+vertex stars, with no window.  `check` alone also lifts the arrangement
+to a window, as the independent reference: without --window it runs at
+K = 1, 2, ... in this process until one answers, the arrangement's
+`window_cap` bounds K, and the report's "window" is the K used.  Options
+come anywhere after the command, as --option value or --option=value,
+unabbreviated.  Exit codes: 0 success, 1 malformed input or command line
+(an explicit --window above the cap, or on a command other than `check`,
+included) or a stdout closed by its reader, 2 window too small (only for
+`check --window K`; a suggested --window value is printed on stderr), 3
+internal invariant violation (a window error at the cap, or in a command
+without a window, included).
 """
 
 import gc
@@ -56,13 +56,6 @@ def _essential(spec):
     if work.rank == 0 or not work.hypersurfaces:
         raise SpecError("arrangement has no hypersurfaces after essentialization")
     return work
-
-
-def _prepare(spec, k):
-    """Essentialize if needed and lift into the window [-k, k+1]^n."""
-    work = _essential(spec)
-    window = Window.standard(work.rank, k)
-    return work, enumerate_faces(lift_to_window(work, window), window)
 
 
 def _homology_json(h):
@@ -109,11 +102,10 @@ def faces_report(work, fc):
 
 
 def cmd_layers(spec, args):
-    work, lifted = _prepare(spec, args.window)
-    lp = layers(work, lifted)
+    work = _essential(spec)
+    lp = layers(work, VertexStars(work))
     return {
         "arrangement": spec_to_json_dict(work),
-        "window": args.window,
         "counts_by_dim": {str(d): c for d, c in sorted(lp.census().items())},
         "layers": [{"index": l.index, "dim": l.dim} for l in lp.layers],
         "relations": sorted(lp.relations),
@@ -161,14 +153,12 @@ def cmd_homology(spec, args):
 
 
 def cmd_pi1(spec, args):
-    work, lifted = _prepare(spec, args.window)
-    fc = quotient_faces(lifted)
-    ctx = build_context(work, lifted, fc)
-    pres = presentation_from_context(ctx)
+    work = _essential(spec)
+    stars = VertexStars(work)
+    pres = presentation_from_context(build_context(work, stars, stars.face_category()))
     betti, torsion = abelianize(pres)
     report = {
         "arrangement": spec_to_json_dict(work),
-        "window": args.window,
         "generators": list(pres.names),
         "relators": [list(r) for r in pres.relators],
         "abelianization": {"betti": betti, "torsion": torsion},
@@ -187,20 +177,22 @@ def cmd_pi1(spec, args):
 def cmd_check(spec, args):
     """Run the arrangement through every structural invariant we know.
 
-    The face and Salvetti categories come from the vertex stars.  The
-    lift at the window is the independent reference: its quotients must
-    match the stars' (`lift_matches_stars`), its chain orbits must count
-    the stars' nerve, and pi1 is read on it."""
+    The face and Salvetti categories and pi1 come from the vertex stars.
+    The lift into the window [-K, K+1]^n is the independent reference: its
+    quotients must match the stars' (`lift_matches_stars`), and its chain
+    orbits must count the stars' nerve."""
     results = {}
     diagnostics = {}
-    work, lifted = _prepare(spec, args.window)
+    work = _essential(spec)
     n = work.rank
+    window = Window.standard(n, args.window)
+    lifted = enumerate_faces(lift_to_window(work, window), window)
     lift_fc = quotient_faces(lifted)
     lift_z = toric_salvetti(lifted, lift_fc)
     lift_chains = orbit_chain_counts(lifted, n)
-    pres = presentation_from_context(build_context(work, lifted, lift_fc))
     stars = VertexStars(work)
     fc = stars.face_category()
+    pres = presentation_from_context(build_context(work, stars, fc))
     results["face_euler_zero"] = euler_characteristic(fc.census()) == 0
     fcat = fc.as_category()
     results["face_category_acyclic"], diagnostics["face_category_acyclic"] = \
@@ -300,10 +292,10 @@ def _one_of(*choices):
 COMMANDS = {
     "validate": (cmd_validate, ()),
     "faces": (cmd_faces, ()),
-    "layers": (cmd_layers, ("--window",)),
+    "layers": (cmd_layers, ()),
     "salvetti": (cmd_salvetti, ("--max-dim",)),
     "homology": (cmd_homology, ("--max-dim", "--space")),
-    "pi1": (cmd_pi1, ("--window", "--simplify")),
+    "pi1": (cmd_pi1, ("--simplify",)),
     "check": (cmd_check, ("--window",)),
 }
 
@@ -329,9 +321,9 @@ complexified toric arrangements.  INPUT is a JSON arrangement file, or -
 for stdin.  Options may come anywhere after the command, as --option
 value or --option=value, and may not be abbreviated; -- ends them.
 
-  --window K             layers, pi1 and check: use the box [-K, K+1]^n, K at
-                         most the cap ceil(e)+1 (default: the smallest K that
-                         works, up to the cap)
+  --window K             check: lift into the box [-K, K+1]^n, K at most the
+                         cap ceil(e)+1 (default: the smallest K that works,
+                         up to the cap)
   --format text|json     report format (default: text)
   --max-dim D            report nerve chains and homology in degrees 0..D
                          only (default: the rank)

@@ -8,17 +8,20 @@ back to the base chamber by an explicit word produced from crossing
 sequences of straight segments and minimal positive chamber paths.
 Such a word moves with the lattice, so each orbit's chamber path is
 found once, at its canonical face, and moved by arithmetic.
+All of it is read off the vertex stars' face category, with faces as
+codes (`cells.code_at` gives a point's).
 """
 
 from collections import Counter
 from fractions import Fraction
 from functools import cmp_to_key
 import math
+from operator import add, sub
 
-from .errors import SpecError, WindowError, InternalError
+from .errors import SpecError, InternalError
 from .exact import SparseMatrix, snf
 from .arrangement import geometric_key
-from .cells import chamber_fiber, opposite_chamber, _direction, _dot
+from .cells import chamber_fiber, opposite_chamber, code_at, _direction, _dot
 
 
 # ---------------------------------------------------------------------------
@@ -152,7 +155,8 @@ def quotient_without_meridians(pres):
 
 
 class Crossing:
-    """One wall crossing of a path, recorded on the lifted arrangement."""
+    """One wall crossing of a path: the crossed face as (orbit, shift),
+    and the crossed wall's geometric key."""
 
     __slots__ = ("orbit", "shift", "hyper_key")
 
@@ -165,47 +169,29 @@ class Crossing:
         return "Crossing(orbit=%d, shift=%s)" % (self.orbit, self.shift)
 
     def moved(self, u):
-        """The same crossing on the lift moved by the integer vector u."""
+        """The same crossing moved by the integer vector u."""
         return Crossing(self.orbit, tuple(a + b for a, b in zip(self.shift, u)),
                         _shifted_key(self.hyper_key, u))
 
 
-def positive_minimal_path(lifted, c_from, c_to):
-    """A directed chamber path crossing each separating wall exactly once.
-
-    Returns the crossings as (face id, chamber left behind) pairs; walks
-    greedily toward the target, which always succeeds when the window
-    contains the whole straight-line tube between the chambers.
-    """
+def positive_minimal_path(ctx, c_from, c_to):
+    """A directed chamber path crossing each separating wall exactly once,
+    as (facet, chamber left behind) pairs of codes: from each chamber, the
+    first facet in barycenter order whose wall separates it from the
+    target.  Every source through a facet has the facet's wall, so one
+    decides: the two chambers' entries lie on opposite sides of the
+    facet's."""
     steps = []
     x = c_from
-    tgt_plus = lifted.faces[c_to].signs[0]
-    n = lifted.dim
-    guard = len(lifted.hyperplanes) + 1
     while x != c_to:
-        if guard == 0:
-            raise InternalError("chamber walk failed to terminate")
-        guard -= 1
-        x_plus = lifted.faces[x].signs[0]
-        found = None
-        for f in lifted.lowers[x]:
-            if lifted.faces[f].dim != n - 1:
-                continue
-            # chambers: the plus masks decide; one wall through f suffices
-            zero = lifted.zero_mask(f)
-            if not (x_plus ^ tgt_plus) & zero & -zero:
-                continue
-            try:
-                opp = opposite_chamber(lifted, x, f)
-            except WindowError:
-                continue
-            found = (f, opp)
-            break
-        if found is None:
-            raise WindowError("no positive minimal path between chambers %d and %d"
-                              % (c_from, c_to))
-        steps.append((found[0], x))
-        x = found[1]
+        for f in ctx.facets(x):
+            i = next(i for i, e in enumerate(f) if not e & 1)
+            if (x[i] - f[i]) * (c_to[i] - f[i]) < 0:
+                break
+        else:
+            raise InternalError("no facet of chamber %s separates it from %s" % (x, c_to))
+        steps.append((f, x))
+        x = opposite_chamber(x, f)
     return steps
 
 
@@ -215,30 +201,37 @@ def _shifted_key(key, shift):
 
 
 class Pi1Context:
-    """Base data for the presentation: base point, base chamber, crossing
-    sequences, and generator bookkeeping."""
+    """Base data for the presentation, read off the vertex stars: base
+    point, base chamber, crossing sequences, and generator bookkeeping.
+    Faces are codes; an orbit keeps its face category object number, and
+    its canonical face is its translate with barycenter in [0,1)^n.
+    Meridians and codim-2 stars go in (dimension, barycenter) order."""
 
-    def __init__(self, spec, lifted, fc):
+    def __init__(self, spec, stars, fc):
         self.spec = spec
-        self.lifted = lifted
+        self.stars = stars
         self.fc = fc
         self.n = spec.rank
         self.x0 = _choose_base_point(spec)
-        self.c0 = lifted.locate(self.x0)
-        self.codim1_orbits = [k for k, g in enumerate(fc.grades) if g == 1]
+        self.c0 = code_at(stars.sources, self.x0)
+        # per object: its canonical code and barycenter numerators over den
+        self.den, canon = stars.barycenters()
+        self.code, self.bary = zip(*(canon[reduced] for (reduced,) in fc.objects))
+        order = sorted(range(len(fc.objects)), key=lambda k: (-fc.grades[k], self.bary[k]))
+        self.codim1_orbits = [k for k in order if fc.grades[k] == 1]
+        self.codim2_orbits = [k for k in order if fc.grades[k] == 2]
         self._gamma_pos = {o: i for i, o in enumerate(self.codim1_orbits)}
-        self._canonical_key = {}
-        for o in self.codim1_orbits:
-            h = lifted.hyperplanes[min(lifted.zero_set(fc.objects[o][0]))]
-            self._canonical_key[o] = geometric_key(h.alpha, h.c)
+        # each chamber orbit's facets, at its reduced code, in barycenter order
+        self._facets = {}
+        for m in fc.morphisms[len(fc.objects):]:
+            if fc.grades[m.src] == 0 and fc.grades[m.tgt] == 1:
+                self._facets.setdefault(m.src, []).append(m.target[0])
+        for faces in self._facets.values():
+            faces.sort(key=lambda f: self.barycenter(self.key(f)))
         self._omega_cache = {}
         self._access_cache = {}
 
     # generator numbering: 1..n are lattice loops, then meridians
-    @property
-    def tau_count(self):
-        return self.n
-
     def gamma_gen(self, orbit):
         return self.n + 1 + self._gamma_pos[orbit]
 
@@ -252,18 +245,34 @@ class Pi1Context:
             word.extend([i + 1 if s > 0 else -(i + 1)] * abs(s))
         return word
 
-    def crossing_of_face(self, fid):
-        if self.lifted.faces[fid].boundary_cut:
-            raise WindowError("crossed face %d has no orbit data in the window" % fid)
-        orbit, u = self.fc.key((fid,))
-        return Crossing(orbit, u, _shifted_key(self._canonical_key[orbit], u))
+    def key(self, code):
+        """(orbit, u) of a face code: the face is the orbit's canonical
+        face moved by the integer vector u."""
+        k, _ = self.fc.key((code,))
+        return k, self.stars.lattice_vector(tuple(map(sub, code, self.code[k])))
+
+    def barycenter(self, ref):
+        """The barycenter numerators, over den, of the face (orbit, u)."""
+        orbit, u = ref
+        return [x + self.den * s for x, s in zip(self.bary[orbit], u)]
+
+    def facets(self, chamber):
+        """The facets of a chamber code, in barycenter order."""
+        k, shift = self.fc.key((chamber,))
+        return [tuple(map(add, f, shift)) for f in self._facets[k]]
+
+    def crossing_of_face(self, code):
+        """The crossing of a codim-1 face; its wall is the hyperplane of
+        its first source with an even entry."""
+        i = next(i for i, c in enumerate(code) if not c & 1)
+        alpha, p, q = self.stars.sources[i]
+        return Crossing(*self.key(code), geometric_key(alpha, Fraction(p, q) + code[i] // 2))
 
     def crossing_at_point(self, point):
-        base = tuple(math.floor(x) for x in point)
-        fid = self.lifted.locate(tuple(x - b for x, b in zip(point, base)))
-        if self.lifted.faces[fid].dim != self.n - 1:
+        code = code_at(self.stars.sources, point)
+        if self.stars.codim(code) != 1:
             raise InternalError("crossing point does not lie on a single wall")
-        return self.crossing_of_face(fid).moved(base)
+        return self.crossing_of_face(code)
 
     def omega(self, u):
         u = tuple(int(x) for x in u)
@@ -276,10 +285,9 @@ class Pi1Context:
         the fiber chamber at the orbit's canonical face, found once."""
         got = self._access_cache.get(orbit)
         if got is None:
-            fib = chamber_fiber(self.lifted, self.c0, self.fc.objects[orbit][0])
+            fib = chamber_fiber(self.c0, self.code[orbit])
             got = self._access_cache[orbit] = [
-                self.crossing_of_face(f)
-                for f, _ in positive_minimal_path(self.lifted, self.c0, fib)]
+                self.crossing_of_face(f) for f, _ in positive_minimal_path(self, self.c0, fib)]
         return got
 
 
@@ -408,40 +416,46 @@ def gamma_delta_word(ctx, ref):
     return free_reduce(list(invert_word(delta)) + core + list(delta))
 
 
-def h_of_G(lifted, gfid):
-    """The codim-1 faces around a codim-2 face, in cyclic angular order.
+def h_of_G(ctx, orbit):
+    """The codim-1 faces around the canonical face G of a codim-2 orbit,
+    as (orbit, shift) refs in cyclic angular order.
 
-    Starts at the first face counterclockwise from the plane's first
-    axis; each half meets each wall once, on opposite sides.
-    Angles are read in the plane orthogonal to G's flat, in the
-    coordinates of `_direction`'s kernel rows for the flat's direction
-    rows: det > 0 times the reduced-echelon kernel basis, which fixes the
-    plane's orientation and so the sense of the cycle (a lattice basis of
-    the same plane, such as `integer_kernel`'s, can reverse it).
+    G's cofaces are those of its orbit's representative in the vertex
+    stars, moved to G.  Starts at the first face counterclockwise from the
+    plane's first axis; each half meets each wall once, on opposite sides.
+    Angles are read from G's barycenter to each coface's, in the plane
+    orthogonal to G's flat, in the coordinates of `_direction`'s kernel
+    rows for the flat's direction: they fix the plane's orientation and
+    so the sense of the cycle (a lattice basis of the same plane, such as
+    `integer_kernel`'s, can reverse it).
     """
-    n = lifted.dim
-    g = lifted.faces[gfid]
-    if g.dim != n - 2:
-        raise SpecError("expected a face of codimension 2")
-    ups = [f for f in lifted.uppers[gfid] if lifted.faces[f].dim == n - 1]
-    proj = _direction(lifted.flats[g.flat_id][3], (), n)[0]
+    n = ctx.n
+    if ctx.fc.grades[orbit] != 2:
+        raise SpecError("expected a face orbit of codimension 2")
+    g = ctx.code[orbit]
+    rep, cofaces = ctx.stars.star[ctx.fc.objects[orbit][0]]
+    crossings = [ctx.crossing_of_face(tuple(map(add, map(sub, c, rep), g)))
+                 for c in cofaces if ctx.stars.codim(c) == 1]
+    normals = [a for a, c in zip(ctx.stars.alphas, g) if not c & 1]
+    proj = _direction(_direction(normals, (), n)[0], (), n)[0]
     if len(proj) != 2:
         raise InternalError("transverse plane of a codim-2 face is not 2-dimensional")
     # barycenter numerators share one positive denominator, which scales
     # every vector and so keeps the half-plane and cross-product signs
-    vecs = {}
-    for f in ups:
-        v = tuple(b - a for a, b in zip(g.num, lifted.faces[f].num))
+    at = ctx.bary[orbit]
+    vecs = []
+    for x in crossings:
+        v = [b - a for a, b in zip(at, ctx.barycenter((x.orbit, x.shift)))]
         w = (_dot(proj[0], v), _dot(proj[1], v))
         if w == (0, 0):
             raise InternalError("adjacent face projects onto the flat")
-        vecs[f] = w
+        vecs.append(w)
 
     def half(w):
         return 0 if (w[1] > 0 or (w[1] == 0 and w[0] > 0)) else 1
 
-    def cmp(fa, fb):
-        wa, wb = vecs[fa], vecs[fb]
+    def cmp(a, b):
+        wa, wb = vecs[a], vecs[b]
         ha, hb = half(wa), half(wb)
         if ha != hb:
             return -1 if ha < hb else 1
@@ -452,45 +466,27 @@ def h_of_G(lifted, gfid):
             return 1
         raise InternalError("two adjacent faces share a direction")
 
-    ordered = sorted(ups, key=cmp_to_key(cmp))
+    ordered = [crossings[i] for i in sorted(range(len(crossings)), key=cmp_to_key(cmp))]
     if len(ordered) % 2 != 0:
         raise InternalError("odd number of faces around a codim-2 face")
     k = len(ordered) // 2
-    wall = [min(lifted.zero_set(f)) for f in ordered]
     for i in range(k):
-        if lifted.geo_class[wall[i]] != lifted.geo_class[wall[i + k]]:
+        if ordered[i].hyper_key != ordered[i + k].hyper_key:
             raise InternalError("opposite faces lie on different walls")
-    return ordered
+    return [(x.orbit, x.shift) for x in ordered]
 
 
-def relations_for_G(ctx, canonical_gfid):
+def relations_for_G(ctx, orbit):
     """Relators of one codim-2 orbit: all consecutive equalities of the
     cyclic window products of the based meridians around its canonical
-    face G.  The incidence orbit from orbit o to G's orbit moved by u
-    names the coface (o, -u); `quotient_faces` gives G one per coface, cut
-    ones included.  They go in `h_of_G`'s order, as a clipped barycenter
-    stays on its coface's ray, from the smallest true barycenter.  Every
-    shift then rises by s = max(0, -min entry): the star of G + (s, ...,
-    s), whose shifts are nonnegative, as `delta_word` needs."""
-    lifted, fc = ctx.lifted, ctx.fc
-    g, ref_of = fc.index[(canonical_gfid,)], {}
-    for m in fc.morphisms:
-        if m.tgt == g and fc.grades[m.src] == 1:
-            back = tuple(-s for s in m.shift)
-            ref_of[lifted.translate(fc.objects[m.src][0], back)] = (m.src, back)
-    ordered = h_of_G(lifted, canonical_gfid)
-    if set(ordered) != set(ref_of):
-        raise InternalError("cofaces of face %d and their incidence orbits differ"
-                            % canonical_gfid)
-    refs = [ref_of[f] for f in ordered]
-
-    def barycenter(ref):  # the canonical face's, moved by the shift
-        num = lifted.faces[fc.objects[ref[0]][0]].num
-        return [x + lifted.den * s for x, s in zip(num, ref[1])]
-
-    start = refs.index(min(refs, key=barycenter))
+    face G.  The cofaces of G go in `h_of_G`'s order, from the smallest
+    barycenter.  Every shift then rises by s = max(0, -min entry): the
+    star of G + (s, ..., s), whose shifts are nonnegative, as
+    `delta_word` needs."""
+    refs = h_of_G(ctx, orbit)
+    start = refs.index(min(refs, key=ctx.barycenter))
     s = max(0, -min(x for _, u in refs for x in u))
-    refs = [(orbit, tuple(x + s for x in u)) for orbit, u in refs[start:] + refs[:start]]
+    refs = [(o, tuple(x + s for x in u)) for o, u in refs[start:] + refs[:start]]
     words = [gamma_delta_word(ctx, ref) for ref in refs]
     two_k = len(words)
     k = two_k // 2
@@ -507,8 +503,8 @@ def relations_for_G(ctx, canonical_gfid):
     return relators
 
 
-def build_context(spec, lifted, fc):
-    return Pi1Context(spec, lifted, fc)
+def build_context(spec, stars, fc):
+    return Pi1Context(spec, stars, fc)
 
 
 def presentation_from_context(ctx):
@@ -518,7 +514,6 @@ def presentation_from_context(ctx):
     for i in range(n):
         for j in range(i + 1, n):
             relators.append((i + 1, j + 1, -(i + 1), -(j + 1)))
-    codim2 = sorted(e[0] for e, g in zip(ctx.fc.objects, ctx.fc.grades) if g == 2)
-    for gfid in codim2:
-        relators.extend(relations_for_G(ctx, gfid))
+    for orbit in ctx.codim2_orbits:
+        relators.extend(relations_for_G(ctx, orbit))
     return GroupPresentation(names, relators, tau_count=n)

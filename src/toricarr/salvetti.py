@@ -11,7 +11,8 @@ graded by the codimension of F.
 The commands build that category from vertex stars, with no window
 (`cells.VertexStars.salvetti_category`).  This module builds it on the
 windowed lift (`toric_salvetti`) and counts the lift's chain orbits
-(`orbit_chain_counts`): `check` compares both with the stars'.
+(`orbit_chain_counts`), `check`'s reference: it compares both with the
+stars'.
 """
 
 from .errors import WindowError

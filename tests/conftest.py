@@ -6,7 +6,7 @@ import pytest
 
 from toricarr.arrangement import parse_spec, Window, lift_to_window
 from toricarr.category import AcyclicCategory
-from toricarr.cells import enumerate_faces, quotient_faces
+from toricarr.cells import enumerate_faces, quotient_faces, VertexStars
 from toricarr.errors import InternalError
 from toricarr.salvetti import salvetti_below, toric_salvetti
 from toricarr.pi1 import build_context
@@ -41,7 +41,9 @@ def catalog_spec(name):
 
 
 class Pipeline:
-    """Lazily built computation stages for one arrangement and window."""
+    """Lazily built computation stages for one arrangement: the lift at
+    one window with its quotients, and the vertex stars with their face
+    category and the pi1 context read off them, which take no window."""
 
     def __init__(self, name, k=1):
         self.name = name
@@ -51,6 +53,8 @@ class Pipeline:
         self._lifted = None
         self._fc = None
         self._zeta = None
+        self._stars = None
+        self._star_fc = None
         self._ctx = None
 
     @property
@@ -73,9 +77,21 @@ class Pipeline:
         return self._zeta
 
     @property
+    def stars(self):
+        if self._stars is None:
+            self._stars = VertexStars(self.spec)
+        return self._stars
+
+    @property
+    def star_fc(self):
+        if self._star_fc is None:
+            self._star_fc = self.stars.face_category()
+        return self._star_fc
+
+    @property
     def ctx(self):
         if self._ctx is None:
-            self._ctx = build_context(self.spec, self.lifted, self.fc)
+            self._ctx = build_context(self.spec, self.stars, self.star_fc)
         return self._ctx
 
 

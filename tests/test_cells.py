@@ -11,16 +11,21 @@ from toricarr.arrangement import (AffineHyperplane, Window, parse_spec,
                                   lift_to_window, essentialize, window_cap)
 from toricarr.cells import (enumerate_faces, quotient_faces, layers,
                             opposite_chamber, chamber_fiber, candidate_vertices,
-                            SignTable, VertexStars, same_quotient, code_leq,
-                            _dot, _reduce_mod_lattice)
+                            SignTable, VertexStars, same_quotient, code_at,
+                            code_leq, _bits, _dot, _reduce_mod_lattice)
 from toricarr.salvetti import toric_salvetti
 from toricarr.exact import rank
 from toricarr.category import check_acyclic
 
-from conftest import CATALOG, sign_vector, solve_affine, star_ok
+from conftest import CATALOG, sign_vector, solve_affine
 from test_cli import SPEC_G1_01, SPEC_G2_00
 from test_generated import Q_VALUES
 from test_golden import DOCS
+
+
+def inside(window, point):
+    """The point lies in the closed window box."""
+    return all(a <= x <= b for a, x, b in zip(window.lo, point, window.hi))
 
 
 def line_arrangement(cs, window):
@@ -71,9 +76,9 @@ def test_boundary_cut_agrees_with_larger_window(name):
     lifted1 = enumerate_faces(lift_to_window(spec, small), small)
     lifted2 = enumerate_faces(lift_to_window(spec, big), big)
     for f in lifted1.faces:
-        g = lifted2.locate(f.barycenter)
+        g = lifted2.by_code[lifted1.codes[f.id]]
         expected = lifted2.faces[g].boundary_cut or any(
-            lifted2.faces[v].dim == 0 and not small.contains(lifted2.faces[v].barycenter)
+            lifted2.faces[v].dim == 0 and not inside(small, lifted2.faces[v].barycenter)
             for v in lifted2.lowers[g])
         assert f.boundary_cut == expected, f
 
@@ -104,7 +109,7 @@ def reference_candidates(hyperplanes, window):
     points = set()
     for combo in combinations(planes, n):
         sol = solve_affine([a for a, _ in combo], [c for _, c in combo])
-        if sol is not None and not sol[1] and window.contains(sol[0]):
+        if sol is not None and not sol[1] and inside(window, sol[0]):
             points.add(sol[0])
     return points
 
@@ -167,15 +172,13 @@ def test_essentialize_and_flats_in_integers(doc, factors):
     assert work.rank <= len(b)
     for (chi, _), (y, _) in zip(spec4.hypersurfaces, work.hypersurfaces):
         assert tuple(_dot(y.alpha, col) for col in zip(*basis)) == chi.alpha
-    # every flat of the rank-3 lift: its point lies on its hyperplanes, and
-    # its direction rows are independent and orthogonal to their normals
+    # every flat of the rank-3 lift: its direction rows are independent
+    # and orthogonal to their normals
     spec = parse_spec(json.dumps(doc))
     window = Window.standard(3)
     lifted = enumerate_faces(lift_to_window(spec, window), window)
-    for zero, num, den, rows in lifted.flats:
+    for zero, rows in lifted.flats:
         planes = [lifted.hyperplanes[i] for i in zero]
-        assert den > 0
-        assert all(_dot(h.alpha, num) == h.c * den for h in planes)
         assert not any(_dot(h.alpha, v) for h in planes for v in rows)
         assert len(rows) == 3 - rank([h.alpha for h in planes]) == rank(rows)
 
@@ -186,12 +189,13 @@ def test_flat_touching_box_at_a_corner_has_no_face(catalog):
     lifted = catalog("diagonals").lifted
     assert (len(lifted.flats), len(lifted.faces)) == (40, 85)
     corner_flats = set()
-    for flat_id, (zero, _, _, _) in enumerate(lifted.flats):
+    for zero, _ in lifted.flats:
         planes = {(lifted.hyperplanes[i].alpha, lifted.hyperplanes[i].c) for i in zero}
         if planes in ({((1, 1), -2)}, {((1, 1), 4)}, {((1, -1), -3)}, {((1, -1), 3)}):
-            corner_flats.add(flat_id)
+            corner_flats.add(zero)
     assert len(corner_flats) == 4
-    assert not corner_flats & {f.flat_id for f in lifted.faces}
+    # a face's zero set is the zero set of its flat
+    assert not corner_flats & {frozenset(_bits(lifted.zero_mask(f.id))) for f in lifted.faces}
 
 
 def test_flat_touching_box_at_a_corner_with_strict_signs():
@@ -225,7 +229,8 @@ def test_sign_vectors_strict_on_barycenter():
             for f in lifted.faces:
                 assert reference_signs(lifted.hyperplanes, f.barycenter) == \
                     sign_vector(lifted, f.id), (name, k, f)
-                assert lifted.locate(f.barycenter) == f.id, (name, k, f)
+                assert lifted.by_code[code_at(lifted.sources, f.barycenter)] == f.id, \
+                    (name, k, f)
     # x = 7/3 misses the box, so no candidate vertex has a denominator 3
     lifted = line_arrangement([0, Fraction(7, 3)], Window([-1], [2]))
     for f in lifted.faces:
@@ -255,13 +260,14 @@ def test_vertex_ids_and_barycenters_match_reference():
 
 
 def test_locate_clears_large_denominators(catalog):
-    # no candidate vertex has a denominator 53 or 59
+    # no candidate vertex has a denominator 53 or 59; the face with a
+    # point's code contains it
     lifted = catalog("three_points").lifted
-    fid = lifted.locate((Fraction(1, 53),))
+    fid = lifted.by_code[code_at(lifted.sources, (Fraction(1, 53),))]
     assert lifted.faces[fid].barycenter == (Fraction(1, 8),)
     lifted = catalog("diagonals").lifted
     point = (Fraction(1, 53), Fraction(-7, 59))
-    fid = lifted.locate(point)
+    fid = lifted.by_code[code_at(lifted.sources, point)]
     assert sign_vector(lifted, fid) == reference_signs(lifted.hyperplanes, point)
     assert lifted.faces[fid].dim == 2
 
@@ -340,8 +346,8 @@ def test_translate_matches_reference_locate():
                 if isinstance(got, int):
                     paths["lifted"] += moved
                     paths["fixed"] += len(lifted.hyperplanes) - moved
-                    paths["found outside"] += not window.contains(
-                        tuple(x + s for x, s in zip(f.barycenter, u)))
+                    paths["found outside"] += not inside(
+                        window, tuple(x + s for x, s in zip(f.barycenter, u)))
                 else:
                     paths["leaves"] += 1
     assert all(paths.values()), paths
@@ -367,9 +373,9 @@ CODE_CASES = [(name, doc, k) for name, doc in CUT_CASES.items() for k in (1, 2)]
 
 def test_codes_match_signs_and_locate():
     # each face's code is the one its signs give, no two faces share one,
-    # and locate finds the face with a point's reference signs at every
-    # 7th point off the vertices of a grid of step 1/6, which meets the
-    # walls at angles 0, 1/3 and 1/2
+    # and a point's code names the face with the point's reference signs
+    # at every 7th point off the vertices of a grid of step 1/6, which
+    # meets the walls at angles 0, 1/3 and 1/2
     for name, doc, k in CODE_CASES:
         spec = parse_spec(doc)
         window = Window.standard(spec.rank, k)
@@ -383,7 +389,7 @@ def test_codes_match_signs_and_locate():
         vertices = {f.barycenter for f in lifted.faces if f.dim == 0}
         points = [p for p in product(*grid) if p not in vertices]
         for point in points[::7]:
-            assert lifted.locate(point) == \
+            assert lifted.by_code[code_at(lifted.sources, point)] == \
                 face_of_signs[reference_signs(lifted.hyperplanes, point)], (name, k, point)
 
 
@@ -440,13 +446,13 @@ def test_quotient_requires_core_window():
 
 def test_layers_one_point(catalog):
     pipe = catalog("one_point")
-    lp = layers(pipe.spec, pipe.lifted)
+    lp = layers(pipe.spec, pipe.stars)
     assert lp.census() == {1: 1, 0: 1}
 
 
 def test_layers_diagonals(catalog):
     pipe = catalog("diagonals")
-    lp = layers(pipe.spec, pipe.lifted)
+    lp = layers(pipe.spec, pipe.stars)
     assert lp.census() == {2: 1, 1: 2, 0: 2}
     top = max(range(len(lp.layers)), key=lambda i: lp.layers[i].dim)
     below_top = {a for a, b in lp.relations if b == top}
@@ -461,8 +467,8 @@ def test_layers_diagonals(catalog):
 def test_reduce_mod_lattice_is_exact_on_large_ints():
     # a float division would round (10**17 + 1) / 3 and floor it to the
     # wrong multiple
-    assert _reduce_mod_lattice((10**17 + 1,), [[3]]) == (2,)
-    assert _reduce_mod_lattice((Fraction(7, 2), 5), [[2, 1], [0, 3]]) == \
+    assert _reduce_mod_lattice((10**17 + 1,), [[3]]) == ((2,), [33333333333333333])
+    assert _reduce_mod_lattice((Fraction(7, 2), 5), [[2, 1], [0, 3]])[0] == \
         (Fraction(3, 2), 1)
 
 
@@ -471,12 +477,12 @@ def test_reduce_mod_lattice_is_exact_on_large_ints():
 def project(lifted, fid, g):
     """Signs of face g on the hyperplanes through face fid."""
     sig = sign_vector(lifted, g)
-    return tuple(sig[i] for i in sorted(lifted.zero_set(fid)))
+    return tuple(sig[i] for i in _bits(lifted.zero_mask(fid)))
 
 
 def test_project_chamber_is_constant(catalog):
     lifted = catalog("diagonals").lifted
-    cid = lifted.chamber_ids[0]
+    cid = next(f.id for f in lifted.faces if f.dim == lifted.dim)
     assert {project(lifted, cid, g) for g in (cid,) + lifted.uppers[cid]} == {()}
 
 
@@ -490,55 +496,54 @@ def test_project_vertex_separates_quadrants(catalog):
     assert len(images) == 4
 
 
+def chambers_at(stars, f):
+    """The chambers at the representative face f of an orbit: itself, or
+    its cofaces of codimension 0."""
+    _, cofaces = stars.star[stars.canonical((f,))[0][0]]
+    return [g for g in [f] + cofaces if stars.codim(g) == 0]
+
+
 def test_opposite_chamber_involution(catalog):
-    lifted = catalog("grid").lifted
-    for f in lifted.faces:
-        if f.dim != lifted.dim - 1 or not star_ok(lifted, f.id):
-            continue
-        for cid in lifted.chambers_above(f.id):
-            opp = opposite_chamber(lifted, cid, f.id)
-            assert opposite_chamber(lifted, opp, f.id) == cid
-            assert opp != cid
+    stars = catalog("grid").stars
+    facets = [f for f, _ in stars.star.values() if stars.codim(f) == 1]
+    assert len(facets) == 8
+    for f in facets:
+        chambers = chambers_at(stars, f)
+        assert len(chambers) == 2
+        for c in chambers:
+            opp = opposite_chamber(c, f)
+            assert opposite_chamber(opp, f) == c
+            assert opp != c and opp in chambers
 
 
-def test_opposite_chamber_rejects_nonface(catalog):
-    lifted = catalog("one_point").lifted
-    v0 = next(f.id for f in lifted.faces if f.dim == 0 and f.barycenter == (0,))
-    far = next(f.id for f in lifted.faces
-               if f.dim == 1 and f.barycenter == (Fraction(3, 2),))
+def test_opposite_chamber_rejects_nonface():
+    # one_point: the vertex 0 has the code (0,), the chamber (1, 2) the
+    # code (3,); a code with an even entry is no chamber
     with pytest.raises(SpecError):
-        opposite_chamber(lifted, far, v0)
+        opposite_chamber((3,), (0,))
+    with pytest.raises(SpecError):
+        opposite_chamber((2,), (2,))
 
 
-def test_chamber_fiber_line(catalog):
-    lifted = catalog("one_point").lifted
-    v0 = next(f.id for f in lifted.faces if f.dim == 0 and f.barycenter == (0,))
-    c = next(f.id for f in lifted.faces
-             if f.dim == 1 and f.barycenter == (Fraction(3, 2),))
-    fib = chamber_fiber(lifted, c, v0)
-    assert lifted.faces[fib].barycenter == (Fraction(1, 2),)
+def test_chamber_fiber_line():
+    assert chamber_fiber((3,), (0,)) == (1,)
 
 
 def test_chamber_fiber_contains_face(catalog):
-    lifted = catalog("diagonals").lifted
-    for f in lifted.faces:
-        if f.boundary_cut or not lifted.in_open_box(f.id):
-            continue
-        for cid in lifted.chamber_ids[:4]:
-            try:
-                fib = chamber_fiber(lifted, cid, f.id)
-            except WindowError:
-                continue
-            assert lifted.leq(f.id, fib)
+    # every odd pair is a chamber of the diagonals
+    stars = catalog("diagonals").stars
+    for f, _ in stars.star.values():
+        for c in [(a, b) for a in range(-3, 4, 2) for b in range(-3, 4, 2)]:
+            fib = chamber_fiber(c, f)
+            assert code_leq(f, fib)
+            assert fib in chambers_at(stars, f)
 
 
 def test_chamber_fiber_identity_when_adjacent(catalog):
-    lifted = catalog("diagonals").lifted
-    for f in lifted.faces:
-        if f.dim != 1 or f.boundary_cut:
-            continue
-        for cid in lifted.chambers_above(f.id):
-            assert chamber_fiber(lifted, cid, f.id) == cid
+    stars = catalog("diagonals").stars
+    for f, _ in stars.star.values():
+        for c in chambers_at(stars, f):
+            assert chamber_fiber(c, f) == c
 
 
 def test_quotient_functorial_on_lifted_incidences(catalog):
@@ -583,6 +588,11 @@ def assert_stars_match_lift(doc):
     star_fc, star_z = stars.face_category(), stars.salvetti_category()
     # one star per vertex orbit
     assert len(stars.vertices) == fc.census()[0]
+    # each orbit's translate with its barycenter in [0,1)^n is the lift's
+    # canonical face, with its code and barycenter
+    den, canon = stars.barycenters()
+    assert sorted((code, tuple(Fraction(x, den) for x in num)) for code, num in canon.values()) \
+        == sorted((lifted.codes[f], lifted.faces[f].barycenter) for (f,) in fc.objects)
     for lift_cat, star_cat in ((fc, star_fc), (z, star_z)):
         assert star_cat.census() == lift_cat.census()
         assert sorted(star_cat.morphism_multiplicities().values()) == \
@@ -621,8 +631,10 @@ def test_stars_match_lift(name):
 
 
 def test_code_leq_is_the_closure_order(catalog):
+    # f lies in the closure of g when f's sign masks lie in g's
     lifted = catalog("diagonals").lifted
     codes = lifted.codes
     for f in lifted.faces:
         for g in lifted.faces:
-            assert code_leq(codes[f.id], codes[g.id]) == lifted.leq(f.id, g.id)
+            (p1, q1), (p2, q2) = f.signs, g.signs
+            assert code_leq(codes[f.id], codes[g.id]) == (not (p1 & ~p2 or q1 & ~q2))

@@ -148,11 +148,12 @@ SPEC_G2_00 = ('{"rank":2,"hypersurfaces":[{"chi":[-1,2],"q":"1/4"},'
 
 
 def test_missing_face_orbit_needs_larger_window(tmp_path, capsys):
+    # the lift behind check misses the orbit at window 1; the commands
+    # that read the vertex stars need no window
     path = write_spec(tmp_path, SPEC_G2_00)
-    for cmd in (["pi1"], ["check"]):
-        res = run_cli(cmd + [path, "--window", "1", "--format", "json"])
-        assert res.returncode == 2
-        assert "try again with --window 2" in res.stderr
+    res = run_cli(["check", path, "--window", "1", "--format", "json"])
+    assert res.returncode == 2
+    assert "try again with --window 2" in res.stderr
     assert_window_free_reports(capsys, path, SPEC_G2_00)
 
 
@@ -205,9 +206,14 @@ def test_window_free_commands_never_lift(tmp_path, capsys, monkeypatch):
     for space in ("face", "salvetti"):
         report = _json_report(capsys, ["homology", path, "--space", space])
         assert report["homology"][2]["betti"] == (1 if space == "face" else 9)
+    assert _json_report(capsys, ["layers", path])["counts_by_dim"] == {"0": 4, "1": 4, "2": 1}
+    report = _json_report(capsys, ["pi1", path])
+    assert len(report["generators"]) == 10 and "window" not in report
+    assert _json_report(capsys, ["pi1", path, "--simplify"])["simplified"]["abelianization"] \
+        == {"betti": 6, "torsion": []}
     from toricarr import cli
     with pytest.raises(AssertionError, match="a window was built"):
-        cli.run(["layers", path])
+        cli.run(["check", path])
 
 
 # the second draw of the benchmark's generator family 1
@@ -269,7 +275,7 @@ def test_check_failure_reports_diagnostics(tmp_path, monkeypatch, capsys):
 def test_window_above_cap_exits_one_at_once(tmp_path):
     # without the cap this call lifts 200002 points and does not finish
     path = write_spec(tmp_path, SPEC_ONE_POINT)
-    res = subprocess.run([sys.executable, "-m", "toricarr", "layers", path,
+    res = subprocess.run([sys.executable, "-m", "toricarr", "check", path,
                           "--window", "100000"],
                          capture_output=True, text=True, timeout=30)
     assert res.returncode == 1
@@ -312,9 +318,9 @@ def test_window_error_at_every_window_exits_three_at_the_cap(tmp_path, monkeypat
         tried.append(args.window)
         raise WindowError("window %d is too small" % args.window)
 
-    monkeypatch.setitem(cli.COMMANDS, "layers", (never_fits, ("--window",)))
+    monkeypatch.setitem(cli.COMMANDS, "check", (never_fits, ("--window",)))
     path = write_spec(tmp_path, SPEC_TWO_WALL)
-    assert cli.run(["layers", path]) == 3
+    assert cli.run(["check", path]) == 3
     assert tried == [1, 2, 3, 4]
     out, err = capsys.readouterr()
     assert out == ""
@@ -327,16 +333,6 @@ def test_window_error_at_every_window_exits_three_at_the_cap(tmp_path, monkeypat
     monkeypatch.setitem(cli.COMMANDS, "faces", (no_window, ()))
     assert cli.run(["faces", path]) == 3
     assert "window error without a window: no window here" in capsys.readouterr().err
-
-
-def test_pi1_answers_at_the_salvetti_window(tmp_path, capsys):
-    # pi1 reads each codim-2 star at its canonical face, so it needs no
-    # window beyond what the quotient needs: g1_01 answers at window 1 as
-    # at window 3
-    path = write_spec(tmp_path, SPEC_G1_01)
-    reports = [_json_report(capsys, ["pi1", path, "--window", str(k)]) for k in (1, 3)]
-    assert [r.pop("window") for r in reports] == [1, 3]
-    assert reports[0] == reports[1]
 
 
 def test_two_wall_check_passes_at_window_two(tmp_path, capsys):
@@ -352,12 +348,15 @@ USAGE_ERRORS = [
     (["faces"], "faces"),
     (["faces", "{path}", "other.json"], "other.json"),
     (["faces", "{path}", "--bogus"], "--bogus"),
-    (["layers", "{path}", "--window"], "--window"),
+    (["check", "{path}", "--window"], "--window"),
     (["faces", "{path}", "--format", "xml"], "--format"),
     (["homology", "{path}", "--space", "cell"], "--space"),
-    (["pi1", "{path}", "--window", "abc"], "--window"),
+    (["check", "{path}", "--window", "abc"], "--window"),
     (["check", "{path}", "--window", "1.5"], "--window"),
     (["faces", "{path}", "--window", "1"], "--window"),
+    (["layers", "{path}", "--window", "1"], "--window"),
+    (["pi1", "{path}", "--window", "1"], "--window"),
+    (["pi1", "{path}", "--simplify", "--window=1"], "--window"),
     (["salvetti", "{path}", "--window=2"], "--window"),
     (["homology", "{path}", "--window", "1"], "--window"),
     (["validate", "{path}", "--window", "1"], "--window"),
@@ -384,7 +383,7 @@ def test_command_line_grammar(tmp_path, capsys):
         out, err = capsys.readouterr()
         assert out.startswith("usage: toricarr ") and err == "", argv
     outputs = []
-    for argv in (["layers", path, "--window", "2"], ["layers", "--window=2", path]):
+    for argv in (["check", path, "--window", "2"], ["check", "--window=2", path]):
         assert cli.run(argv + ["--format=json"]) == 0
         outputs.append(capsys.readouterr().out)
     assert outputs[0] == outputs[1]

@@ -1,11 +1,12 @@
 import json
 from fractions import Fraction
 
+from hypothesis import given, settings
 import pytest
 
 from toricarr.errors import SpecError
-from toricarr.arrangement import AffineHyperplane, Window, lift_to_window
-from toricarr.cells import enumerate_faces, quotient_faces
+from toricarr.arrangement import parse_spec, essentialize
+from toricarr.cells import VertexStars
 from toricarr.category import nerve_chains, boundary_matrices, homology
 from toricarr.pi1 import (GroupPresentation, abelianize, simplify_presentation,
                           quotient_without_meridians,
@@ -15,50 +16,59 @@ from toricarr.pi1 import (GroupPresentation, abelianize, simplify_presentation,
                           presentation_from_context, free_reduce, invert_word,
                           Crossing)
 
-from conftest import star_ok
+from test_cells import ranks_two_and_three
 
 
-def face_at(lifted, dim, bary):
-    bary = tuple(Fraction(b) for b in bary)
-    return next(f.id for f in lifted.faces
-                if f.dim == dim and f.barycenter == bary)
+def context(doc):
+    spec, _ = essentialize(parse_spec(json.dumps(doc)))
+    stars = VertexStars(spec)
+    return build_context(spec, stars, stars.face_category())
 
 
-# -- minimal paths
+def code_of(ctx, ref):
+    """The code of the face (orbit, u): the orbit's canonical code moved
+    by u."""
+    orbit, u = ref
+    return tuple(c + 2 * sum(a * s for a, s in zip(alpha, u))
+                 for c, alpha in zip(ctx.code[orbit], ctx.stars.alphas))
+
+
+def wall(ctx, code):
+    return ctx.crossing_of_face(code).hyper_key
+
+
+# -- minimal paths; on one_point the chamber (k, k + 1) has the code
+# (2k + 1,) and the point k the code (2k,)
 
 def test_minimal_path_trivial(catalog):
-    lifted = catalog("one_point").lifted
-    c = lifted.chamber_ids[0]
-    assert positive_minimal_path(lifted, c, c) == []
+    ctx = catalog("one_point").ctx
+    assert positive_minimal_path(ctx, ctx.c0, ctx.c0) == []
 
 
 def test_minimal_path_adjacent(catalog):
-    lifted = catalog("one_point").lifted
-    a = face_at(lifted, 1, (Fraction(-1, 2),))
-    b = face_at(lifted, 1, (Fraction(1, 2),))
-    steps = positive_minimal_path(lifted, a, b)
-    assert len(steps) == 1
-    assert steps[0][1] == a
+    ctx = catalog("one_point").ctx
+    steps = positive_minimal_path(ctx, (-1,), (1,))
+    assert steps == [((0,), (-1,))]
 
 
 def test_minimal_path_line(catalog):
-    lifted = catalog("one_point").lifted
-    a = face_at(lifted, 1, (Fraction(-1, 2),))
-    b = face_at(lifted, 1, (Fraction(3, 2),))
-    steps = positive_minimal_path(lifted, a, b)
-    crossed = [lifted.faces[f].barycenter[0] for f, _ in steps]
-    assert crossed == [0, 1]
+    ctx = catalog("one_point").ctx
+    steps = positive_minimal_path(ctx, (-1,), (3,))
+    assert [f for f, _ in steps] == [(0,), (2,)]
+    assert [x for _, x in steps] == [(-1,), (1,)]
 
 
 def test_minimal_path_crosses_each_wall_once(catalog):
-    lifted = catalog("diagonals").lifted
-    chambers = [c for c in lifted.chamber_ids if star_ok(lifted, c)]
+    # every odd pair is a chamber of the diagonals, and a path between
+    # two crosses the walls between them, each once
+    ctx = catalog("diagonals").ctx
+    chambers = [(a, b) for a in range(-3, 4, 2) for b in range(-3, 4, 2)]
     src = chambers[0]
     for dst in chambers:
-        steps = positive_minimal_path(lifted, src, dst)
-        walls = [min(lifted.zero_set(f)) for f, _ in steps]
-        classes = [lifted.geo_class[w] for w in walls]
-        assert len(classes) == len(set(classes))
+        steps = positive_minimal_path(ctx, src, dst)
+        walls = [wall(ctx, f) for f, _ in steps]
+        assert len(walls) == len(set(walls))
+        assert len(walls) == sum(abs(x - y) for x, y in zip(src, dst)) // 2
 
 
 # -- crossing sequences
@@ -132,18 +142,14 @@ def test_sigma_is_fixpoint(catalog):
 
 def test_delta_empty_for_base_adjacent_faces(catalog):
     ctx = catalog("one_point").ctx
-    lifted = ctx.lifted
-    v0 = face_at(lifted, 0, (0,))
-    orbit, shift = ctx.fc.key((v0,))
+    orbit, shift = ctx.key((0,))
     assert shift == (0,)
     assert delta_word(ctx, (orbit, shift)) == ()
 
 
 def test_delta_shifted_vertex_is_conjugated_meridian(catalog):
     ctx = catalog("one_point").ctx
-    lifted = ctx.lifted
-    v1 = face_at(lifted, 0, (1,))
-    ref = ctx.fc.key((v1,))
+    ref = ctx.key((2,))
     assert ref[1] == (1,)
     word = delta_word(ctx, ref)
     gamma = ctx.gamma_gen(ref[0])
@@ -152,51 +158,52 @@ def test_delta_shifted_vertex_is_conjugated_meridian(catalog):
 
 def test_gamma_delta_reduces_to_meridian_at_base(catalog):
     ctx = catalog("one_point").ctx
-    v0 = face_at(ctx.lifted, 0, (0,))
-    ref = ctx.fc.key((v0,))
+    ref = ctx.key((0,))
     assert gamma_delta_word(ctx, ref) == (ctx.gamma_gen(ref[0]),)
 
 
 # -- stars of codimension-2 faces
 
 def test_h_of_two_lines():
-    hps = [AffineHyperplane((1, 0), 0, 0, 0), AffineHyperplane((0, 1), 0, 1, 0)]
-    lifted = enumerate_faces(hps, Window([-1, -1], [1, 1]))
-    origin = face_at(lifted, 0, (0, 0))
-    ordered = h_of_G(lifted, origin)
+    ctx = context({"rank": 2, "hypersurfaces": [{"chi": [1, 0], "q": "0"},
+                                                {"chi": [0, 1], "q": "0"}]})
+    origin, = ctx.codim2_orbits
+    assert ctx.code[origin] == (0, 0)
+    ordered = h_of_G(ctx, origin)
     assert len(ordered) == 4
-    walls = [lifted.geo_class[min(lifted.zero_set(f))] for f in ordered]
+    walls = [wall(ctx, code_of(ctx, ref)) for ref in ordered]
     assert walls[0] == walls[2] and walls[1] == walls[3]
     assert walls[0] != walls[1]
+    # counterclockwise from the first axis of the plane
+    assert [code_of(ctx, ref) for ref in ordered] == [(1, 0), (0, 1), (-1, 0), (0, -1)]
 
 
 def test_h_of_three_concurrent_lines():
-    hps = [AffineHyperplane((1, 0), 0, 0, 0),
-           AffineHyperplane((0, 1), 0, 1, 0),
-           AffineHyperplane((1, 1), 0, 2, 0)]
-    lifted = enumerate_faces(hps, Window([-1, -1], [1, 1]))
-    origin = face_at(lifted, 0, (0, 0))
-    ordered = h_of_G(lifted, origin)
+    ctx = context({"rank": 2, "hypersurfaces": [{"chi": [1, 0], "q": "0"},
+                                                {"chi": [0, 1], "q": "0"},
+                                                {"chi": [1, 1], "q": "0"}]})
+    origin, = ctx.codim2_orbits
+    ordered = h_of_G(ctx, origin)
     assert len(ordered) == 6
-    walls = [lifted.geo_class[min(lifted.zero_set(f))] for f in ordered]
+    walls = [wall(ctx, code_of(ctx, ref)) for ref in ordered]
     for i in range(3):
         assert walls[i] == walls[i + 3]
     assert len(set(walls[:3])) == 3
 
 
 def test_h_of_g_rejects_wrong_codim(catalog):
-    lifted = catalog("diagonals").lifted
+    ctx = catalog("diagonals").ctx
+    chamber = next(k for k, g in enumerate(ctx.fc.grades) if g == 0)
     with pytest.raises(SpecError):
-        h_of_G(lifted, lifted.chamber_ids[0])
+        h_of_G(ctx, chamber)
 
 
 # -- relations and presentations
 
 def test_relations_count_diagonals(catalog):
     ctx = catalog("diagonals").ctx
-    vertices = sorted(f for f in ctx.fc.orbits if ctx.lifted.faces[f].dim == 0)
-    assert len(vertices) == 2
-    for v in vertices:
+    assert len(ctx.codim2_orbits) == 2
+    for v in ctx.codim2_orbits:
         rels = relations_for_G(ctx, v)
         assert len(rels) == 3          # 2k - 1 with k = 2 walls per vertex
 
@@ -222,7 +229,16 @@ def test_presentation_diagonals_shape(catalog):
     assert len(pres.relators) == 1 + 2 * 3
 
 
+def h1(spec, stars):
+    """The first homology of the stars' Salvetti nerve."""
+    cat = stars.salvetti_category().as_category()
+    chains = nerve_chains(cat, spec.rank)
+    h = homology(boundary_matrices(chains[:3], cat))
+    return h[1][0], list(h[1][1])
+
+
 def test_presentation_matches_h1(catalog):
+    # against the H1 of the lift's Salvetti category
     for name in ("one_point", "two_points", "diagonals", "grid"):
         pipe = catalog(name)
         pres = presentation_from_context(pipe.ctx)
@@ -233,20 +249,23 @@ def test_presentation_matches_h1(catalog):
         assert (ab[0], list(ab[1])) == (h[1][0], list(h[1][1]))
 
 
+@settings(max_examples=16, deadline=None, derandomize=True, database=None)
+@given(ranks_two_and_three())
+def test_presentation_matches_h1_on_generated(doc):
+    # the stars' presentation abelianizes to the stars' H1, and killing
+    # the meridians leaves the lattice
+    ctx = context(doc)
+    pres = presentation_from_context(ctx)
+    ab = abelianize(pres)
+    assert (ab[0], list(ab[1])) == h1(ctx.spec, ctx.stars), doc
+    assert abelianize(quotient_without_meridians(pres)) == (ctx.n, []), doc
+
+
 def test_meridian_quotient_is_lattice(catalog):
     for name in ("one_point", "diagonals", "grid"):
         pres = presentation_from_context(catalog(name).ctx)
         assert abelianize(quotient_without_meridians(pres)) == \
             (catalog(name).spec.rank, [])
-
-
-def test_presentation_window_stable(catalog):
-    for name in ("one_point", "diagonals"):
-        p1 = presentation_from_context(catalog(name, 1).ctx)
-        p2 = presentation_from_context(catalog(name, 2).ctx)
-        assert p1.names == p2.names
-        assert len(p1.relators) == len(p2.relators)
-        assert abelianize(p1) == abelianize(p2)
 
 
 # -- presentation utilities
@@ -302,20 +321,18 @@ def test_base_point_genericity(catalog):
         assert _is_generic(ctx.spec, ctx.x0)
         # base point lies in the open unit cube and in its chamber
         assert all(0 < c < 1 for c in ctx.x0)
-        assert ctx.lifted.faces[ctx.c0].dim == ctx.n
+        assert ctx.stars.codim(ctx.c0) == 0
 
 
 def test_base_point_search_is_unbounded():
     # q = 1/p puts a wall through the candidate base point 1/p for each
     # of the first fifteen primes
-    from toricarr.arrangement import parse_spec
+    from toricarr.arrangement import parse_spec, essentialize
     from toricarr.pi1 import _choose_base_point
     primes = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47)
     spec = parse_spec(json.dumps({"rank": 1, "hypersurfaces": [
         {"chi": [1], "q": "1/%d" % p} for p in primes]}))
     assert _choose_base_point(spec) == (Fraction(1, 53),)
-    window = Window.standard(1)
-    lifted = enumerate_faces(lift_to_window(spec, window), window)
-    pres = presentation_from_context(
-        build_context(spec, lifted, quotient_faces(lifted)))
+    stars = VertexStars(spec)
+    pres = presentation_from_context(build_context(spec, stars, stars.face_category()))
     assert abelianize(pres) == (16, [])

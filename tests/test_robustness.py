@@ -5,8 +5,8 @@ import json
 import subprocess
 import sys
 
-from toricarr.arrangement import parse_spec, Window, lift_to_window
-from toricarr.cells import enumerate_faces, quotient_faces
+from toricarr.arrangement import parse_spec, Window, lift_to_window, geometric_key
+from toricarr.cells import enumerate_faces, quotient_faces, VertexStars
 from toricarr.category import (nerve_chains, boundary_matrices, homology,
                                euler_characteristic)
 from toricarr.salvetti import toric_salvetti, orbit_chain_counts
@@ -23,6 +23,12 @@ def full_pipeline(doc, k=1):
     return spec, lifted, fc, z
 
 
+def presentation(spec):
+    """The pi1 presentation read off the vertex stars."""
+    stars = VertexStars(spec)
+    return presentation_from_context(build_context(spec, stars, stars.face_category()))
+
+
 def zeta_homology(spec, z):
     cat = z.as_category()
     chains = nerve_chains(cat, spec.rank)
@@ -36,7 +42,7 @@ def test_square_character_has_two_components():
     assert fc.census() == [2, 2]
     chains, h = zeta_homology(spec, z)
     assert h == [(1, []), (3, [])]
-    pres = presentation_from_context(build_context(spec, lifted, fc))
+    pres = presentation(spec)
     assert len(pres.names) == 3 and pres.relators == ()
 
 
@@ -44,14 +50,13 @@ def test_coincident_walls_share_geometry():
     # t = 1 and t^2 = 1 overlap at the integers of the lift
     spec, lifted, fc, z = full_pipeline(
         '{"rank":1,"hypersurfaces":[{"chi":[1],"q":"0"},{"chi":[2],"q":"0"}]}')
-    assert len(set(lifted.geo_class.values())) < len(lifted.hyperplanes)
+    assert len({geometric_key(h.alpha, h.c) for h in lifted.hyperplanes}) < \
+        len(lifted.hyperplanes)
     assert fc.census() == [2, 2]
     chains, h = zeta_homology(spec, z)
     assert h == [(1, []), (3, [])]
     assert orbit_chain_counts(lifted, 1) == [len(d) for d in chains]
-    ctx = build_context(spec, lifted, fc)
-    pres = presentation_from_context(ctx)
-    assert abelianize(pres) == (3, [])
+    assert abelianize(presentation(spec)) == (3, [])
 
 
 def test_mixed_angles_translate_the_diagonal_pair():
@@ -63,8 +68,7 @@ def test_mixed_angles_translate_the_diagonal_pair():
     assert euler_characteristic([len(d) for d in chains]) == 2
     assert h == [(1, []), (4, []), (5, [])]
     assert orbit_chain_counts(lifted, 2) == [len(d) for d in chains]
-    ctx = build_context(spec, lifted, fc)
-    pres = presentation_from_context(ctx)
+    pres = presentation(spec)
     assert abelianize(pres) == (4, [])
     assert abelianize(quotient_without_meridians(pres)) == (2, [])
 
