@@ -408,7 +408,7 @@ def delta_word(ctx, ref):
 
 
 def gamma_delta_word(ctx, ref):
-    """Based meridian of an arbitrary codim-1 face of the lift."""
+    """Based meridian of an arbitrary codim-1 face, as (orbit, shift)."""
     orbit, shift = ref
     delta = delta_word(ctx, ref)
     tau = ctx.tau_word(shift)
