@@ -8,18 +8,16 @@ models the complement, and read off layers, integral homology and a
 finite presentation of the fundamental group.
 """
 
-from .errors import SpecError, WindowError, InternalError
+from .errors import SpecError, InternalError
 from .exact import SparseMatrix, hnf, snf
-from .arrangement import (Character, AngleQ, ArrangementSpec, AffineHyperplane,
-                          Window, parse_spec, is_essential, essentialize,
-                          lift_to_window)
-from .cells import (AffineFace, LiftedFacePoset, PeriodicCategory, FaceCategory,
-                    LayerPoset, enumerate_faces, quotient_faces, layers,
-                    opposite_chamber, chamber_fiber)
+from .arrangement import (Character, AngleQ, ArrangementSpec, parse_spec,
+                          is_essential, essentialize)
+from .cells import (PeriodicCategory, FaceCategory, VertexStars, LayerPoset,
+                    torus_vertices, layers, opposite_chamber, chamber_fiber)
 from .category import (AcyclicCategory, ChainComplex, check_acyclic,
                        nerve_chains, boundary_matrices, homology,
                        euler_characteristic)
-from .salvetti import salvetti_below, toric_salvetti, is_thick, cw_census
+from .salvetti import is_thick, cw_census
 from .pi1 import (GroupPresentation, Pi1Context, abelianize,
                   simplify_presentation, positive_minimal_path,
                   omega_paths, sigma, delta_word, h_of_G, relations_for_G)

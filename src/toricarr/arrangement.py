@@ -1,20 +1,19 @@
-"""Complexified toric arrangements and their periodic affine lifts.
+"""Complexified toric arrangements: parsing, essentialization, and the
+geometric key of a lifted hyperplane.
 
 An arrangement is a finite list of pairs (character, angle): the character
 is an integer exponent vector, the angle a rational q standing for the
 unit-modulus constant exp(2*pi*i*q).  On the universal cover of the
 compact torus the arrangement pulls back to the periodic family of affine
-hyperplanes <alpha, x> = q + k over all integers k; a rational window box
-truncates that family to a finite list.
+hyperplanes <alpha, x> = q + k over all integers k.
 """
 
-import itertools
 import json
 from fractions import Fraction
 import math
 
 from .errors import SpecError, InternalError
-from .exact import adjugate, rank, saturation_basis
+from .exact import rank, saturation_basis
 
 
 class Character:
@@ -103,29 +102,6 @@ class ArrangementSpec:
             self.rank, len(self.hypersurfaces))
 
 
-class AffineHyperplane:
-    """One hyperplane <alpha, x> = c of the lifted periodic arrangement.
-
-    `source` is the index of the originating hypersurface and `shift` the
-    integer k with c = q + k.
-    """
-
-    __slots__ = ("alpha", "c", "source", "shift")
-
-    def __init__(self, alpha, c, source, shift):
-        alpha = tuple(int(a) for a in alpha)
-        if not any(alpha):
-            raise SpecError("hyperplane normal must be nonzero")
-        self.alpha = alpha
-        self.c = Fraction(c)
-        self.source = source
-        self.shift = shift
-
-    def __repr__(self):
-        return "AffineHyperplane(alpha=%r, c=%s, source=%d, shift=%d)" % (
-            self.alpha, self.c, self.source, self.shift)
-
-
 def geometric_key(alpha, c):
     """Canonical key of the hyperplane <alpha, x> = c as a point set:
     the primitive normal with positive leading entry, and its constant."""
@@ -134,67 +110,6 @@ def geometric_key(alpha, c):
         g = math.gcd(g, a)
     sgn = 1 if next(a for a in alpha if a != 0) > 0 else -1
     return tuple(a // (sgn * g) for a in alpha), Fraction(c) / (sgn * g)
-
-
-class Window:
-    """Closed rational box [lo, hi]^n; must contain the unit cube."""
-
-    def __init__(self, lo, hi):
-        self.lo = tuple(Fraction(x) for x in lo)
-        self.hi = tuple(Fraction(x) for x in hi)
-        if len(self.lo) != len(self.hi):
-            raise SpecError("window bounds have mismatched lengths")
-        for a, b in zip(self.lo, self.hi):
-            if not a < b:
-                raise SpecError("window must have positive extent")
-        for a, b in zip(self.lo, self.hi):
-            if a > 0 or b < 1:
-                raise SpecError("window must contain the unit cube")
-
-    @classmethod
-    def standard(cls, n, k=1):
-        """The box [-k, k+1]^n used by the command line (`--window k`)."""
-        if k < 1:
-            raise SpecError("window parameter must be >= 1")
-        return cls([-k] * n, [k + 1] * n)
-
-    @property
-    def dim(self):
-        return len(self.lo)
-
-    def covers_quotient_core(self):
-        """True when the box contains [-1, 2]^n, enough for canonicalizing."""
-        return all(a <= -1 for a in self.lo) and all(b >= 2 for b in self.hi)
-
-    def __repr__(self):
-        return "Window(%s, %s)" % (list(self.lo), list(self.hi))
-
-
-def window_cap(spec):
-    """The largest `--window` K a command needs: ceil(e) + 1.
-
-    Take n of the essentialized characters whose matrix A is invertible.
-    The lifts of those n hypersurfaces cut R^n into the parallelepipeds
-    A^-1 (y + [0,1]^n), over which x_i spans sum_j |(A^-1)_ij|; let e(A)
-    be the largest of these spans, read off the integer adjugate as
-    max_i sum_j |adj(A)_ij| / |det A|.  Every chamber of the whole
-    arrangement lies in one cell of such a sub-arrangement, so it spans
-    at most e = min_A e(A) along every axis, and a chamber meeting the
-    unit cube lies in [-ceil(e), ceil(e) + 1]^n.  The extra unit leaves
-    room for the chambers the Salvetti and pi1 steps reach from those.
-    """
-    work, _ = essentialize(spec)
-    n = work.rank
-    normals = sorted({min(chi.alpha, tuple(-a for a in chi.alpha))
-                      for chi, _ in work.hypersurfaces})
-    e = None
-    for rows in itertools.combinations(normals, n):
-        det, adj = adjugate(rows)
-        if det == 0:
-            continue
-        e_a = Fraction(max((sum(map(abs, row)) for row in adj), default=0), abs(det))
-        e = e_a if e is None else min(e, e_a)
-    return math.ceil(e) + 1
 
 
 def parse_spec(text):
@@ -276,29 +191,3 @@ def essentialize(spec):
             raise InternalError("character escaped its own saturation")
         new_pairs.append((Character(y), a))
     return ArrangementSpec(len(basis), new_pairs), basis
-
-
-def lift_to_window(spec, window):
-    """All hyperplanes <alpha, x> = q + k meeting the closed box.
-
-    Ordered by (source index, shift), which fixes each hyperplane's bit in
-    the face masks; faces are named by codes per source, which no order
-    affects.  Requires an essential spec so the induced cell structure has
-    bounded faces.
-    """
-    if spec.rank != window.dim:
-        raise SpecError("window dimension does not match arrangement rank")
-    if not is_essential(spec):
-        raise SpecError("arrangement must be essential; essentialize first")
-    out = []
-    for src, (chi, a) in enumerate(spec.hypersurfaces):
-        lo_val = Fraction(0)
-        hi_val = Fraction(0)
-        for coef, lo, hi in zip(chi.alpha, window.lo, window.hi):
-            lo_val += min(coef * lo, coef * hi)
-            hi_val += max(coef * lo, coef * hi)
-        k = math.ceil(lo_val - a.q)
-        while a.q + k <= hi_val:
-            out.append(AffineHyperplane(chi.alpha, a.q + k, src, k))
-            k += 1
-    return out

@@ -4,17 +4,11 @@ Subcommands: validate, faces, layers, salvetti, homology, pi1, check.
 Input is a JSON arrangement document (file path or '-' for stdin); output
 is a deterministic report in text or JSON form on stdout.  Every command
 reads the torus's face and Salvetti categories, layers and pi1 off the
-vertex stars, with no window.  `check` alone also lifts the arrangement
-to a window, as the independent reference: without --window it runs at
-K = 1, 2, ... in this process until one answers, the arrangement's
-`window_cap` bounds K, and the report's "window" is the K used.  Options
-come anywhere after the command, as --option value or --option=value,
-unabbreviated.  Exit codes: 0 success, 1 malformed input or command line
-(an explicit --window above the cap, or on a command other than `check`,
-included) or a stdout closed by its reader, 2 window too small (only for
-`check --window K`; a suggested --window value is printed on stderr), 3
-internal invariant violation (a window error at the cap, or in a command
-without a window, included).
+vertex stars.  `check` compares them with references read off the layer
+poset.  Options come anywhere after the command, as --option value or
+--option=value, unabbreviated.  Exit codes: 0 success, 1 malformed input
+or command line, or a stdout closed by its reader, 3 internal invariant
+violation (a failed `check` included).
 """
 
 import gc
@@ -24,14 +18,12 @@ import sys
 import time
 import types
 
-from .errors import SpecError, WindowError, InternalError
-from .arrangement import (parse_spec, spec_to_json_dict, is_essential,
-                          essentialize, Window, lift_to_window, window_cap)
-from .cells import (enumerate_faces, quotient_faces, layers, VertexStars,
-                    same_quotient)
+from .errors import SpecError, InternalError
+from .arrangement import parse_spec, spec_to_json_dict, is_essential, essentialize
+from .cells import layers, VertexStars
 from .category import (check_acyclic, nerve_chains, boundary_matrices,
                        homology, euler_characteristic, verify_dd_zero)
-from .salvetti import toric_salvetti, is_thick, cw_census, orbit_chain_counts
+from .salvetti import is_thick, cw_census
 from .pi1 import (build_context, presentation_from_context, abelianize,
                   simplify_presentation, quotient_without_meridians)
 
@@ -86,12 +78,7 @@ def cmd_validate(spec, args):
 
 def cmd_faces(spec, args):
     work = _essential(spec)
-    return faces_report(work, VertexStars(work).face_category())
-
-
-def faces_report(work, fc):
-    """The `faces` report of a face category: the stars' here, the lift's
-    quotient where a test reads the lift at a window."""
+    fc = VertexStars(work).face_category()
     nonid = sum(fc.morphism_multiplicities().values())
     return {
         "arrangement": spec_to_json_dict(work),
@@ -178,18 +165,16 @@ def cmd_check(spec, args):
     """Run the arrangement through every structural invariant we know.
 
     The face and Salvetti categories and pi1 come from the vertex stars.
-    The lift into the window [-K, K+1]^n is the independent reference: its
-    quotients must match the stars' (`lift_matches_stars`), and its chain
-    orbits must count the stars' nerve."""
+    The layer poset, read off the stars' flats, is the reference: the
+    nerve's Betti numbers must be its Poincare polynomial's
+    (`betti_match_poincare`) and the face census its toric Zaslavsky
+    count (`face_census_matches_layers`), and the integral homology has
+    no torsion (d'Antonio and Delucchi, Minimality of toric
+    arrangements, JEMS 2015)."""
     results = {}
     diagnostics = {}
     work = _essential(spec)
     n = work.rank
-    window = Window.standard(n, args.window)
-    lifted = enumerate_faces(lift_to_window(work, window), window)
-    lift_fc = quotient_faces(lifted)
-    lift_z = toric_salvetti(lifted, lift_fc)
-    lift_chains = orbit_chain_counts(lifted, n)
     stars = VertexStars(work)
     fc = stars.face_category()
     pres = presentation_from_context(build_context(work, stars, fc))
@@ -210,14 +195,15 @@ def cmd_check(spec, args):
     results["salvetti_nerve_dd_zero"] = verify_dd_zero(cc_z)
     results["euler_cw_matches_nerve"] = chi == euler_characteristic(counts_z)
     results["connected"] = h_z[0] == (1, [])
-    results["quotient_commutes_with_nerve"] = lift_chains == counts_z
     ab = abelianize(pres)
     results["abelianization_matches_h1"] = (ab[0], list(ab[1])) == \
         (h_z[1][0], list(h_z[1][1]))
     results["meridian_quotient_is_lattice"] = \
         abelianize(quotient_without_meridians(pres)) == (n, [])
-    results["lift_matches_stars"] = (same_quotient(lifted, lift_fc, stars, fc) and
-                                     same_quotient(lifted, lift_z, stars, z))
+    lp = layers(work, stars)
+    results["betti_match_poincare"] = [b for b, _ in h_z] == lp.poincare_betti()
+    results["face_census_matches_layers"] = fc.census() == lp.face_census()
+    results["homology_torsion_free"] = not any(t for _, t in h_z)
     failed = [k for k, v in results.items() if not v]
     if failed:
         lines = ["invariant check failed: %s" % ", ".join(failed)]
@@ -225,7 +211,6 @@ def cmd_check(spec, args):
         raise InternalError("\n  ".join(lines))
     return {
         "arrangement": spec_to_json_dict(work),
-        "window": args.window,
         "checks": results,
         "verdict": "pass",
     }
@@ -296,7 +281,7 @@ COMMANDS = {
     "salvetti": (cmd_salvetti, ("--max-dim",)),
     "homology": (cmd_homology, ("--max-dim", "--space")),
     "pi1": (cmd_pi1, ("--simplify",)),
-    "check": (cmd_check, ("--window",)),
+    "check": (cmd_check, ()),
 }
 
 COMMON_OPTIONS = ("--format",)
@@ -304,7 +289,6 @@ COMMON_OPTIONS = ("--format",)
 # Each option: the parser of its value (None for a flag, which takes no
 # value), its default, and the name of its value in the usage text.
 OPTIONS = {
-    "--window": (_integer, None, "K"),
     "--format": (_one_of("text", "json"), "text", "text|json"),
     "--max-dim": (_nonnegative, None, "D"),
     "--space": (_one_of("face", "salvetti"), "salvetti", "face|salvetti"),
@@ -321,9 +305,6 @@ complexified toric arrangements.  INPUT is a JSON arrangement file, or -
 for stdin.  Options may come anywhere after the command, as --option
 value or --option=value, and may not be abbreviated; -- ends them.
 
-  --window K             check: lift into the box [-K, K+1]^n, K at most the
-                         cap ceil(e)+1 (default: the smallest K that works,
-                         up to the cap)
   --format text|json     report format (default: text)
   --max-dim D            report nerve chains and homology in degrees 0..D
                          only (default: the rank)
@@ -396,35 +377,6 @@ def parse_args(argv):
     return args
 
 
-def _answer(spec, args):
-    """Run the command; one that takes a window runs at the explicit
-    --window, or else at K = 1, 2, ... until it answers.  A window error
-    at the cap or without a window is a bug; below the cap, K + 1 is the
-    window to try next."""
-    command = COMMANDS[args.command][0]
-    if not hasattr(args, "window"):
-        try:
-            return command(spec, args)
-        except WindowError as e:
-            raise InternalError("window error without a window: %s" % e) from None
-    cap = window_cap(spec)
-    explicit = args.window is not None
-    if explicit and args.window > cap:
-        raise SpecError("--window %d is above this arrangement's cap %d; "
-                        "use a window from 1 to %d" % (args.window, cap, cap))
-    for k in [args.window] if explicit else range(1, cap + 1):
-        args.window = k
-        try:
-            return command(spec, args)
-        except WindowError as e:
-            if k >= cap:
-                raise InternalError("window error at the cap %d: %s"
-                                    % (cap, e)) from None
-            if explicit:
-                raise
-        gc.collect()  # free the failed attempt's cyclic garbage before the next
-
-
 def run(argv):
     try:
         args = parse_args(argv)
@@ -438,14 +390,10 @@ def run(argv):
     started = time.monotonic()
     try:
         spec = _load_spec(args.input)
-        report = _answer(spec, args)
+        report = COMMANDS[args.command][0](spec, args)
     except SpecError as e:
         print("error: %s" % e, file=sys.stderr)
         return 1
-    except WindowError as e:
-        print("error: %s" % e, file=sys.stderr)
-        print("try again with --window %d" % (args.window + 1), file=sys.stderr)
-        return 2
     except InternalError as e:
         print("internal error: %s" % e, file=sys.stderr)
         return 3

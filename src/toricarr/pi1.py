@@ -245,10 +245,16 @@ class Pi1Context:
             word.extend([i + 1 if s > 0 else -(i + 1)] * abs(s))
         return word
 
+    def orbit(self, code):
+        """(orbit, shift) of a face code: the code is the orbit's reduced
+        code moved by the code shift."""
+        (reduced,), shift = self.stars.canonical((code,))
+        return self.fc.index[(reduced,)], shift
+
     def key(self, code):
         """(orbit, u) of a face code: the face is the orbit's canonical
         face moved by the integer vector u."""
-        k, _ = self.fc.key((code,))
+        k, _ = self.orbit(code)
         return k, self.stars.lattice_vector(tuple(map(sub, code, self.code[k])))
 
     def barycenter(self, ref):
@@ -258,7 +264,7 @@ class Pi1Context:
 
     def facets(self, chamber):
         """The facets of a chamber code, in barycenter order."""
-        k, shift = self.fc.key((chamber,))
+        k, shift = self.orbit(chamber)
         return [tuple(map(add, f, shift)) for f in self._facets[k]]
 
     def crossing_of_face(self, code):

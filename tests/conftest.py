@@ -1,19 +1,20 @@
-import json
+from collections import Counter
 from fractions import Fraction
+from itertools import combinations
+import json
+import math
 
 from hypothesis import Phase, settings
 import pytest
 
-from toricarr.arrangement import parse_spec, Window, lift_to_window
+from toricarr.arrangement import parse_spec, ArrangementSpec, AngleQ, Character
 from toricarr.category import AcyclicCategory
-from toricarr.cells import enumerate_faces, quotient_faces, VertexStars
-from toricarr.errors import InternalError
-from toricarr.salvetti import salvetti_below, toric_salvetti
+from toricarr.cells import VertexStars
 from toricarr.pi1 import build_context
 
 # A failure reports its first falsifying example unshrunk: each example
-# of the pipeline tests enumerates a lift, and shrinking one failure took
-# minutes of tier-1 time.
+# of the pipeline tests runs the whole pipeline, and shrinking one failure
+# took minutes of tier-1 time.
 settings.register_profile("no_shrink", phases=[p for p in Phase if p is not Phase.shrink])
 settings.load_profile("no_shrink")
 
@@ -41,40 +42,17 @@ def catalog_spec(name):
 
 
 class Pipeline:
-    """Lazily built computation stages for one arrangement: the lift at
-    one window with its quotients, and the vertex stars with their face
-    category and the pi1 context read off them, which take no window."""
+    """Lazily built computation stages for one catalog arrangement: the
+    vertex stars with their face and Salvetti categories and the pi1
+    context read off them."""
 
-    def __init__(self, name, k=1):
+    def __init__(self, name, spec=None):
         self.name = name
-        self.k = k
-        self.spec = catalog_spec(name)
-        self.window = Window.standard(self.spec.rank, k)
-        self._lifted = None
+        self.spec = catalog_spec(name) if spec is None else spec
+        self._stars = None
         self._fc = None
         self._zeta = None
-        self._stars = None
-        self._star_fc = None
         self._ctx = None
-
-    @property
-    def lifted(self):
-        if self._lifted is None:
-            self._lifted = enumerate_faces(
-                lift_to_window(self.spec, self.window), self.window)
-        return self._lifted
-
-    @property
-    def fc(self):
-        if self._fc is None:
-            self._fc = quotient_faces(self.lifted)
-        return self._fc
-
-    @property
-    def zeta(self):
-        if self._zeta is None:
-            self._zeta = toric_salvetti(self.lifted, self.fc)
-        return self._zeta
 
     @property
     def stars(self):
@@ -83,26 +61,53 @@ class Pipeline:
         return self._stars
 
     @property
-    def star_fc(self):
-        if self._star_fc is None:
-            self._star_fc = self.stars.face_category()
-        return self._star_fc
+    def fc(self):
+        if self._fc is None:
+            self._fc = self.stars.face_category()
+        return self._fc
+
+    @property
+    def zeta(self):
+        if self._zeta is None:
+            self._zeta = self.stars.salvetti_category()
+        return self._zeta
 
     @property
     def ctx(self):
         if self._ctx is None:
-            self._ctx = build_context(self.spec, self.stars, self.star_fc)
+            self._ctx = build_context(self.spec, self.stars, self.fc)
         return self._ctx
+
+
+# Per rank, a unimodular U and a rational u: `moved_spec` takes x = U y + u
+# to new coordinates y.
+MOVES = {1: ([[-1]], ["1/3"]),
+         2: ([[2, 1], [1, 1]], ["1/3", "1/5"]),
+         3: ([[1, 1, 0], [0, 1, 1], [0, 0, 1]], ["1/3", "1/5", "1/7"])}
+
+
+def moved_spec(spec):
+    """The arrangement in the coordinates y, x = U y + u, of MOVES: the
+    source <alpha, x> = q becomes <U^T alpha, y> = q - <alpha, u>.  An
+    automorphism of the torus composed with a translation, so every
+    census, homology group and abelianization is that of `spec`, while the
+    vertices, their Hermite forms and their order differ."""
+    big_u, u = MOVES[spec.rank]
+    pairs = []
+    for chi, a in spec.hypersurfaces:
+        alpha = chi.alpha
+        new = [_dot(alpha, col) for col in zip(*big_u)]
+        pairs.append((Character(new), AngleQ((a.q - _dot(alpha, map(Fraction, u))) % 1)))
+    return ArrangementSpec(spec.rank, pairs)
 
 
 _cache = {}
 
 
-def pipeline(name, k=1):
-    key = (name, k)
-    if key not in _cache:
-        _cache[key] = Pipeline(name, k)
-    return _cache[key]
+def pipeline(name):
+    if name not in _cache:
+        _cache[name] = Pipeline(name)
+    return _cache[name]
 
 
 @pytest.fixture(scope="session")
@@ -110,92 +115,170 @@ def catalog():
     return pipeline
 
 
-def sign_vector(lifted, fid):
-    """The face's signs on the lifted hyperplanes as a tuple of 1, -1 and
-    0, expanded from its (plus, minus) masks."""
-    plus, minus = lifted.faces[fid].signs
-    return tuple((plus >> h & 1) - (minus >> h & 1) for h in range(len(lifted.hyperplanes)))
+# -- brute-force reference for the vertex stars.  Vertices come from one
+# Fraction solve per choice of n lifted hyperplanes meeting the unit cube,
+# the faces at a vertex from the sign vectors of the sums of its rays, and
+# orbits from Fraction coordinates on n independent characters.  It shares
+# no code with `cells` but the spec.
+
+def _sign(x):
+    return (x > 0) - (x < 0)
 
 
-def star_ok(lifted, fid):
-    """The face's closed star lies inside the window box: the face is uncut,
-    its barycenter lies in the open box, and no coface is cut.  A face in
-    the box boundary fails, as parts of its true star miss the window."""
-    return (not lifted.faces[fid].boundary_cut and lifted.in_open_box(fid) and
-            not any(lifted.faces[g].boundary_cut for g in lifted.uppers[fid]))
+def _dot(a, b):
+    return sum(x * y for x, y in zip(a, b))
 
 
-# -- the affine Salvetti poset of a lift: the brute-force reference for
-# the quotient Salvetti category and its chain counts
-
-class SalvettiPoset:
-    """Pairs [F, C] over the windowed lift, restricted to faces whose
-    closed star the window fully contains."""
-
-    def __init__(self, lifted, elements):
-        self.lifted = lifted
-        self.elements = elements        # list of (fid, cid)
-        self.index = {e: i for i, e in enumerate(elements)}
-
-    def grade(self, i):
-        fid, _ = self.elements[i]
-        return self.lifted.dim - self.lifted.faces[fid].dim
-
-    def relation_pairs(self):
-        """All strict order pairs (i, j), grade-increasing."""
-        pairs = []
-        for i, e in enumerate(self.elements):
-            js = (self.index.get(t) for t in salvetti_below(self.lifted, e))
-            pairs.extend((i, j) for j in sorted(j for j in js if j is not None))
-        return pairs
-
-    def as_category(self):
-        n_el = len(self.elements)
-        grades = [self.grade(i) for i in range(n_el)]
-        morphs = []
-        identities = []
-        for i in range(n_el):
-            identities.append(len(morphs))
-            morphs.append((i, i))
-        strict = {}
-        for (i, j) in self.relation_pairs():
-            strict[(i, j)] = len(morphs)
-            morphs.append((i, j))
-        table = {}
-        by_src = {}
-        for (i, j), mid in strict.items():
-            by_src.setdefault(i, []).append((j, mid))
-        for (i, j), m1 in strict.items():
-            for (k, m2) in by_src.get(j, ()):
-                comp = strict.get((i, k))
-                if comp is None:
-                    raise InternalError("Salvetti order is not transitive")
-                table[(m2, m1)] = comp
-        return AcyclicCategory(grades, morphs, identities, table)
+def _kernel_dim(rows, n):
+    return len(solve_affine(rows, [0] * len(rows), n)[1])
 
 
-def salvetti_poset(lifted, truncated=True):
-    """Pairs [F, C] of the lift.
+def central_covectors(normals, n):
+    """The covectors of the essential central arrangement of `normals` in
+    Q^n, as sign vectors.  A ray spans a line where n - 1 of the normals
+    vanish.  Every face's cone is spanned by its rays, so the sum of those
+    lies inside it, and every sum of rays lies in some face: the sign
+    vectors of all sums of subsets of rays are the covectors."""
+    rays = set()
+    for rows in combinations(normals, n - 1):
+        kernel = solve_affine(list(rows), [0] * len(rows), n)[1]
+        if len(kernel) == 1:
+            den = math.lcm(*(x.denominator for x in kernel[0]))
+            y = tuple(int(x * den) for x in kernel[0])
+            rays |= {y, tuple(-x for x in y)}
+    sums = [(0,) * n]
+    for ray in sorted(rays):
+        sums += [tuple(a + b for a, b in zip(s, ray)) for s in sums]
+    return {tuple(_sign(_dot(a, y)) for a in normals) for y in sums}
 
-    With `truncated` set (the default), only faces whose closed star the
-    window fully contains are used: the lift is a finite snapshot of a
-    periodic arrangement and boundary faces carry incomplete data.  Pass
-    `truncated=False` when the hyperplane list is a complete affine
-    arrangement; every sign class is then an honest face, unbounded ones
-    included.
-    """
-    elements = []
-    for f in lifted.faces:
-        if truncated and not star_ok(lifted, f.id):
-            continue
-        for cid in lifted.chambers_above(f.id):
-            elements.append((f.id, cid))
-    elements.sort()
-    return SalvettiPoset(lifted, elements)
+
+def covector_leq(s, t):
+    """The face with covector s lies in the closure of the face with t."""
+    return all(a == 0 or a == b for a, b in zip(s, t))
+
+
+class BruteStars:
+    """The face orbits, incidence orbits and Salvetti pairs of an
+    essential arrangement, by brute force.  `vertices` lists the points of
+    [0,1)^n where sources of rank n meet, sorted.  `canonical(*codes)`
+    moves the codes by the first one's shift 2A floor(u), u the Fraction
+    solution of 2A_S u = code_S on n sources S with independent
+    characters."""
+
+    def __init__(self, spec):
+        n = self.n = spec.rank
+        self._shifts = {}
+        self.sources = [(chi.alpha, a.q) for chi, a in spec.hypersurfaces]
+        self.alphas = [alpha for alpha, _ in self.sources]
+        planes = []
+        for i, (alpha, q) in enumerate(self.sources):
+            lo, hi = sum(min(a, 0) for a in alpha), sum(max(a, 0) for a in alpha)
+            planes += [(i, q + k) for k in range(math.floor(lo - q), math.ceil(hi - q) + 1)]
+        points = set()
+        for combo in combinations(planes, n):
+            sol = solve_affine([self.alphas[i] for i, _ in combo], [c for _, c in combo])
+            if sol is not None and not sol[1] and all(0 <= x < 1 for x in sol[0]):
+                points.add(sol[0])
+        self.vertices = sorted(points)
+        self.basis = next(s for s in combinations(range(len(self.alphas)), n)
+                          if not _kernel_dim([self.alphas[i] for i in s], n))
+        # per vertex: (code, covector) of each face at it, on its sources
+        self.stars = []
+        for v in self.vertices:
+            vcode = self.code(v)
+            through = [i for i, c in enumerate(vcode) if not c & 1]
+            faces = []
+            for s in central_covectors([self.alphas[i] for i in through], n):
+                code = list(vcode)
+                for i, x in zip(through, s):
+                    code[i] += x
+                faces.append((tuple(code), s))
+            self.stars.append(faces)
+
+    def code(self, point):
+        """Per source, 2k where <alpha, x> - q = k and 2k + 1 where it
+        lies strictly between k and k + 1."""
+        out = []
+        for alpha, q in self.sources:
+            t = _dot(alpha, point) - q
+            out.append(2 * math.floor(t) + (t != math.floor(t)))
+        return tuple(out)
+
+    def shift(self, code):
+        got = self._shifts.get(code)
+        if got is None:
+            u = solve_affine([[2 * a for a in self.alphas[i]] for i in self.basis],
+                             [code[i] for i in self.basis])[0]
+            got = self._shifts[code] = tuple(2 * _dot(alpha, [math.floor(x) for x in u])
+                                             for alpha in self.alphas)
+        return got
+
+    def canonical(self, *codes):
+        """The codes moved together by the first one's shift."""
+        s = self.shift(codes[0])
+        return tuple(tuple(c - x for c, x in zip(code, s)) for code in codes)
+
+    def dim(self, code):
+        return _kernel_dim([a for a, c in zip(self.alphas, code) if not c & 1], self.n)
+
+    def face_orbits(self):
+        return {self.canonical(f)[0] for star in self.stars for f, _ in star}
+
+    def incidences(self):
+        """Counter of (upper orbit, lower orbit) over the incidence orbits
+        F < G, each pair moved by G's shift."""
+        pairs = {self.canonical(g, f) for star in self.stars
+                 for f, s in star for g, t in star if s != t and covector_leq(s, t)}
+        return Counter((self.canonical(g)[0], self.canonical(f)[0]) for g, f in pairs)
+
+    def salvetti(self):
+        """(objects, morphisms): the orbits of the pairs [F, C], C a
+        chamber at F, and the Counter of (source, target) over the orbits
+        of the morphisms [G, G o C] -> [F, C], F < G."""
+        objects, arrows = set(), set()
+        for star in self.stars:
+            chambers = [(c, s) for c, s in star if 0 not in s]
+            by_sign = dict((s, c) for c, s in star)
+            for f, s in star:
+                for c, sc in chambers:
+                    if not covector_leq(s, sc):
+                        continue
+                    objects.add(self.canonical(f, c))
+                    for g, t in star:
+                        if s != t and covector_leq(s, t):
+                            gc = by_sign[tuple(a or b for a, b in zip(t, sc))]
+                            arrows.add(self.canonical(g, gc, f, c))
+        return objects, Counter((self.canonical(g, gc), self.canonical(f, c))
+                                for g, gc, f, c in arrows)
+
+
+def central_salvetti(normals, n):
+    """The Salvetti poset of the central arrangement of `normals` in Q^n
+    as an acyclic category: objects the pairs [F, C], C a chamber at F,
+    graded by F's codimension, with [G, G o C] -> [F, C] for F < G."""
+    covs = sorted(central_covectors(normals, n))
+    rank_of = {s: n - _kernel_dim([a for a, x in zip(normals, s) if x == 0], n)
+               for s in covs}
+    elements = [(f, c) for f in covs for c in covs if 0 not in c and covector_leq(f, c)]
+    index = {e: i for i, e in enumerate(elements)}
+    morphs = [(i, i) for i in range(len(elements))]
+    strict = {}
+    for (g, gc), i in index.items():
+        for (f, c), j in index.items():
+            if f != g and covector_leq(f, g) and gc == tuple(a or b for a, b in zip(g, c)):
+                strict[(i, j)] = len(morphs)
+                morphs.append((i, j))
+    table = {}
+    for (i, j), m1 in strict.items():
+        for (j2, k), m2 in strict.items():
+            if j2 == j:
+                table[(m2, m1)] = strict[(i, k)]
+    return AcyclicCategory([rank_of[f] for f, _ in elements], morphs,
+                           range(len(elements)), table)
 
 
 # -- Fraction Gauss-Jordan elimination: the reference for the integer
-# vertices, kernels and saturations of `toricarr.exact` and `cells`
+# kernels and saturations of `toricarr.exact` and for `BruteStars`
 
 def solve_affine(a_rows, b, ncols=None):
     """Solve A*x = b exactly over the rationals.

@@ -7,9 +7,10 @@ source tree and compared with another's.
 `record` imports `toricarr` from TREE/src and calls `cli.run` in-process
 with `--format json` and the document on stdin.  It runs `validate`,
 `faces`, `layers`, `salvetti`, `homology` in both spaces, `pi1` with and
-without `--simplify`, and `check`, with no `--window`, and each command
-whose parser in TREE takes `--window` (`cli._takes`) also at each window
-from 1 to the arrangement's cap.  Each run is one JSON line: the input's
+without `--simplify`, and `check`, with no `--window`.  On a tree that
+still has `arrangement.window_cap` (before the lift was deleted), each
+command whose parser takes `--window` (`cli._takes`) also runs at each
+window from 1 to the arrangement's cap.  Each run is one JSON line: the input's
 name, the command line, the window (null for none), the exit code, the
 stdout and the stderr without its `elapsed` line.  `--only` and
 `--exclude` keep or drop inputs by name.
@@ -17,8 +18,8 @@ stdout and the stderr without its `elapsed` line.  `--only` and
 The inputs are fixed: the catalog, the first 12 draws of generator
 families 1 and 2 (`perfbench/workloads.generate`), two three-wall cases,
 a two-wall case, a non-essential rank-3 spec, a rank-1 spec whose two
-sources share their hyperplanes, and `r3` at window 1 only (with no
-window for the commands that take none), without `pi1 --simplify`.
+sources share their hyperplanes, and `r3` at window 1 only where a
+command takes a window (with none otherwise), without `pi1 --simplify`.
 
 `diff` pairs the runs of two recordings and groups the changed ones by
 kind: the command, default or explicit window, the exit codes and what
@@ -118,8 +119,10 @@ def record(tree, path, only=None, exclude=()):
             if only is not None and name not in only or name in exclude:
                 continue
             if windows is None:
-                cap = arrangement.window_cap(arrangement.parse_spec(json.dumps(doc)))
-                windows = [None] + list(range(1, cap + 1))
+                windows = [None]
+                if hasattr(arrangement, "window_cap"):
+                    cap = arrangement.window_cap(arrangement.parse_spec(json.dumps(doc)))
+                    windows += list(range(1, cap + 1))
             for command in commands:
                 takes = "--window" in cli._takes(command[0])
                 for k in windows if takes else [None]:

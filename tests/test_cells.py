@@ -1,41 +1,23 @@
+from collections import Counter
 import json
-import math
 from fractions import Fraction
-from itertools import combinations, product
+from itertools import product
 
 from hypothesis import assume, given, settings, strategies as st
 import pytest
 
-from toricarr.errors import SpecError, WindowError
-from toricarr.arrangement import (AffineHyperplane, Window, parse_spec,
-                                  lift_to_window, essentialize, window_cap)
-from toricarr.cells import (enumerate_faces, quotient_faces, layers,
-                            opposite_chamber, chamber_fiber, candidate_vertices,
-                            SignTable, VertexStars, same_quotient, code_at,
-                            code_leq, _bits, _dot, _reduce_mod_lattice)
-from toricarr.salvetti import toric_salvetti
+from toricarr.errors import SpecError
+from toricarr.arrangement import parse_spec, essentialize
+from toricarr.cells import (layers, opposite_chamber, chamber_fiber, torus_vertices,
+                            VertexStars, code_at, code_leq, _direction, _dot,
+                            _reduce_mod_lattice)
 from toricarr.exact import rank
 from toricarr.category import check_acyclic
 
-from conftest import CATALOG, sign_vector, solve_affine
+from conftest import BruteStars, Pipeline, covector_leq, moved_spec
 from test_cli import SPEC_G1_01, SPEC_G2_00
 from test_generated import Q_VALUES
 from test_golden import DOCS
-
-
-def inside(window, point):
-    """The point lies in the closed window box."""
-    return all(a <= x <= b for a, x, b in zip(window.lo, point, window.hi))
-
-
-def line_arrangement(cs, window):
-    hps = [AffineHyperplane((1,), c, 0, k) for k, c in enumerate(cs)]
-    return enumerate_faces(hps, window)
-
-
-def crossing_lines(window):
-    hps = [AffineHyperplane((1, 0), 0, 0, 0), AffineHyperplane((0, 1), 0, 1, 0)]
-    return enumerate_faces(hps, window)
 
 
 # the first three draws of the benchmark's generator family 1, and g2_00
@@ -46,78 +28,67 @@ GENERATED = {
     "g1_02": '{"rank":1,"hypersurfaces":[{"chi":[2],"q":"0"},{"chi":[2],"q":"1/3"}]}',
     "g2_00": SPEC_G2_00,
 }
-CUT_CASES = dict({name: json.dumps(doc) for name, doc in CATALOG.items()
-                  if name != "coord3"}, **GENERATED)
+CUT_CASES = dict({name: json.dumps(DOCS[name]) for name in
+                  ("one_point", "two_points", "three_points", "diagonals", "grid",
+                   "three_walls", "two_wall")}, **GENERATED)
 
-
-# -- enumeration
 
 def test_enumerate_line_points():
-    lifted = line_arrangement([0, 1], Window([-1], [2]))
-    verts = sorted(f.barycenter[0] for f in lifted.faces if f.dim == 0)
-    edges = sorted(f.barycenter[0] for f in lifted.faces if f.dim == 1)
-    assert verts == [0, 1]
-    assert edges == [Fraction(-1, 2), Fraction(1, 2), Fraction(3, 2)]
+    # 2x = 0 and 3x = 1/2 meet the circle at 0, 1/2 and 1/6, 1/2, 5/6:
+    # |det| points per source, 1/2 met twice
+    sources = [((2,), 0, 1), ((3,), 1, 2)]
+    scale, coords = torus_vertices(sources, 1)
+    assert [Fraction(x, scale) for (x,) in coords] == \
+        [0, Fraction(1, 6), Fraction(1, 2), Fraction(5, 6)]
 
 
 def test_enumerate_requires_spanning():
     with pytest.raises(SpecError):
-        enumerate_faces([], Window([-1], [2]))
-    with pytest.raises(SpecError):
-        enumerate_faces([AffineHyperplane((1, 0), 0, 0, 0)], Window.standard(2))
+        torus_vertices([((1, 0), 0, 1), ((2, 0), 1, 2)], 2)
 
 
-@pytest.mark.parametrize("name", CUT_CASES)
-def test_boundary_cut_agrees_with_larger_window(name):
-    # a window-1 face is cut exactly when the window-2 face containing it
-    # is cut there or has a vertex outside window 1
-    spec = parse_spec(CUT_CASES[name])
-    small, big = (Window.standard(spec.rank, k) for k in (1, 2))
-    lifted1 = enumerate_faces(lift_to_window(spec, small), small)
-    lifted2 = enumerate_faces(lift_to_window(spec, big), big)
-    for f in lifted1.faces:
-        g = lifted2.by_code[lifted1.codes[f.id]]
-        expected = lifted2.faces[g].boundary_cut or any(
-            lifted2.faces[v].dim == 0 and not inside(small, lifted2.faces[v].barycenter)
-            for v in lifted2.lowers[g])
-        assert f.boundary_cut == expected, f
+def test_torus_vertices_one_per_coset():
+    # the rows (1, 1) and (1, -1) have determinant -2: two points modulo Z^2
+    # for each choice of angles, (0, 0) and (1/2, 1/2) at angles 0
+    scale, coords = torus_vertices([((1, 1), 0, 1), ((1, -1), 0, 1)], 2)
+    assert [tuple(Fraction(x, scale) for x in p) for p in coords] == \
+        [(0, 0), (Fraction(1, 2), Fraction(1, 2))]
 
 
-def test_diagonals_window_has_diamonds(catalog):
-    lifted = catalog("diagonals").lifted
-    by_dim = {}
-    for f in lifted.faces:
-        by_dim.setdefault(f.dim, []).append(f)
-    # interior diamonds have four boundary edges and four vertices
-    interior = [f for f in by_dim[2] if not f.boundary_cut]
-    assert interior
-    for f in interior:
-        lows = lifted.lowers[f.id]
-        dims = sorted(lifted.faces[g].dim for g in lows)
-        assert dims == [0, 0, 0, 0, 1, 1, 1, 1]
+def test_flat_touching_box_at_a_corner_has_no_face(catalog):
+    # x + y = 0 and x + y = 2 meet the unit square only at a corner, and so
+    # do x - y = 1 and x - y = -1; all four corners are the one vertex
+    # (0, 0), met once, and no face lies on a corner alone
+    stars = catalog("diagonals").stars
+    vertices = [tuple(Fraction(x, stars.scale) for x in num) for num, _ in stars.vertices]
+    assert vertices == [(0, 0), (Fraction(1, 2), Fraction(1, 2))]
+    assert BruteStars(catalog("diagonals").spec).vertices == vertices
+    origin = stars.canonical((code_at(stars.sources, (0, 0)),))[0]
+    for corner in product((0, 1), repeat=2):
+        code = code_at(stars.sources, tuple(map(Fraction, corner)))
+        assert stars.canonical((code,))[0] == origin
+    assert catalog("diagonals").fc.census() == [2, 4, 2]
 
 
-def reference_candidates(hyperplanes, window):
-    """Every point cut out by n independent planes among the hyperplanes
-    and the box walls and lying in the closed box, by one Fraction solve
-    per n-subset of planes."""
-    n = window.dim
-    planes = [(h.alpha, h.c) for h in hyperplanes]
-    for j in range(n):
-        e = tuple(int(i == j) for i in range(n))
-        planes += [(e, window.lo[j]), (e, window.hi[j])]
-    points = set()
-    for combo in combinations(planes, n):
-        sol = solve_affine([a for a, _ in combo], [c for _, c in combo])
-        if sol is not None and not sol[1] and inside(window, sol[0]):
-            points.add(sol[0])
-    return points
+def test_flat_touching_box_at_a_corner_with_strict_signs():
+    # x + y = 0 meets the unit square only at the corners (0, 0) and
+    # (1, 1), off the walls x = 1/2 + k and y = 1/2 + k: each corner lies
+    # on an edge, and the one vertex is (1/2, 1/2), where all three meet
+    spec = parse_spec('{"rank":2,"hypersurfaces":[{"chi":[1,1],"q":"0"},'
+                      '{"chi":[1,0],"q":"1/2"},{"chi":[0,1],"q":"1/2"}]}')
+    stars = VertexStars(spec)
+    assert [tuple(Fraction(x, stars.scale) for x in num) for num, _ in stars.vertices] == \
+        [(Fraction(1, 2), Fraction(1, 2))]
+    assert BruteStars(spec).vertices == [(Fraction(1, 2), Fraction(1, 2))]
+    for corner in ((0, 0), (1, 1)):
+        code = code_at(stars.sources, tuple(map(Fraction, corner)))
+        assert [c & 1 for c in code] == [0, 1, 1] and stars.codim(code) == 1
+    assert stars.face_category().census() == [1, 3, 2]
 
 
 @st.composite
 def spanning_arrangements(draw, rank_):
-    # two or three walls; small characters in rank 3 keep the reference's
-    # solves few
+    # two or three walls; small characters in rank 3
     entries = st.integers(-1, 2) if rank_ == 2 else st.integers(-1, 1)
     chi = st.lists(entries, min_size=rank_, max_size=rank_).filter(any)
     walls = draw(st.lists(st.tuples(chi.map(tuple), st.sampled_from(("0", "1/2", "1/3"))),
@@ -125,27 +96,6 @@ def spanning_arrangements(draw, rank_):
                  .filter(lambda ws: rank([c for c, _ in ws]) == rank_))
     return {"rank": rank_,
             "hypersurfaces": [{"chi": list(c), "q": q} for c, q in walls]}
-
-
-@pytest.mark.parametrize("rank_,k", [(2, 1), (2, 2), (3, 1), (3, 2)])
-@settings(max_examples=3, deadline=None, derandomize=True, database=None)
-@given(data=st.data())
-def test_candidates_match_reference(rank_, k, data):
-    doc = data.draw(spanning_arrangements(rank_))
-    spec = parse_spec(json.dumps(doc))
-    window = Window.standard(spec.rank, k)
-    hyperplanes = lift_to_window(spec, window)
-    scale, coords = candidate_vertices(hyperplanes, window)
-    cand = [tuple(Fraction(x, scale) for x in p) for p in coords]
-    assert set(cand) == reference_candidates(hyperplanes, window), (doc, k)
-    assert cand == sorted(set(cand))
-    if spec.rank == 2:
-        # the sign table's masks hold the candidates' signs
-        table = SignTable(hyperplanes, scale, coords)
-        for i, p in enumerate(cand):
-            for h, s in enumerate(reference_signs(hyperplanes, p)):
-                assert (table.pos[h] >> i & 1, table.neg[h] >> i & 1,
-                        table.zero[h] >> i & 1) == (s > 0, s < 0, s == 0), (doc, k, p, h)
 
 
 def integer_matrices(rows, cols):
@@ -172,235 +122,141 @@ def test_essentialize_and_flats_in_integers(doc, factors):
     assert work.rank <= len(b)
     for (chi, _), (y, _) in zip(spec4.hypersurfaces, work.hypersurfaces):
         assert tuple(_dot(y.alpha, col) for col in zip(*basis)) == chi.alpha
-    # every flat of the rank-3 lift: its direction rows are independent
-    # and orthogonal to their normals
+    # the flat of every face at a vertex of the rank-3 stars: its direction
+    # rows are independent and orthogonal to the normals through it
+    stars = VertexStars(parse_spec(json.dumps(doc)))
+    for _, faces in stars.vertices:
+        for f in faces:
+            normals = [a for a, c in zip(stars.alphas, f) if not c & 1]
+            rows, _ = _direction(normals, (), 3)
+            assert not any(_dot(a, v) for a in normals for v in rows)
+            assert len(rows) == 3 - stars.codim(f) == rank(list(rows))
+
+
+@st.composite
+def bounded_arrangements(draw, rank_, bound):
+    chi = st.lists(st.integers(-bound, bound), min_size=rank_, max_size=rank_).filter(any)
+    walls = draw(st.lists(st.tuples(chi.map(tuple), st.sampled_from(("0", "1/2", "1/3"))),
+                          min_size=rank_, max_size=3, unique=True)
+                 .filter(lambda ws: rank([c for c, _ in ws]) == rank_))
+    return {"rank": rank_,
+            "hypersurfaces": [{"chi": list(c), "q": q} for c, q in walls]}
+
+
+@pytest.mark.parametrize("rank_,bound", [(2, 1), (2, 2), (3, 1), (3, 2)])
+@settings(max_examples=3, deadline=None, derandomize=True, database=None)
+@given(data=st.data())
+def test_candidates_match_reference(rank_, bound, data):
+    # the vertices from the sources' Hermite forms are those of one
+    # Fraction solve per choice of n lifted hyperplanes through the unit
+    # cube, character entries in [-bound, bound]
+    doc = data.draw(bounded_arrangements(rank_, bound))
     spec = parse_spec(json.dumps(doc))
-    window = Window.standard(3)
-    lifted = enumerate_faces(lift_to_window(spec, window), window)
-    for zero, rows in lifted.flats:
-        planes = [lifted.hyperplanes[i] for i in zero]
-        assert not any(_dot(h.alpha, v) for h in planes for v in rows)
-        assert len(rows) == 3 - rank([h.alpha for h in planes]) == rank(rows)
+    stars = VertexStars(spec)
+    scale, coords = torus_vertices(stars.sources, rank_)
+    assert [tuple(Fraction(x, scale) for x in p) for p in coords] == \
+        BruteStars(spec).vertices, doc
 
 
-def test_flat_touching_box_at_a_corner_has_no_face(catalog):
-    # x + y = -2 and x + y = 4 meet the box [-1,2]^2 only at a corner,
-    # x - y = -3 and x - y = 3 too, and x -/+ y = 0 passes through it
-    lifted = catalog("diagonals").lifted
-    assert (len(lifted.flats), len(lifted.faces)) == (40, 85)
-    corner_flats = set()
-    for zero, _ in lifted.flats:
-        planes = {(lifted.hyperplanes[i].alpha, lifted.hyperplanes[i].c) for i in zero}
-        if planes in ({((1, 1), -2)}, {((1, 1), 4)}, {((1, -1), -3)}, {((1, -1), 3)}):
-            corner_flats.add(zero)
-    assert len(corner_flats) == 4
-    # a face's zero set is the zero set of its flat
-    assert not corner_flats & {frozenset(_bits(lifted.zero_mask(f.id))) for f in lifted.faces}
-
-
-def test_flat_touching_box_at_a_corner_with_strict_signs():
-    # x + y = -2 meets the box [-1,2]^2 only at (-1,-1), off the walls
-    # x = 1/2 + k and y = 1/2 + k, so the corner is a cut 1-face; so is (2,2)
-    spec = parse_spec('{"rank":2,"hypersurfaces":[{"chi":[1,1],"q":"0"},'
-                      '{"chi":[1,0],"q":"1/2"},{"chi":[0,1],"q":"1/2"}]}')
-    window = Window.standard(2, 1)
-    lifted = enumerate_faces(lift_to_window(spec, window), window)
-    assert len(lifted.faces) == 79
-    corners = [f.barycenter for f in lifted.faces
-               if f.dim == 1 and f.boundary_cut and len(f.vertex_ids) == 1]
-    assert corners == [(-1, -1), (2, 2)]
-
-
-def reference_signs(hyperplanes, point):
-    """Signs of <alpha, point> - c in Fraction arithmetic."""
-    out = []
-    for h in hyperplanes:
-        v = sum(a * Fraction(x) for a, x in zip(h.alpha, point)) - h.c
-        out.append((v > 0) - (v < 0))
-    return tuple(out)
-
-
-def test_sign_vectors_strict_on_barycenter():
-    for name, doc in CUT_CASES.items():
-        spec = parse_spec(doc)
-        for k in (1, 2):
-            window = Window.standard(spec.rank, k)
-            lifted = enumerate_faces(lift_to_window(spec, window), window)
-            for f in lifted.faces:
-                assert reference_signs(lifted.hyperplanes, f.barycenter) == \
-                    sign_vector(lifted, f.id), (name, k, f)
-                assert lifted.by_code[code_at(lifted.sources, f.barycenter)] == f.id, \
-                    (name, k, f)
-    # x = 7/3 misses the box, so no candidate vertex has a denominator 3
-    lifted = line_arrangement([0, Fraction(7, 3)], Window([-1], [2]))
-    for f in lifted.faces:
-        assert reference_signs(lifted.hyperplanes, f.barycenter) == \
-            sign_vector(lifted, f.id), f
+def face_vertices(brute, code, reach):
+    """The vertices in the closure of the face with this code, among the
+    brute-force vertices moved by every u in [-reach, reach]^n, in
+    Fractions; none may need the outermost moves."""
+    found = []
+    for v in brute.vertices:
+        for u in product(range(-reach, reach + 1), repeat=brute.n):
+            w = tuple(x + s for x, s in zip(v, u))
+            if code_leq(brute.code(w), code):
+                assert reach not in map(abs, u), (code, w)
+                found.append(w)
+    return found
 
 
 def test_vertex_ids_and_barycenters_match_reference():
-    # a face's vertices are the candidates in its closure, those whose
-    # signs are zero or the face's on every hyperplane, and its barycenter
-    # is their mean, all in Fraction arithmetic
+    # each orbit's barycenter is the mean of the vertices in the closure of
+    # its face with that barycenter, all in Fraction arithmetic, and lies
+    # in [0,1)^n
     for name, doc in CUT_CASES.items():
         spec = parse_spec(doc)
-        for k in (1, 2):
-            window = Window.standard(spec.rank, k)
-            hyperplanes = lift_to_window(spec, window)
-            lifted = enumerate_faces(hyperplanes, window)
-            cand = sorted(reference_candidates(hyperplanes, window))
-            signs = [reference_signs(hyperplanes, p) for p in cand]
-            for f in lifted.faces:
-                fsig = sign_vector(lifted, f.id)
-                ids = tuple(i for i, sig in enumerate(signs)
-                            if all(a == 0 or a == b for a, b in zip(sig, fsig)))
-                assert f.vertex_ids == ids, (name, k, f)
-                mean = tuple(sum(xs) / len(ids) for xs in zip(*(cand[i] for i in ids)))
-                assert f.barycenter == mean, (name, k, f)
+        stars, brute = VertexStars(spec), BruteStars(spec)
+        den, canon = stars.barycenters()
+        for code, num in canon.values():
+            verts = face_vertices(brute, code, 3)
+            mean = tuple(sum(xs) / len(verts) for xs in zip(*verts))
+            assert mean == tuple(Fraction(x, den) for x in num), (name, code)
+            assert all(0 <= x < 1 for x in mean), (name, code)
 
 
-def test_locate_clears_large_denominators(catalog):
-    # no candidate vertex has a denominator 53 or 59; the face with a
-    # point's code contains it
-    lifted = catalog("three_points").lifted
-    fid = lifted.by_code[code_at(lifted.sources, (Fraction(1, 53),))]
-    assert lifted.faces[fid].barycenter == (Fraction(1, 8),)
-    lifted = catalog("diagonals").lifted
-    point = (Fraction(1, 53), Fraction(-7, 59))
-    fid = lifted.by_code[code_at(lifted.sources, point)]
-    assert sign_vector(lifted, fid) == reference_signs(lifted.hyperplanes, point)
-    assert lifted.faces[fid].dim == 2
-
-
-def source_slabs(lifted):
-    """(alpha, lo, hi) per source: the constants of the unlifted
-    hyperplanes next to its lifted ones, below the lowest and above the
-    highest; both miss the box."""
-    runs = {}
-    for h in lifted.hyperplanes:
-        runs.setdefault(h.source, []).append(h)
-    return [(run[0].alpha, min(h.c for h in run) - 1, max(h.c for h in run) + 1)
-            for run in runs.values()]
-
-
-def reference_translate(lifted, slabs, by_masks, fid, u):
-    """The face fid + u, read at the moved barycenter x in Fraction
-    arithmetic.  The face leaves the window when x lies on or beyond
-    an unlifted hyperplane of `source_slabs`.  Otherwise it is the face
-    with x's signs on the lifted hyperplanes, each sign being
-    <alpha, x> - c with x and c put over one denominator, looked up in
-    `by_masks`, and it leaves the window when no face has them."""
-    point = tuple(x + s for x, s in zip(lifted.faces[fid].barycenter, u))
-    den = math.lcm(*(x.denominator for x in point))
-    num = [x.numerator * (den // x.denominator) for x in point]
-    leaves = WindowError("face %d moved by %s leaves the window" % (fid, u))
-    for alpha, lo, hi in slabs:
-        if not lo * den < sum(a * x for a, x in zip(alpha, num)) < hi * den:
-            raise leaves
-    plus = minus = 0
-    for i, h in enumerate(lifted.hyperplanes):
-        v = sum(a * x for a, x in zip(h.alpha, num)) * h.c.denominator - h.c.numerator * den
-        plus |= (v > 0) << i
-        minus |= (v < 0) << i
-    got = by_masks.get((plus, minus))
-    if got is None:
-        raise leaves
-    return got
-
-
-def outcome(fn, *args):
-    try:
-        return fn(*args)
-    except WindowError as e:
-        return str(e)
-
-
-# (name, document, window, step): every step-th face moves.  r3 has 4327
-# faces at window 1 and 18471 at window 2; all of them would take most of
-# the tier-1 time budget
-TRANSLATE_CASES = [(name, doc, k, 1) for name, doc in CUT_CASES.items()
-                   for k in (1, 2)] + [("r3", json.dumps(DOCS["r3"]), 1, 23)]
+def test_sign_vectors_strict_on_barycenter():
+    # each orbit's barycenter lies inside its face: the point's code is
+    # the face's, so its signs are strict off the face's hyperplanes
+    for name, doc in list(CUT_CASES.items()) + [("r3", json.dumps(DOCS["r3"]))]:
+        stars = VertexStars(parse_spec(doc))
+        den, canon = stars.barycenters()
+        for code, num in canon.values():
+            assert code_at(stars.sources, [Fraction(x, den) for x in num]) == code, (name, code)
 
 
 def test_translate_matches_reference_locate():
-    # signs moved from a lifted pre-image, and signs fixed by the side of
-    # the box that a pre-image outside the lift lies on; faces found with
-    # the moved barycenter outside the box, and faces that leave the box
-    paths = {"lifted": 0, "fixed": 0, "found outside": 0, "leaves": 0}
-    for name, doc, k, step in TRANSLATE_CASES:
+    # a face moved by u is the face whose code is its code plus
+    # 2 <alpha_i, u>: the code the brute-force reference reads at its
+    # barycenter moved by u
+    for name, doc in list(CUT_CASES.items()) + [("r3", json.dumps(DOCS["r3"]))]:
         spec = parse_spec(doc)
-        window = Window.standard(spec.rank, k)
-        lifted = enumerate_faces(lift_to_window(spec, window), window)
-        lifted_at = {(h.source, h.shift) for h in lifted.hyperplanes}
-        slabs = source_slabs(lifted)
-        by_masks = {f.signs: f.id for f in lifted.faces}
-        for u in product((-1, 0, 1), repeat=spec.rank):
-            if not any(u):
-                continue
-            moved = sum((h.source, h.shift - sum(a * s for a, s in zip(h.alpha, u)))
-                        in lifted_at for h in lifted.hyperplanes)
-            for f in lifted.faces[::step]:
-                got = outcome(lifted.translate, f.id, u)
-                assert got == outcome(reference_translate, lifted, slabs, by_masks,
-                                      f.id, u), (name, k, f, u)
-                if isinstance(got, int):
-                    paths["lifted"] += moved
-                    paths["fixed"] += len(lifted.hyperplanes) - moved
-                    paths["found outside"] += not inside(
-                        window, tuple(x + s for x, s in zip(f.barycenter, u)))
-                else:
-                    paths["leaves"] += 1
-    assert all(paths.values()), paths
+        stars, brute = VertexStars(spec), BruteStars(spec)
+        den, canon = stars.barycenters()
+        for code, num in canon.values():
+            for u in product((-1, 0, 2), repeat=spec.rank):
+                point = tuple(Fraction(x, den) + s for x, s in zip(num, u))
+                moved = tuple(c + 2 * _dot(a, u) for c, a in zip(code, stars.alphas))
+                assert brute.code(point) == moved, (name, code, u)
+                assert stars.lattice_vector(tuple(m - c for m, c in zip(moved, code))) == u
 
 
-def reference_code(lifted, fid):
-    """The face's code read from its signs: per source, with k0 its lowest
-    lifted shift and p the count of its lifted hyperplanes with the face on
-    their + side, 2 (k0 + p) when the face lies on one of them and
-    2 (k0 + p) - 1 otherwise."""
-    sig = sign_vector(lifted, fid)
-    by_source = {}
-    for h, s in zip(lifted.hyperplanes, sig):
-        by_source.setdefault(h.source, []).append((h.shift, s))
-    return tuple(2 * (min(k for k, _ in run) + sum(s > 0 for _, s in run))
-                 - (0 not in {s for _, s in run}) for run in by_source.values())
+def test_locate_clears_large_denominators(catalog):
+    # no vertex has a denominator 53 or 59; the face orbit with a point's
+    # code is the one containing it
+    stars = catalog("three_points").stars
+    (key,), _ = stars.canonical((code_at(stars.sources, (Fraction(1, 53),)),))
+    den, canon = stars.barycenters()
+    assert Fraction(canon[key][1][0], den) == Fraction(1, 8)
+    stars = catalog("diagonals").stars
+    point = (Fraction(1, 53), Fraction(-7, 59))
+    code = code_at(stars.sources, point)
+    assert code == BruteStars(catalog("diagonals").spec).code(point)
+    assert stars.codim(code) == 0
 
 
-# (name, document, window): the cut cases at windows 1 and 2, and r3
-CODE_CASES = [(name, doc, k) for name, doc in CUT_CASES.items() for k in (1, 2)] + \
-    [("r3", json.dumps(DOCS["r3"]), 1)]
+# (name, document): the catalog but coord3, the generated cases and r3
+CODE_CASES = [(name, json.dumps(doc)) for name, doc in DOCS.items()
+              if name in ("one_point", "two_points", "three_points", "diagonals", "grid",
+                          "three_walls", "r3")] + list(GENERATED.items())
 
 
 def test_codes_match_signs_and_locate():
-    # each face's code is the one its signs give, no two faces share one,
-    # and a point's code names the face with the point's reference signs
-    # at every 7th point off the vertices of a grid of step 1/6, which
-    # meets the walls at angles 0, 1/3 and 1/2
-    for name, doc, k in CODE_CASES:
+    # a point's code is the one its signs on the lifted hyperplanes give,
+    # in Fraction arithmetic, and names a face orbit of the stars, at
+    # every 7th point of a grid of step 1/6 over [-1, 2]^n, which meets
+    # the walls at angles 0, 1/3 and 1/2
+    for name, doc in CODE_CASES:
         spec = parse_spec(doc)
-        window = Window.standard(spec.rank, k)
-        lifted = enumerate_faces(lift_to_window(spec, window), window)
-        codes = [reference_code(lifted, f.id) for f in lifted.faces]
-        assert lifted.codes == codes, (name, k)
-        assert len(set(codes)) == len(codes), (name, k)
-        face_of_signs = {sign_vector(lifted, f.id): f.id for f in lifted.faces}
-        grid = [[lo + Fraction(j, 6) for j in range(int(6 * (hi - lo)) + 1)]
-                for lo, hi in zip(window.lo, window.hi)]
-        vertices = {f.barycenter for f in lifted.faces if f.dim == 0}
-        points = [p for p in product(*grid) if p not in vertices]
-        for point in points[::7]:
-            assert lifted.by_code[code_at(lifted.sources, point)] == \
-                face_of_signs[reference_signs(lifted.hyperplanes, point)], (name, k, point)
+        stars, brute = VertexStars(spec), BruteStars(spec)
+        grid = [Fraction(j, 6) for j in range(-6, 13)]
+        for point in list(product(grid, repeat=spec.rank))[::7]:
+            code = code_at(stars.sources, point)
+            assert code == brute.code(point), (name, point)
+            assert stars.canonical((code,))[0][0] in stars.star, (name, point)
 
 
 # -- quotient
 
 def test_quotient_circle_with_one_point(catalog):
-    fc = catalog("one_point").fc
+    pipe = catalog("one_point")
+    fc = pipe.fc
     assert fc.census() == [1, 1]
     nonid = fc.morphisms[len(fc.objects):]
     assert len(nonid) == 2
-    assert sorted(m.shift for m in nonid) == [(0,), (1,)]
+    assert sorted(pipe.stars.lattice_vector(m.shift) for m in nonid) == [(0,), (1,)]
 
 
 def test_quotient_diagonals_census(catalog):
@@ -424,22 +280,29 @@ def test_quotient_category_axioms(catalog):
         assert ok, diags
 
 
+def test_diagonals_window_has_diamonds(catalog):
+    # each chamber orbit has four edges and four vertices in its closure,
+    # as each uncut 2-face of the lift to a window had
+    fc = catalog("diagonals").fc
+    below = {}
+    for m in fc.morphisms[len(fc.objects):]:
+        below.setdefault(m.src, []).append(fc.grades[m.tgt])
+    chambers = [k for k, g in enumerate(fc.grades) if g == 0]
+    assert len(chambers) == 2
+    for k in chambers:
+        assert sorted(below[k]) == [1, 1, 1, 1, 2, 2, 2, 2]
+
+
 def test_quotient_window_independent(catalog):
+    # the face category, once stable under enlarging the lift's window, is
+    # stable under a change of coordinates and base point (`moved_spec`)
     for name in ("one_point", "diagonals", "grid"):
-        small = catalog(name, 1).fc
-        large = catalog(name, 2).fc
-        assert small.census() == large.census()
-        assert len(small.morphisms) == len(large.morphisms)
-        assert sorted(small.morphism_multiplicities().values()) == \
-            sorted(large.morphism_multiplicities().values())
-
-
-def test_quotient_requires_core_window():
-    spec = parse_spec('{"rank":1,"hypersurfaces":[{"chi":[1],"q":"0"}]}')
-    window = Window([0], [1])
-    lifted = enumerate_faces(lift_to_window(spec, window), window)
-    with pytest.raises(WindowError):
-        quotient_faces(lifted)
+        fc = catalog(name).fc
+        moved = Pipeline(name, moved_spec(catalog(name).spec)).fc
+        assert fc.census() == moved.census()
+        assert len(fc.morphisms) == len(moved.morphisms)
+        assert sorted(fc.morphism_multiplicities().values()) == \
+            sorted(moved.morphism_multiplicities().values())
 
 
 # -- layers
@@ -464,6 +327,23 @@ def test_layers_diagonals(catalog):
             assert len(ups) == 3
 
 
+@pytest.mark.parametrize("name,betti,census", [
+    # mu(T, p) = -1 at the point of the circle
+    ("one_point", [1, 2], [1, 1]),
+    # two points on each of two circles meeting at two points
+    ("diagonals", [1, 4, 5], [2, 4, 2]),
+    ("coord3", [1, 6, 12, 8], [1, 3, 3, 1]),
+    ("r3", [1, 9, 30, 39], [15, 48, 50, 17]),
+])
+def test_layer_references(name, betti, census):
+    # the Poincare polynomial's Betti numbers and the toric Zaslavsky face
+    # count from the layer poset alone; r3's are those `homology` and
+    # `faces` print
+    spec = parse_spec(json.dumps(DOCS[name]))
+    lp = layers(spec, VertexStars(spec))
+    assert (lp.poincare_betti(), lp.face_census()) == (betti, census)
+
+
 def test_reduce_mod_lattice_is_exact_on_large_ints():
     # a float division would round (10**17 + 1) / 3 and floor it to the
     # wrong multiple
@@ -474,26 +354,10 @@ def test_reduce_mod_lattice_is_exact_on_large_ints():
 
 # -- local operations
 
-def project(lifted, fid, g):
-    """Signs of face g on the hyperplanes through face fid."""
-    sig = sign_vector(lifted, g)
-    return tuple(sig[i] for i in _bits(lifted.zero_mask(fid)))
-
-
-def test_project_chamber_is_constant(catalog):
-    lifted = catalog("diagonals").lifted
-    cid = next(f.id for f in lifted.faces if f.dim == lifted.dim)
-    assert {project(lifted, cid, g) for g in (cid,) + lifted.uppers[cid]} == {()}
-
-
-def test_project_vertex_separates_quadrants(catalog):
-    lifted = catalog("diagonals").lifted
-    vertex = next(f.id for f in lifted.faces
-                  if f.dim == 0 and f.barycenter == (0, 0))
-    chambers = lifted.chambers_above(vertex)
-    images = {project(lifted, vertex, g) for g in chambers}
-    assert len(chambers) == 4
-    assert len(images) == 4
+def project(f, g):
+    """Signs of the face with code g on the hyperplanes through the face
+    with code f, which lies in g's closure."""
+    return tuple(b - a for a, b in zip(f, g) if not a & 1)
 
 
 def chambers_at(stars, f):
@@ -501,6 +365,22 @@ def chambers_at(stars, f):
     its cofaces of codimension 0."""
     _, cofaces = stars.star[stars.canonical((f,))[0][0]]
     return [g for g in [f] + cofaces if stars.codim(g) == 0]
+
+
+def test_project_chamber_is_constant(catalog):
+    stars = catalog("diagonals").stars
+    c = next(f for f, _ in stars.star.values() if stars.codim(f) == 0)
+    assert {project(c, g) for g in chambers_at(stars, c)} == {()}
+
+
+def test_project_vertex_separates_quadrants(catalog):
+    stars = catalog("diagonals").stars
+    num, faces = stars.vertices[0]
+    assert not any(num)
+    vertex = next(f for f in faces if stars.codim(f) == 2)
+    chambers = chambers_at(stars, vertex)
+    assert len(chambers) == 4
+    assert len({project(vertex, c) for c in chambers}) == 4
 
 
 def test_opposite_chamber_involution(catalog):
@@ -547,58 +427,48 @@ def test_chamber_fiber_identity_when_adjacent(catalog):
 
 
 def test_quotient_functorial_on_lifted_incidences(catalog):
-    # composing two incidence orbits through their lifts agrees with the
-    # orbit of the composed incidence
-    fc = catalog("diagonals").fc
-    lifted = catalog("diagonals").lifted
-    cat = fc.as_category()
-    for k, (g,) in enumerate(fc.objects):
-        for mid_fid in lifted.lowers[g]:
-            for low_fid in lifted.lowers[mid_fid]:
-                m1 = fc.by_rep[(k, (mid_fid,))]
-                # translate the lower incidence into canonical position
-                o_mid, u_mid = fc.key((mid_fid,))
-                low_can = lifted.translate(low_fid, tuple(-x for x in u_mid))
-                m2 = fc.by_rep[(o_mid, (low_can,))]
-                composed = cat.compose(m2, m1)
-                direct = fc.by_rep[(k, (low_fid,))]
-                assert composed == direct
+    # for faces e < f < g at one vertex of the periodic arrangement,
+    # composing the orbits of f -> e and g -> f gives the orbit of g -> e
+    for stars in (catalog("diagonals").stars, VertexStars(parse_spec(json.dumps(DOCS["r3"])))):
+        fc = stars.face_category()
+        cat = fc.as_category()
+
+        def morphism(upper, lower):
+            (g, f), _ = stars.canonical((upper, lower))
+            return fc.by_rep[(fc.index[(g,)], (f,))]
+
+        for _, faces in stars.vertices:
+            ups = {f: [g for g in faces if g != f and code_leq(f, g)] for f in faces}
+            for e in faces:
+                for f in ups[e]:
+                    for g in ups[f]:
+                        assert cat.compose(morphism(f, e), morphism(g, f)) == morphism(g, e)
 
 
-# -- the categories from vertex stars against the lift
-
-def lift_reference(spec):
-    """The lift at the first window where its face and Salvetti quotients
-    exist, with those two categories."""
-    for k in range(1, window_cap(spec) + 1):
-        window = Window.standard(spec.rank, k)
-        lifted = enumerate_faces(lift_to_window(spec, window), window)
-        try:
-            fc = quotient_faces(lifted)
-            return lifted, fc, toric_salvetti(lifted, fc)
-        except WindowError:
-            continue
-    raise AssertionError("the lift has no quotient up to the cap")
-
+# -- the categories from vertex stars against the lifted hyperplanes, read
+# by the brute-force reference of `conftest.BruteStars`
 
 def assert_stars_match_lift(doc):
     spec, _ = essentialize(parse_spec(json.dumps(doc)))
-    lifted, fc, z = lift_reference(spec)
-    stars = VertexStars(spec)
-    star_fc, star_z = stars.face_category(), stars.salvetti_category()
-    # one star per vertex orbit
-    assert len(stars.vertices) == fc.census()[0]
-    # each orbit's translate with its barycenter in [0,1)^n is the lift's
-    # canonical face, with its code and barycenter
-    den, canon = stars.barycenters()
-    assert sorted((code, tuple(Fraction(x, den) for x in num)) for code, num in canon.values()) \
-        == sorted((lifted.codes[f], lifted.faces[f].barycenter) for (f,) in fc.objects)
-    for lift_cat, star_cat in ((fc, star_fc), (z, star_z)):
-        assert star_cat.census() == lift_cat.census()
-        assert sorted(star_cat.morphism_multiplicities().values()) == \
-            sorted(lift_cat.morphism_multiplicities().values())
-        assert same_quotient(lifted, lift_cat, stars, star_cat)
-    assert not same_quotient(lifted, fc, stars, star_z)
+    stars, brute = VertexStars(spec), BruteStars(spec)
+    n = spec.rank
+    # one star per vertex orbit, at its translate in [0,1)^n, sorted
+    assert [tuple(Fraction(x, stars.scale) for x in num) for num, _ in stars.vertices] \
+        == brute.vertices
+    fc, z = stars.face_category(), stars.salvetti_category()
+    orbits = brute.face_orbits()
+    assert sorted(brute.canonical(f)[0] for (f,) in fc.objects) == sorted(orbits)
+    assert fc.census() == [sum(brute.dim(f) == d for f in orbits) for d in range(n + 1)]
+
+    def names(cat, m):
+        return (brute.canonical(*cat.objects[m.src]), brute.canonical(*cat.objects[m.tgt]))
+
+    assert Counter((g, f) for (g,), (f,) in (names(fc, m) for m in fc.morphisms[len(fc.objects):])) \
+        == brute.incidences()
+    objects, arrows = brute.salvetti()
+    assert sorted(brute.canonical(*e) for e in z.objects) == sorted(objects)
+    assert z.census() == [sum(n - brute.dim(f) == g for f, _ in objects) for g in range(n + 1)]
+    assert Counter(names(z, m) for m in z.morphisms[len(z.objects):]) == arrows
 
 
 @st.composite
@@ -620,21 +490,21 @@ def test_stars_match_lift_on_generated(doc):
     assert_stars_match_lift(doc)
 
 
-@pytest.mark.parametrize("name", ["coincident", "nonessential", "g2_00", "three_walls_2"])
+@pytest.mark.parametrize("name", ["coincident", "nonessential", "g2_00", "three_walls_2", "r3"])
 def test_stars_match_lift(name):
-    # two sources share the lift's integer walls; a rank-3 spec whose
-    # characters span rank 2; a lift that needs window 2; flats with
-    # non-integral directions
+    # two sources share their hyperplanes at the integers; a rank-3 spec
+    # whose characters span rank 2; a chamber orbit reaching far from its
+    # vertex; parallel characters (2, -2) and (-1, 1); oblique rank-3 walls
     docs = dict(DOCS, coincident={"rank": 1, "hypersurfaces": [
         {"chi": [1], "q": "0"}, {"chi": [2], "q": "0"}]})
     assert_stars_match_lift(docs[name])
 
 
-def test_code_leq_is_the_closure_order(catalog):
-    # f lies in the closure of g when f's sign masks lie in g's
-    lifted = catalog("diagonals").lifted
-    codes = lifted.codes
-    for f in lifted.faces:
-        for g in lifted.faces:
-            (p1, q1), (p2, q2) = f.signs, g.signs
-            assert code_leq(codes[f.id], codes[g.id]) == (not (p1 & ~p2 or q1 & ~q2))
+def test_code_leq_is_the_closure_order():
+    # f lies in the closure of g exactly when f's sign vector at a shared
+    # vertex lies below g's
+    for name in ("diagonals", "three_walls", "r3"):
+        brute = BruteStars(parse_spec(json.dumps(DOCS[name])))
+        for star in brute.stars:
+            for (f, s), (g, t) in product(star, repeat=2):
+                assert code_leq(f, g) == covector_leq(s, t), (name, f, g)

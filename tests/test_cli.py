@@ -2,7 +2,6 @@ import json
 import subprocess
 import sys
 
-import pytest
 
 SPEC_ONE_POINT = '{"rank":1,"hypersurfaces":[{"chi":[1],"q":"0"}]}'
 SPEC_TWO_POINTS = ('{"rank":1,"hypersurfaces":[{"chi":[1],"q":"0"},'
@@ -100,16 +99,15 @@ def test_exit_one_on_missing_file():
 
 
 def test_exit_two_when_window_too_small(tmp_path, capsys):
-    # the sheared pair has a canonical chamber whose closure reaches the
-    # boundary of window 1, so the lift behind check needs --window 2
+    # the sheared pair has a chamber orbit whose closure reaches past
+    # [-1, 2]^2 from its vertex, so the lift behind check once exited 2 at
+    # window 1; check now takes no window, and exit 2 is gone
     path = write_spec(tmp_path, SPEC_SHEARED)
     res = run_cli(["check", path, "--window", "1"])
-    assert res.returncode == 2
-    assert "try again with --window 2" in res.stderr
-    res2 = run_cli(["check", path, "--window", "2", "--format", "json"])
-    assert res2.returncode == 0
-    assert json.loads(res2.stdout)["verdict"] == "pass"
-    assert run_cli(["check", path, "--format", "json"]).stdout == res2.stdout
+    assert res.returncode == 1 and "--window" in res.stderr
+    res = run_cli(["check", path, "--format", "json"])
+    assert res.returncode == 0
+    assert json.loads(res.stdout)["verdict"] == "pass"
     assert_window_free_reports(capsys, path, SPEC_SHEARED)
 
 
@@ -148,12 +146,11 @@ SPEC_G2_00 = ('{"rank":2,"hypersurfaces":[{"chi":[-1,2],"q":"1/4"},'
 
 
 def test_missing_face_orbit_needs_larger_window(tmp_path, capsys):
-    # the lift behind check misses the orbit at window 1; the commands
-    # that read the vertex stars need no window
+    # a lift to [-1, 2]^2 misses a chamber orbit, which once needed a
+    # larger window; the vertex stars need none
     path = write_spec(tmp_path, SPEC_G2_00)
-    res = run_cli(["check", path, "--window", "1", "--format", "json"])
-    assert res.returncode == 2
-    assert "try again with --window 2" in res.stderr
+    report = _json_report(capsys, ["check", path])
+    assert report["verdict"] == "pass" and "window" not in report
     assert_window_free_reports(capsys, path, SPEC_G2_00)
 
 
@@ -192,13 +189,10 @@ def assert_window_free_reports(capsys, path, spec):
         assert report == expected, command
 
 
-def test_window_free_commands_never_lift(tmp_path, capsys, monkeypatch):
-    from toricarr import arrangement
-
-    def no_window(*args):
-        raise AssertionError("a window was built")
-
-    monkeypatch.setattr(arrangement.Window, "standard", classmethod(no_window))
+def test_window_free_commands_never_lift(tmp_path, capsys):
+    from toricarr import arrangement, cells
+    assert not {"Window", "window_cap", "lift_to_window"} & set(dir(arrangement))
+    assert not {"enumerate_faces", "quotient_faces"} & set(dir(cells))
     path = write_spec(tmp_path, SPEC_GRID)
     census = _json_report(capsys, ["faces", path])["census"]
     assert census == [4, 8, 4]
@@ -211,9 +205,8 @@ def test_window_free_commands_never_lift(tmp_path, capsys, monkeypatch):
     assert len(report["generators"]) == 10 and "window" not in report
     assert _json_report(capsys, ["pi1", path, "--simplify"])["simplified"]["abelianization"] \
         == {"betti": 6, "torsion": []}
-    from toricarr import cli
-    with pytest.raises(AssertionError, match="a window was built"):
-        cli.run(["check", path])
+    report = _json_report(capsys, ["check", path])
+    assert report["verdict"] == "pass" and "window" not in report
 
 
 # the second draw of the benchmark's generator family 1
@@ -222,14 +215,22 @@ SPEC_G1_01 = ('{"rank":2,"hypersurfaces":[{"chi":[1,0],"q":"0"},'
 
 
 def test_translated_cut_chamber_needs_no_larger_window(tmp_path, capsys):
-    # at window 1, a cut chamber moved by (0, 1) meets the box although its
-    # clipped barycenter, moved along, does not; its code finds it, so the
-    # lift's Salvetti category behind check answers at window 1 as at 2
-    path = write_spec(tmp_path, SPEC_G1_01)
-    reports = [_json_report(capsys, ["check", path, "--window", str(k)]) for k in (1, 2)]
-    assert [r.pop("window") for r in reports] == [1, 2]
-    assert reports[0] == reports[1]
-    assert reports[0]["verdict"] == "pass"
+    # at window 1, a cut chamber of the lift moved by (0, 1) met the box
+    # although its clipped barycenter did not; the vertex stars have no
+    # box, and the reports are those of the arrangement in other
+    # coordinates and moved by a rational point (`moved_spec`)
+    from toricarr.arrangement import parse_spec, spec_to_json_dict
+    from conftest import moved_spec
+    moved = json.dumps(spec_to_json_dict(moved_spec(parse_spec(SPEC_G1_01))))
+    paths = [write_spec(tmp_path, doc, name) for doc, name in
+             ((SPEC_G1_01, "arr.json"), (moved, "moved.json"))]
+    for command in ("check", "salvetti", "homology"):
+        reports = [_json_report(capsys, [command, path]) for path in paths]
+        for r in reports:
+            r.pop("arrangement")
+        assert reports[0] == reports[1]
+        if command == "check":
+            assert reports[0]["verdict"] == "pass"
 
 
 def test_max_dim_truncates_reports_not_homology(tmp_path):
@@ -253,7 +254,7 @@ def test_max_dim_truncates_reports_not_homology(tmp_path):
 
 
 def test_max_dim_only_on_nerve_commands(tmp_path):
-    # a usage error exits 1: exit 2 is reserved for "window too small"
+    # a usage error exits 1
     path = write_spec(tmp_path, SPEC_ONE_POINT)
     res = run_cli(["faces", path, "--max-dim", "1"])
     assert res.returncode == 1
@@ -273,17 +274,17 @@ def test_check_failure_reports_diagnostics(tmp_path, monkeypatch, capsys):
 
 
 def test_window_above_cap_exits_one_at_once(tmp_path):
-    # without the cap this call lifts 200002 points and does not finish
+    # check takes no window: any --window exits 1 before any work
     path = write_spec(tmp_path, SPEC_ONE_POINT)
     res = subprocess.run([sys.executable, "-m", "toricarr", "check", path,
                           "--window", "100000"],
                          capture_output=True, text=True, timeout=30)
     assert res.returncode == 1
     assert res.stdout == ""
-    assert "cap 2" in res.stderr
+    assert res.stderr.startswith("error: unknown option --window for check")
 
 
-# this arrangement's cap is 4, and every command answers at window 2
+# its chamber orbits reach far from their vertices: a lift to [-1, 2]^2 misses some
 SPEC_TWO_WALL = ('{"rank":2,"hypersurfaces":[{"chi":[-1,1],"q":"1/4"},'
                  '{"chi":[1,-2],"q":"0"}]}')
 
@@ -296,48 +297,10 @@ def _json_report(capsys, argv):
     return json.loads(out)
 
 
-def test_default_window_reaches_a_tight_cap(tmp_path, capsys):
-    from toricarr.arrangement import parse_spec, window_cap
-    assert window_cap(parse_spec(SPEC_TWO_WALL)) == 4
+def test_two_wall_check_passes_at_window_two(tmp_path, capsys):
+    # the lift behind check needed window 2 here; check takes none now
     path = write_spec(tmp_path, SPEC_TWO_WALL)
     report = _json_report(capsys, ["check", path])
-    assert report["window"] == 2 and report["verdict"] == "pass"
-    at_cap = _json_report(capsys, ["check", path, "--window", "4"])
-    assert at_cap.pop("window") == 4
-    report.pop("window")
-    assert report == at_cap
-
-
-def test_window_error_at_every_window_exits_three_at_the_cap(tmp_path, monkeypatch,
-                                                             capsys):
-    from toricarr import cli
-    from toricarr.errors import WindowError
-    tried = []
-
-    def never_fits(spec, args):
-        tried.append(args.window)
-        raise WindowError("window %d is too small" % args.window)
-
-    monkeypatch.setitem(cli.COMMANDS, "check", (never_fits, ("--window",)))
-    path = write_spec(tmp_path, SPEC_TWO_WALL)
-    assert cli.run(["check", path]) == 3
-    assert tried == [1, 2, 3, 4]
-    out, err = capsys.readouterr()
-    assert out == ""
-    assert "window error at the cap 4: window 4 is too small" in err
-
-    # a command without a window has no window to retry at
-    def no_window(spec, args):
-        raise WindowError("no window here")
-
-    monkeypatch.setitem(cli.COMMANDS, "faces", (no_window, ()))
-    assert cli.run(["faces", path]) == 3
-    assert "window error without a window: no window here" in capsys.readouterr().err
-
-
-def test_two_wall_check_passes_at_window_two(tmp_path, capsys):
-    path = write_spec(tmp_path, SPEC_TWO_WALL)
-    report = _json_report(capsys, ["check", path, "--window", "2"])
     assert report["verdict"] == "pass" and all(report["checks"].values())
 
 
@@ -349,6 +312,8 @@ USAGE_ERRORS = [
     (["faces", "{path}", "other.json"], "other.json"),
     (["faces", "{path}", "--bogus"], "--bogus"),
     (["check", "{path}", "--window"], "--window"),
+    (["check", "{path}", "--window", "1"], "--window"),
+    (["check", "{path}", "--window=2"], "--window"),
     (["faces", "{path}", "--format", "xml"], "--format"),
     (["homology", "{path}", "--space", "cell"], "--space"),
     (["check", "{path}", "--window", "abc"], "--window"),
@@ -383,11 +348,11 @@ def test_command_line_grammar(tmp_path, capsys):
         out, err = capsys.readouterr()
         assert out.startswith("usage: toricarr ") and err == "", argv
     outputs = []
-    for argv in (["check", path, "--window", "2"], ["check", "--window=2", path]):
+    for argv in (["homology", path, "--space", "face"], ["homology", "--space=face", path]):
         assert cli.run(argv + ["--format=json"]) == 0
         outputs.append(capsys.readouterr().out)
     assert outputs[0] == outputs[1]
-    assert json.loads(outputs[0])["window"] == 2
+    assert json.loads(outputs[0])["space"] == "face"
 
 
 SPEC_GRID3 = ('{"rank":2,"hypersurfaces":['

@@ -11,34 +11,35 @@ def test_gate_records_and_diffs_one_input(tmp_path, capsys):
     gate.record(root, path, only={"one_point"})
     with open(path, encoding="utf-8") as fh:
         runs = [json.loads(line) for line in fh]
-    # nine command lines, each with no --window, and check, the one that
-    # takes one, also at windows 1 and 2
-    assert len(runs) == 9 + 2
-    assert {r["window"] for r in runs if r["command"] == ["pi1"]} == {None}
+    # nine command lines, none of which takes --window
+    assert len(runs) == 9
+    assert {r["window"] for r in runs} == {None}
     assert {r["exit"] for r in runs} == {0}
     assert not any("elapsed" in r["stderr"] for r in runs)
     faces = next(r for r in runs if r["command"] == ["faces"])
     assert json.loads(faces["stdout"])["census"] == [1, 1]
     assert gate.diff(path, path) == 0
 
-    # a default run reporting another window, and an explicit run that
-    # failed on the first side
-    check = next(r for r in runs if r["command"] == ["check"] and r["window"] is None)
+    # a recording from a tree whose check took a window: its default run
+    # reports the window, and its explicit run at window 1 failed where
+    # the other side's answers
+    check = next(r for r in runs if r["command"] == ["check"])
     report = json.loads(check["stdout"])
-    report["window"] = 2
-    check["stdout"] = json.dumps(report)
-    explicit = next(r for r in runs if r["command"] == ["check"] and r["window"] == 1)
-    failed = dict(explicit, exit=2, stdout="", stderr="error: too small\n")
-    changed = str(tmp_path / "b.jsonl")
-    with open(changed, "w", encoding="utf-8") as fh:
-        fh.writelines(json.dumps(failed if r is explicit else r) + "\n" for r in runs)
+    windowed = dict(check, stdout=json.dumps(dict(report, window=2)))
+    failed = dict(check, window=1, exit=2, stdout="", stderr="error: too small\n")
+    answered = dict(check, window=1)
+    old, new = str(tmp_path / "old.jsonl"), str(tmp_path / "new.jsonl")
+    with open(old, "w", encoding="utf-8") as fh:
+        fh.writelines(json.dumps(windowed if r is check else r) + "\n" for r in runs + [failed])
+    with open(new, "w", encoding="utf-8") as fh:
+        fh.writelines(json.dumps(r) + "\n" for r in runs + [answered])
     capsys.readouterr()
-    assert gate.diff(changed, path, ("window",)) == 2
+    assert gate.diff(old, new, ("window",)) == 2
     out = capsys.readouterr().out
-    assert "2 of 11 runs changed" in out
+    assert "2 of 10 runs changed" in out
     assert "check, default window, exit 0 -> 0: only window" in out
-    assert "one_point check (window 2 -> 1)" in out
+    assert "one_point check (window 2 -> None)" in out
     assert ("check, explicit window, exit 2 -> 0: stdout and stderr differ; "
             "B equals A's default run apart from window") in out
-    assert gate.main(["diff", changed, path]) == 1
+    assert gate.main(["diff", old, new]) == 1
     assert "check, default window, exit 0 -> 0: stdout differ" in capsys.readouterr().out

@@ -1,14 +1,12 @@
 """Golden outputs of the command line: `--format json` stdout and exit code.
 
-Each case runs `cli.run` in-process on an arrangement document, at one
-`--window` for `check`, and compares the exit code and the exact stdout
-bytes with the files under `tests/golden/`.  The documents are the
-catalog, a three-wall rank-2 arrangement with the angle 2/3 (every
-catalog angle has a power-of-two denominator), `g2_00` and a two-wall
-arrangement, whose lifts need window 2 and whose faces and pi1 come from
-vertex stars (`g2_00.faces.w2` pins the lift's face quotient at window
-2; `pi1-raw`, the presentation without `--simplify`, pins the chamber
-walks and canonical faces the lift read at window 2), a three-wall
+Each case runs `cli.run` in-process on an arrangement document and
+compares the exit code and the exact stdout bytes with the files under
+`tests/golden/`.  The documents are the catalog, a three-wall rank-2
+arrangement with the angle 2/3 (every catalog angle has a power-of-two
+denominator), `g2_00` and a two-wall arrangement, whose chamber orbits
+reach far from their vertices (`pi1-raw`, the presentation without
+`--simplify`, pins their chamber walks and canonical faces), a three-wall
 arrangement whose flats have non-integral direction vectors and a
 non-essential rank-3 arrangement, which pin the essentialization basis
 and the layer lattices, and `r3`, a rank-3 arrangement with oblique
@@ -17,7 +15,7 @@ the cyclic order of the walls around each codimension-2 face (`pi1-raw`,
 which on `r3` with `--simplify` would print about a million relator
 letters) in rank 3; `coord3` `pi1` pins that order on coordinate walls.
 `three_walls.pi1.w2` keeps the name of the window its report was first
-read at.  To rewrite the goldens from the current code (only when an
+read at, when `pi1` took one.  To rewrite the goldens from the current code (only when an
 output change is intended):
 
     PYTHONPATH=src python tests/test_golden.py
@@ -32,8 +30,6 @@ import os
 import pytest
 
 from toricarr import cli
-from toricarr.arrangement import parse_spec, Window, lift_to_window
-from toricarr.cells import enumerate_faces, quotient_faces
 
 from conftest import CATALOG
 from test_cli import SPEC_G2_00, SPEC_TWO_WALL
@@ -69,14 +65,14 @@ DOCS = dict(CATALOG,
                 {"chi": [0, 0, 1], "q": "0"}, {"chi": [1, 1, 0], "q": "1/2"},
                 {"chi": [0, 1, -1], "q": "1/3"}, {"chi": [1, -1, 1], "q": "0"}]})
 
-# (document, command, window)
+# (document, command, window); the window only names the golden file
 CASES = [(name, cmd, 1) for name in ("one_point", "two_points", "three_points")
          for cmd in COMMANDS if cmd != "pi1-raw"] + \
         [(name, cmd, 1) for name in ("diagonals", "grid")
          for cmd in COMMANDS if cmd not in ("check", "pi1-raw")] + \
         [("grid", "check", 1), ("coord3", "homology", 1),
          ("three_walls", "faces", 1), ("three_walls", "homology", 1),
-         ("three_walls", "pi1", 2), ("g2_00", "faces", 1), ("g2_00", "faces", 2),
+         ("three_walls", "pi1", 2), ("g2_00", "faces", 1),
          ("g2_00", "pi1-raw", 1), ("two_wall", "pi1-raw", 1)] + \
         [("three_walls_2", "layers", 1)] + \
         [("nonessential", cmd, 1) for cmd in ("validate", "layers", "homology")] + \
@@ -85,35 +81,20 @@ CASES = [(name, cmd, 1) for name in ("one_point", "two_points", "three_points")
 
 
 def case_name(name, cmd, window):
-    """Golden file stem; window 1 is the default and goes unnamed."""
+    """Golden file stem; window 1 goes unnamed."""
     stem = "%s.%s" % (name, cmd)
     return stem if window == 1 else "%s.w%d" % (stem, window)
 
 
-def run_case(tmp_dir, doc, cmd, window):
-    if cmd == "faces" and window != 1:
-        return 0, lift_faces_report(doc, window)
+def run_case(tmp_dir, doc, cmd):
     path = os.path.join(tmp_dir, "spec.json")
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(doc, fh)
     argv = COMMANDS[cmd] + [path, "--format", "json"]
-    if "--window" in cli._takes(argv[0]):
-        argv += ["--window", str(window)]
     out = io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
         code = cli.run(argv)
     return code, out.getvalue()
-
-
-def lift_faces_report(doc, window):
-    """The `faces` report read off the lift at `window`, with the window:
-    `faces` takes none, as it reads the vertex stars, but the lift is the
-    reference they are checked against."""
-    work = cli._essential(parse_spec(json.dumps(doc)))
-    box = Window.standard(work.rank, window)
-    lifted = enumerate_faces(lift_to_window(work, box), box)
-    report = dict(cli.faces_report(work, quotient_faces(lifted)), window=window)
-    return json.dumps(report, sort_keys=True, indent=2) + "\n"
 
 
 def assert_same(got, expected):
@@ -137,7 +118,7 @@ def _exit_codes():
 @pytest.mark.parametrize("name,cmd,window", CASES,
                          ids=[case_name(*c).replace(".", "-") for c in CASES])
 def test_golden(tmp_path, name, cmd, window):
-    code, stdout = run_case(str(tmp_path), DOCS[name], cmd, window)
+    code, stdout = run_case(str(tmp_path), DOCS[name], cmd)
     case = case_name(name, cmd, window)
     with open(os.path.join(GOLDEN, case + ".stdout"), encoding="utf-8") as fh:
         expected = fh.read()
@@ -152,7 +133,7 @@ def write_goldens():
     with tempfile.TemporaryDirectory() as tmp_dir:
         for name, cmd, window in CASES:
             case = case_name(name, cmd, window)
-            codes[case], stdout = run_case(tmp_dir, DOCS[name], cmd, window)
+            codes[case], stdout = run_case(tmp_dir, DOCS[name], cmd)
             with open(os.path.join(GOLDEN, case + ".stdout"), "w",
                       encoding="utf-8") as fh:
                 fh.write(stdout)

@@ -238,7 +238,7 @@ def h1(spec, stars):
 
 
 def test_presentation_matches_h1(catalog):
-    # against the H1 of the lift's Salvetti category
+    # against the H1 of the stars' Salvetti category
     for name in ("one_point", "two_points", "diagonals", "grid"):
         pipe = catalog(name)
         pres = presentation_from_context(pipe.ctx)

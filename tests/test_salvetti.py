@@ -3,16 +3,13 @@ import json
 from hypothesis import given, settings
 import pytest
 
-from toricarr.arrangement import (AffineHyperplane, Window, parse_spec, lift_to_window,
-                                  is_essential)
-from toricarr.cells import enumerate_faces, quotient_faces
-from toricarr.errors import WindowError
+from toricarr.arrangement import parse_spec, essentialize
+from toricarr.cells import PeriodicCategory, VertexStars
 from toricarr.category import (check_acyclic, nerve_chains, boundary_matrices,
                                homology, euler_characteristic, verify_dd_zero)
-from toricarr.salvetti import toric_salvetti, is_thick, cw_census, orbit_chain_counts
-from toricarr.cells import PeriodicCategory
+from toricarr.salvetti import is_thick, cw_census
 
-from conftest import CATALOG, SalvettiPoset, salvetti_poset
+from conftest import CATALOG, BruteStars, Pipeline, central_salvetti, moved_spec
 from test_generated import arrangements
 
 
@@ -23,33 +20,29 @@ def nerve_homology(cat, max_dim):
     return chains, homology(cc)
 
 
-# -- affine Salvetti poset
+# -- Salvetti poset of a central arrangement, from the brute-force reference
 
 def test_point_in_line_is_circle():
-    lifted = enumerate_faces([AffineHyperplane((1,), 0, 0, 0)], Window([-1], [1]))
-    sal = salvetti_poset(lifted, truncated=False)
-    assert len(sal.elements) == 4
-    chains, h = nerve_homology(sal.as_category(), 1)
+    cat = central_salvetti([(1,)], 1)
+    assert cat.n_objects == 4
+    chains, h = nerve_homology(cat, 1)
     assert [len(d) for d in chains] == [4, 4]
     assert h == [(1, []), (1, [])]
 
 
 def test_two_generic_lines_are_torus():
-    hps = [AffineHyperplane((1, 0), 0, 0, 0), AffineHyperplane((0, 1), 0, 1, 0)]
-    lifted = enumerate_faces(hps, Window([-1, -1], [1, 1]))
-    sal = salvetti_poset(lifted, truncated=False)
-    assert len(sal.elements) == 16
-    _, h = nerve_homology(sal.as_category(), 2)
+    cat = central_salvetti([(1, 0), (0, 1)], 2)
+    assert cat.n_objects == 16
+    _, h = nerve_homology(cat, 2)
     assert h == [(1, []), (2, []), (1, [])]
 
 
-def test_chamber_pairs_bound_nothing(catalog):
-    sal = salvetti_poset(catalog("one_point").lifted)
-    bounded = {j for _, j in sal.relation_pairs()}
-    for i, (fid, cid) in enumerate(sal.elements):
-        if fid == cid:
-            assert sal.grade(i) == 0
-            assert i not in bounded
+def test_chamber_pairs_bound_nothing():
+    cat = central_salvetti([(1, 1), (1, -1), (1, 0)], 2)
+    bounded = {cat.target(m) for m in cat.nonidentity()}
+    chambers = [i for i, g in enumerate(cat.grades) if g == 0]
+    assert len(chambers) == 6
+    assert not bounded & set(chambers)
 
 
 # -- toric Salvetti category
@@ -105,9 +98,26 @@ def test_thick_zeta_is_poset(catalog):
         seen[key] = m
 
 
-def test_thick_on_empty_category(catalog):
-    fc = PeriodicCategory(catalog("one_point").lifted, [], lambda e: ())
-    assert is_thick(fc)
+def test_thick_on_empty_category():
+    assert is_thick(PeriodicCategory(1, [], [], {}))
+
+
+def brute_chain_counts(spec):
+    """Chain counts of the quotient Salvetti nerve from the brute-force
+    morphism orbits: with M the matrix of their multiplicities, degree k
+    has 1^T M^k 1 chains, one per path of k morphism orbits."""
+    objects, arrows = BruteStars(spec).salvetti()
+    paths = dict.fromkeys(objects, 1)
+    counts = [len(objects)]
+    for _ in range(spec.rank):
+        nxt = dict.fromkeys(objects, 0)
+        for (src, tgt), mult in arrows.items():
+            nxt[src] += mult * paths[tgt]
+        paths = nxt
+        if not sum(paths.values()):
+            break
+        counts.append(sum(paths.values()))
+    return counts
 
 
 def test_quotient_commutes_with_nerve(catalog):
@@ -115,86 +125,36 @@ def test_quotient_commutes_with_nerve(catalog):
         pipe = catalog(name)
         n = pipe.spec.rank
         chains = nerve_chains(pipe.zeta.as_category(), n)
-        assert orbit_chain_counts(pipe.lifted, n) == [len(d) for d in chains]
+        assert brute_chain_counts(pipe.spec) == [len(d) for d in chains]
 
 
-def brute_orbit_chain_counts(lifted, max_dim):
-    """The orbit counts by brute force: the Salvetti poset on every pair
-    over an uncut face of the window, its whole nerve, and one canonical
-    translate per chain."""
-    elements = sorted((f.id, cid) for f in lifted.faces if not f.boundary_cut
-                      for cid in lifted.chambers_above(f.id))
-    sal = SalvettiPoset(lifted, elements)
-    cat = sal.as_category()
-    chains = nerve_chains(cat, max_dim)
-    counts = [len({lifted.canonical(e)[0] for e in sal.elements})]
-    for k in range(1, len(chains)):
-        seen = set()
-        for chain in chains[k]:
-            objs = [cat.source(chain[0])] + [cat.target(m) for m in chain]
-            seen.add(lifted.canonical(tuple(f for i in objs for f in sal.elements[i]))[0])
-        counts.append(len(seen))
-    return counts
-
-
-def assert_chain_counts_match(doc, k):
-    """Where the face quotient and the brute force succeed, the counts
-    from canonical sources agree with it.  The brute force moves clipped
-    chamber barycenters, which can leave the window although the moved
-    chamber is in it; `toric_salvetti` fails on such windows too."""
-    spec = parse_spec(json.dumps(doc))
-    window = Window.standard(spec.rank, k)
-    lifted = enumerate_faces(lift_to_window(spec, window), window)
-    try:
-        quotient_faces(lifted)
-        expected = brute_orbit_chain_counts(lifted, spec.rank)
-    except WindowError:
-        return
-    assert orbit_chain_counts(lifted, spec.rank) == expected, (doc, k)
+def assert_chain_counts_match(doc):
+    """The quotient Salvetti nerve counts the lattice orbits of chains:
+    its chain counts match the brute-force orbit counts."""
+    spec, _ = essentialize(parse_spec(json.dumps(doc)))
+    chains = nerve_chains(VertexStars(spec).salvetti_category().as_category(), spec.rank)
+    assert brute_chain_counts(spec) == [len(d) for d in chains], doc
 
 
 @pytest.mark.parametrize("name", CATALOG)
 def test_orbit_chain_counts_match_brute_force_on_catalog(name):
-    # coord3 at window 2 would take a second
-    for k in (1,) if name == "coord3" else (1, 2):
-        assert_chain_counts_match(CATALOG[name], k)
+    assert_chain_counts_match(CATALOG[name])
 
 
 @settings(max_examples=10, deadline=None, derandomize=True, database=None)
-@given(arrangements().filter(lambda doc: is_essential(parse_spec(json.dumps(doc)))))
+@given(arrangements())
 def test_orbit_chain_counts_match_brute_force_on_generated(doc):
-    for k in (1, 2):
-        assert_chain_counts_match(doc, k)
-
-
-@pytest.mark.parametrize("doc,message", [
-    # a face below a canonical face lies in the box boundary
-    ('{"rank":2,"hypersurfaces":[{"chi":[1,-3],"q":"1/2"},{"chi":[1,-1],"q":"1/2"}]}',
-     "below canonical face"),
-    # an uncut face whose translate in cell 0 is cut
-    ('{"rank":2,"hypersurfaces":[{"chi":[1,-1],"q":"2/3"},{"chi":[0,1],"q":"1/2"},'
-     '{"chi":[-1,3],"q":"1/4"}]}', "no whole translate in cell 0")])
-def test_orbit_chain_counts_rejects_windows_it_cannot_count(doc, message):
-    # toric_salvetti and quotient_faces reject these windows first
-    spec = parse_spec(doc)
-    window = Window.standard(2, 1)
-    lifted = enumerate_faces(lift_to_window(spec, window), window)
-    with pytest.raises(WindowError, match=message):
-        orbit_chain_counts(lifted, 2)
-
-
-def test_orbit_chain_counts_needs_core_window():
-    lifted = enumerate_faces([AffineHyperplane((1,), 0, 0, 0)], Window([-1], [1]))
-    with pytest.raises(WindowError, match=r"\[-1,2\]"):
-        orbit_chain_counts(lifted, 1)
+    assert_chain_counts_match(doc)
 
 
 def test_window_independent_censuses(catalog):
+    # the Salvetti category, once stable under enlarging the lift's window,
+    # is stable under a change of coordinates and base point (`moved_spec`)
     for name in ("one_point", "diagonals", "grid"):
-        small = catalog(name, 1).zeta
-        large = catalog(name, 2).zeta
-        assert small.census() == large.census()
-        assert len(small.morphisms) == len(large.morphisms)
+        zeta = catalog(name).zeta
+        moved = Pipeline(name, moved_spec(catalog(name).spec)).zeta
+        assert zeta.census() == moved.census()
+        assert len(zeta.morphisms) == len(moved.morphisms)
 
 
 def test_zeta_connected(catalog):
