@@ -17,7 +17,6 @@ from .cells import (PeriodicCategory, FaceCategory, VertexStars, LayerPoset,
 from .category import (AcyclicCategory, ChainComplex, check_acyclic,
                        nerve_chains, boundary_matrices, homology,
                        euler_characteristic)
-from .salvetti import is_thick, cw_census
 from .pi1 import (GroupPresentation, Pi1Context, abelianize,
                   simplify_presentation, positive_minimal_path,
                   omega_paths, sigma, delta_word, h_of_G, relations_for_G)

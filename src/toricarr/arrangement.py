@@ -13,7 +13,7 @@ from fractions import Fraction
 import math
 
 from .errors import SpecError, InternalError
-from .exact import rank, saturation_basis
+from .exact import rank, reduce_mod_lattice, saturation_basis
 
 
 class Character:
@@ -171,7 +171,7 @@ def essentialize(spec):
     saturated sublattice in the original coordinates; an essential input
     comes back unchanged with the identity basis.  The basis is in Hermite
     form, so a character's coordinates y with y * basis = chi come from
-    back-substitution on the pivot columns, one exact division each.
+    back-substitution on the pivot columns (`reduce_mod_lattice`).
     """
     if is_essential(spec):
         ident = [[int(i == j) for j in range(spec.rank)] for i in range(spec.rank)]
@@ -179,14 +179,7 @@ def essentialize(spec):
     basis = saturation_basis([chi.alpha for chi, _ in spec.hypersurfaces], spec.rank)
     new_pairs = []
     for chi, a in spec.hypersurfaces:
-        # the rows below row i vanish at its pivot column, so y_i is fixed
-        # once the rows above are taken off
-        rest = list(chi.alpha)
-        y = []
-        for row in basis:
-            p = next(j for j, x in enumerate(row) if x)
-            y.append(rest[p] // row[p])
-            rest = [x - y[-1] * b for x, b in zip(rest, row)]
+        rest, y = reduce_mod_lattice(chi.alpha, basis)
         if any(rest):
             raise InternalError("character escaped its own saturation")
         new_pairs.append((Character(y), a))

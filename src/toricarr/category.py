@@ -15,25 +15,23 @@ from .exact import SparseMatrix, snf
 class AcyclicCategory:
     """Objects with an integer grade, morphisms, and a composition table.
 
-    `morphisms[i]` is the pair (source, target).  Identities are explicit
-    morphisms listed in `identities` (one per object, in object order).
-    The table maps (second, first) to the composite for composable pairs
-    of nonidentity morphisms; identity composition is implicit.
+    `morphisms[i]` starts with the pair (source, target).  The first
+    `n_objects` morphisms are the identities, in object order.  The table
+    maps (second, first) to the composite for composable pairs of
+    nonidentity morphisms; identity composition is implicit.
     """
 
-    def __init__(self, grades, morphisms, identities, table):
-        self.grades = list(grades)
-        self.morphisms = [tuple(m) for m in morphisms]
-        self.identities = list(identities)
-        self.table = dict(table)
-        self._identity_set = set(self.identities)
+    def __init__(self, grades, morphisms, table):
+        self.grades = grades
+        self.morphisms = morphisms
+        self.table = table
 
     @property
     def n_objects(self):
         return len(self.grades)
 
     def is_identity(self, mid):
-        return mid in self._identity_set
+        return mid < len(self.grades)
 
     def source(self, mid):
         return self.morphisms[mid][0]
@@ -42,7 +40,7 @@ class AcyclicCategory:
         return self.morphisms[mid][1]
 
     def nonidentity(self):
-        return [m for m in range(len(self.morphisms)) if m not in self._identity_set]
+        return range(len(self.grades), len(self.morphisms))
 
     def compose(self, m2, m1):
         """Composite m2 after m1; requires target(m1) == source(m2)."""
@@ -65,26 +63,22 @@ def check_acyclic(cat):
     """
     diags = []
     n = cat.n_objects
-    if len(cat.identities) != n:
+    if len(cat.morphisms) < n:
         diags.append("expected one identity per object")
     else:
-        for o, mid in enumerate(cat.identities):
-            if cat.morphisms[mid] != (o, o):
+        for o in range(n):
+            if (cat.source(o), cat.target(o)) != (o, o):
                 diags.append("identity of object %d has wrong endpoints" % o)
-    for mid in cat.nonidentity():
-        s, t = cat.morphisms[mid]
-        if s == t:
-            diags.append("nonidentity endomorphism %d at object %d" % (mid, s))
+    nonid = cat.nonidentity()
+    for mid in nonid:
+        if cat.source(mid) == cat.target(mid):
+            diags.append("nonidentity endomorphism %d at object %d" % (mid, cat.source(mid)))
     # opposite nonidentity morphisms would compose to endomorphisms and
     # hence to inverses; reject the pattern outright
-    directed = {}
-    for mid in cat.nonidentity():
-        s, t = cat.morphisms[mid]
-        directed.setdefault((s, t), []).append(mid)
+    directed = dict.fromkeys((cat.source(mid), cat.target(mid)) for mid in nonid)
     for (s, t) in directed:
         if s != t and (t, s) in directed:
             diags.append("morphisms in both directions between %d and %d" % (s, t))
-    nonid = cat.nonidentity()
     by_source = {}
     for mid in nonid:
         by_source.setdefault(cat.source(mid), []).append(mid)
@@ -95,7 +89,7 @@ def check_acyclic(cat):
                 diags.append("missing composite (%d, %d)" % (m2, m1))
                 continue
             c = cat.table[(m2, m1)]
-            if cat.morphisms[c] != (cat.source(m1), cat.target(m2)):
+            if (cat.source(c), cat.target(c)) != (cat.source(m1), cat.target(m2)):
                 diags.append("composite (%d, %d) has wrong endpoints" % (m2, m1))
             composites[(m2, m1)] = c
     for (m2, m1), c in composites.items():
@@ -117,7 +111,7 @@ def nerve_chains(cat, max_dim):
     Order is deterministic: chains extend in ascending morphism id.
     """
     degrees = [list(range(cat.n_objects))]
-    nonid = sorted(cat.nonidentity())
+    nonid = cat.nonidentity()
     by_source = {}
     for mid in nonid:
         by_source.setdefault(cat.source(mid), []).append(mid)

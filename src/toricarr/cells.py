@@ -31,7 +31,7 @@ import math
 from operator import add, mul, sub
 
 from .errors import SpecError, InternalError
-from .exact import adjugate, rank, integer_kernel, hnf
+from .exact import hermite_basis, hnf, integer_kernel, rank, reduce_mod_lattice
 from .category import AcyclicCategory
 
 Q = Fraction
@@ -72,36 +72,6 @@ def code_leq(f, g):
     return all(a == b if not b & 1 else -1 <= a - b <= 1 for a, b in zip(f, g))
 
 
-def _direction(rows, normals, n):
-    """(kernel, parallel): the direction of the flats cut out by
-    hyperplanes with the integer normals `rows`.
-
-    With A the matrix of those rows and H its Hermite form (`exact.hnf`),
-    the nonzero rows of H are invertible on the pivot columns P, with a
-    determinant det > 0, as H_P is upper triangular with positive pivots.
-    The reduced row echelon form of A is adj(H_P) H / det, so det times
-    its kernel basis is integral: `kernel` has, for each free column f in
-    ascending order, the row that is det at f and -adj(H_P) H_f on P.  It
-    depends only on the span of A, up to the positive factor det.
-    `parallel[k]` is True when normals[k] lies in the span of A.
-    """
-    h = [row for row in hnf(rows)[0] if any(row)]
-    cols = [next(j for j, x in enumerate(row) if x) for row in h]
-    det, adj = adjugate([[row[j] for j in cols] for row in h])
-    kernel = []
-    for f in range(n):
-        if f in cols:
-            continue
-        v = [0] * n
-        v[f] = det
-        at_f = [row[f] for row in h]
-        for row, col in zip(adj, cols):
-            v[col] = -_dot(row, at_f)
-        kernel.append(tuple(v))
-    parallel = [all(_dot(a, v) == 0 for v in kernel) for a in normals]
-    return tuple(kernel), parallel
-
-
 # ---------------------------------------------------------------------------
 # quotient by the translation lattice
 
@@ -109,7 +79,7 @@ def _direction(rows, normals, n):
 Morphism = namedtuple("Morphism", "src tgt shift target")
 
 
-class PeriodicCategory:
+class PeriodicCategory(AcyclicCategory):
     """Quotient of the periodic faces by the translation lattice.
 
     An element is a tuple of face codes; its first face grades it.
@@ -120,37 +90,36 @@ class PeriodicCategory:
     morphism orbit is stored on its canonical source with its target and
     that (object, shift), so distinct translates of one orbit below the
     same element give parallel morphisms.  The first `len(objects)`
-    morphisms are the identities.
+    morphisms are the identities, as `AcyclicCategory` reads them.
     """
 
     def __init__(self, dim, objects, grades, lowers):
         self.dim = dim
-        self.objects = list(objects)
-        self.index = {e: k for k, e in enumerate(self.objects)}
-        self.grades = list(grades)
-        self.morphisms = [Morphism(k, k, (0,) * len(e[0]), e)
-                          for k, e in enumerate(self.objects)]
-        for k, e in enumerate(self.objects):
+        self.objects = objects
+        self.index = {e: k for k, e in enumerate(objects)}
+        morphisms = [Morphism(k, k, (0,) * len(e[0]), e) for k, e in enumerate(objects)]
+        for k, e in enumerate(objects):
             for target, (tgt, shift) in lowers.get(e, ()):
-                self.morphisms.append(Morphism(k, tgt, shift, target))
-        self.by_rep = {(m.src, m.target): mid for mid, m in enumerate(self.morphisms)}
+                morphisms.append(Morphism(k, tgt, shift, target))
+        self.by_rep = {(m.src, m.target): mid for mid, m in enumerate(morphisms)}
 
         # composition through translates: move the second factor's target
         # along the first factor's shift and look the pair up
-        nonid = range(len(self.objects), len(self.morphisms))
+        nonid = range(len(objects), len(morphisms))
         by_src = {}
         for mid in nonid:
-            by_src.setdefault(self.morphisms[mid].src, []).append(mid)
-        self.table = {}
+            by_src.setdefault(morphisms[mid].src, []).append(mid)
+        table = {}
         for mid1 in nonid:
-            m1 = self.morphisms[mid1]
+            m1 = morphisms[mid1]
             for mid2 in by_src.get(m1.tgt, ()):
                 target = tuple([tuple(map(add, code, m1.shift))
-                                for code in self.morphisms[mid2].target])
+                                for code in morphisms[mid2].target])
                 comp = self.by_rep.get((m1.src, target))
                 if comp is None:
                     raise InternalError("composition fell outside the star")
-                self.table[(mid2, mid1)] = comp
+                table[(mid2, mid1)] = comp
+        super().__init__(grades, morphisms, table)
 
     def census(self):
         """Object counts by grade 0..n."""
@@ -165,10 +134,6 @@ class PeriodicCategory:
             counts[(m.src, m.tgt)] = counts.get((m.src, m.tgt), 0) + 1
         return counts
 
-    def as_category(self):
-        return AcyclicCategory(self.grades, [(m.src, m.tgt) for m in self.morphisms],
-                               range(len(self.objects)), self.table)
-
 
 class FaceCategory(PeriodicCategory):
     """Face category of the torus: one object per face orbit, mapping to
@@ -182,6 +147,11 @@ class FaceCategory(PeriodicCategory):
     def census(self):
         """Orbit counts by face dimension 0..n."""
         return super().census()[::-1]
+
+    def is_thick(self):
+        """A face category is thick when it is a poset: no parallel
+        morphisms."""
+        return all(c <= 1 for c in self.morphism_multiplicities().values())
 
 
 # ---------------------------------------------------------------------------
@@ -213,8 +183,7 @@ def torus_vertices(sources, n):
     found = []          # (den, numerators over den)
     for rows in combinations(sorted(angles), n):
         h, u = hnf(rows)
-        h = [row for row in h if any(row)]
-        if len(h) < n:
+        if not any(h[-1]):
             continue    # rank below n: no vertex
         pivots = [next(j for j, x in enumerate(row) if x) for row in h]
         den = scale * math.prod(row[j] for row, j in zip(h, pivots))
@@ -318,14 +287,14 @@ class VertexStars:
         shift = self._shifts.get(element[0])
         if shift is None:
             shift = self._shifts[element[0]] = tuple(
-                map(sub, element[0], _reduce_mod_lattice(element[0], self._basis)[0]))
+                map(sub, element[0], reduce_mod_lattice(element[0], self._basis)[0]))
         return tuple([tuple(map(sub, code, shift)) for code in element]), shift
 
     def lattice_vector(self, shift):
         """The u in Z^n whose translation adds `shift`, a code difference
         in 2A Z^n: the shift's coefficients t on the Hermite basis H = U G
         give shift = t U G = 2A (t U)."""
-        rest, t = _reduce_mod_lattice(shift, self._basis)
+        rest, t = reduce_mod_lattice(shift, self._basis)
         if any(rest):
             raise InternalError("code difference outside the lattice 2A Z^n")
         return tuple(_dot(t, col) for col in zip(*self._unimodular))
@@ -461,23 +430,6 @@ class LayerPoset:
         return census
 
 
-def _column_hnf(rows):
-    """HNF basis of the lattice spanned by the rows (as vectors)."""
-    return [row for row in hnf(rows)[0] if any(row)]
-
-
-def _reduce_mod_lattice(vec, hbasis):
-    """(r, t): r = vec - t H, each pivot entry brought into [0, pivot) by
-    the rows of the Hermite basis H in turn."""
-    v, t = list(vec), []
-    for row in hbasis:
-        piv = next(j for j, x in enumerate(row) if x != 0)
-        t.append(v[piv] // row[piv])
-        if t[-1]:
-            v = [x - t[-1] * y for x, y in zip(v, row)]
-    return tuple(v), t
-
-
 def layers(spec, stars):
     """Connected components of hypersurface intersections on the torus.
 
@@ -505,9 +457,9 @@ def layers(spec, stars):
                 b = [Q(_dot(row, num), stars.scale) for row in a_rows]
                 # the translation lattice acts on constants through the columns
                 cols = [[a_rows[i][j] for i in range(r)] for j in range(n)]
-                image = _column_hnf(cols)
+                image = hermite_basis(cols)
                 key = (tuple(tuple(row) for row in a_rows),
-                       _reduce_mod_lattice(b, image)[0])
+                       reduce_mod_lattice(b, image)[0])
             if key not in recs:
                 recs[key] = (n - r, (num, stars.scale, rows), a_rows, image)
     ordered = sorted(recs.items(), key=lambda kv: (-kv[1][0], str(kv[0])))
@@ -530,7 +482,7 @@ def layers(spec, stars):
         w = [_dot(row, p2) * d1 - _dot(row, p1) * d2 for row in a2]
         if any(x % d for x in w):
             return False
-        return not any(_reduce_mod_lattice([x // d for x in w], image)[0])
+        return not any(reduce_mod_lattice([x // d for x in w], image)[0])
 
     relations = []
     for l1 in layers_list:
@@ -549,9 +501,9 @@ def opposite_chamber(c, f):
     c_i goes to 2 f_i - c_i wherever f_i is even, that is on the sources
     with a hyperplane through the face."""
     if not all(x & 1 for x in c):
-        raise SpecError("opposite_chamber needs a chamber")
+        raise InternalError("opposite_chamber needs a chamber")
     if not code_leq(f, c):
-        raise SpecError("face %s is not a face of chamber %s" % (f, c))
+        raise InternalError("face %s is not a face of chamber %s" % (f, c))
     return tuple(x if y & 1 else 2 * y - x for x, y in zip(c, f))
 
 

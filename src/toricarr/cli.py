@@ -8,7 +8,7 @@ vertex stars.  `check` compares them with references read off the layer
 poset.  Options come anywhere after the command, as --option value or
 --option=value, unabbreviated.  Exit codes: 0 success, 1 malformed input
 or command line, or a stdout closed by its reader, 3 internal invariant
-violation (a failed `check` included).
+violation (a failed `check` and any unexpected exception included).
 """
 
 import gc
@@ -23,7 +23,6 @@ from .arrangement import parse_spec, spec_to_json_dict, is_essential, essentiali
 from .cells import layers, VertexStars
 from .category import (check_acyclic, nerve_chains, boundary_matrices,
                        homology, euler_characteristic, verify_dd_zero)
-from .salvetti import is_thick, cw_census
 from .pi1 import (build_context, presentation_from_context, abelianize,
                   simplify_presentation, quotient_without_meridians)
 
@@ -104,18 +103,17 @@ def cmd_salvetti(spec, args):
     stars = VertexStars(work)
     fc = stars.face_category()
     z = stars.salvetti_category()
-    counts, chi = cw_census(z)
-    cat = z.as_category()
+    counts = z.census()
     max_dim = args.max_dim if args.max_dim is not None else work.rank
-    chain_counts = [len(d) for d in nerve_chains(cat, work.rank)]
+    chain_counts = [len(d) for d in nerve_chains(z, work.rank)]
     return {
         "arrangement": spec_to_json_dict(work),
         "face_census": fc.census(),
         "object_census_by_codim": counts,
-        "euler_cw": chi,
+        "euler_cw": euler_characteristic(counts),
         "nerve_chain_counts": chain_counts[:max_dim + 1],
         "euler_nerve": euler_characteristic(chain_counts),
-        "thick": is_thick(fc),
+        "thick": fc.is_thick(),
     }
 
 
@@ -124,9 +122,9 @@ def cmd_homology(spec, args):
     stars = VertexStars(work)
     max_dim = args.max_dim if args.max_dim is not None else work.rank
     if args.space == "face":
-        cat = stars.face_category().as_category()
+        cat = stars.face_category()
     else:
-        cat = stars.salvetti_category().as_category()
+        cat = stars.salvetti_category()
     chain_counts, cc, h = _nerve_homology(cat, work.rank, max_dim)
     if not verify_dd_zero(cc):
         raise InternalError("boundary of boundary is nonzero")
@@ -179,21 +177,19 @@ def cmd_check(spec, args):
     fc = stars.face_category()
     pres = presentation_from_context(build_context(work, stars, fc))
     results["face_euler_zero"] = euler_characteristic(fc.census()) == 0
-    fcat = fc.as_category()
     results["face_category_acyclic"], diagnostics["face_category_acyclic"] = \
-        check_acyclic(fcat)
-    _, cc_f, h_f = _nerve_homology(fcat, n, n)
+        check_acyclic(fc)
+    _, cc_f, h_f = _nerve_homology(fc, n, n)
     results["face_nerve_dd_zero"] = verify_dd_zero(cc_f)
     results["torus_recovery"] = all(
         h_f[k] == (comb(n, k), []) for k in range(n + 1))
     z = stars.salvetti_category()
-    zcat = z.as_category()
     results["salvetti_category_acyclic"], diagnostics["salvetti_category_acyclic"] = \
-        check_acyclic(zcat)
-    counts, chi = cw_census(z)
-    counts_z, cc_z, h_z = _nerve_homology(zcat, n, n)
+        check_acyclic(z)
+    counts_z, cc_z, h_z = _nerve_homology(z, n, n)
     results["salvetti_nerve_dd_zero"] = verify_dd_zero(cc_z)
-    results["euler_cw_matches_nerve"] = chi == euler_characteristic(counts_z)
+    results["euler_cw_matches_nerve"] = \
+        euler_characteristic(z.census()) == euler_characteristic(counts_z)
     results["connected"] = h_z[0] == (1, [])
     ab = abelianize(pres)
     results["abelianization_matches_h1"] = (ab[0], list(ab[1])) == \
@@ -396,6 +392,10 @@ def run(argv):
         return 1
     except InternalError as e:
         print("internal error: %s" % e, file=sys.stderr)
+        return 3
+    except Exception as e:
+        # any other exception is a bug too, not bad input
+        print("internal error: %s: %s" % (type(e).__name__, e), file=sys.stderr)
         return 3
     if args.format == "json":
         json.dump(report, sys.stdout, sort_keys=True, indent=2)

@@ -1,15 +1,15 @@
 """Exact integer linear algebra on Python ints.
 
-Everything here is arbitrary precision and integral: a rational solution
-is returned as integer numerators over one determinant (`adjugate`), and
-lattices come from Hermite forms (`hnf`, `integer_kernel`).  No floating
-point and no rational elimination anywhere; the geometric and homological
-layers above rely on exact signs and exact divisibility.
+Everything here is arbitrary precision and integral: lattices come from
+Hermite forms (`hnf`, `hermite_basis`, `integer_kernel`), and a vector is
+reduced modulo a lattice by back-substitution on its Hermite basis
+(`reduce_mod_lattice`).  No floating point and no rational elimination
+anywhere; the geometric and homological layers above rely on exact signs
+and exact divisibility.
 
-`hnf` is the one general integer eliminator: kernels, saturation and the
-invariant factors of `snf` all come from it.  Beside it are the Bareiss
-determinant behind `adjugate` and the sparse +-1 elimination that `snf`
-runs before the dense residual block.
+`hnf` and the sparse +-1 elimination that `snf` runs before the dense
+residual block are the only eliminators: kernels, saturation and the
+invariant factors of `snf` all come from them.
 """
 
 from math import gcd
@@ -86,40 +86,28 @@ def hnf(m):
     return a, u
 
 
+def hermite_basis(rows):
+    """The nonzero rows of the Hermite form of the rows (`hnf`): a basis
+    of the lattice they span, with positive pivots in ascending columns."""
+    return [row for row in hnf(rows)[0] if any(row)]
+
+
 def rank(rows):
-    return sum(1 for row in hnf(rows)[0] if any(row))
+    return len(hermite_basis(rows))
 
 
-def _det(m):
-    """Determinant of a square integer matrix by fraction-free (Bareiss)
-    elimination: every division is exact."""
-    a = [list(r) for r in m]
-    sign, prev = 1, 1
-    for k in range(len(a)):
-        piv = next((i for i in range(k, len(a)) if a[i][k]), None)
-        if piv is None:
-            return 0
-        if piv != k:
-            a[k], a[piv] = a[piv], a[k]
-            sign = -sign
-        for i in range(k + 1, len(a)):
-            a[i] = [(x * a[k][k] - a[i][k] * y) // prev for x, y in zip(a[i], a[k])]
-        prev = a[k][k]
-    return sign * prev
-
-
-def adjugate(rows):
-    """(det A, adj A) of a square integer matrix A given as rows.
-
-    adj A * A = A * adj A = det(A) * I, so a nonsingular A has the inverse
-    adj A / det A with one denominator.  adj A is built from cofactors:
-    adj[i][j] = (-1)^(i+j) times the minor of A without row j and column i.
-    """
-    n = len(rows)
-    adj = [[(-1) ** (i + j) * _det([r[:i] + r[i + 1:] for k, r in enumerate(rows) if k != j])
-            for j in range(n)] for i in range(n)]
-    det = sum(rows[0][j] * adj[j][0] for j in range(n)) if n else 1
-    return det, adj
+def reduce_mod_lattice(vec, hbasis):
+    """(r, t): r = vec - t H, each pivot entry brought into [0, pivot) by
+    the rows of the Hermite basis H in turn.  The rows below a row vanish
+    at its pivot, so r is 0 exactly when vec lies in the lattice, and t
+    then holds its coordinates."""
+    v, t = list(vec), []
+    for row in hbasis:
+        piv = next(j for j, x in enumerate(row) if x != 0)
+        t.append(v[piv] // row[piv])
+        if t[-1]:
+            v = [x - t[-1] * y for x, y in zip(v, row)]
+    return tuple(v), t
 
 
 def integer_kernel(rows, n):
@@ -149,7 +137,7 @@ def _smith_factors(rows):
     divisibility chain.
     """
     while True:
-        rows = [row for row in hnf(rows)[0] if any(row)]
+        rows = hermite_basis(rows)
         if all(sum(map(bool, row)) == 1 for row in rows):
             break
         rows = [list(col) for col in zip(*rows)]

@@ -18,10 +18,10 @@ from functools import cmp_to_key
 import math
 from operator import add, sub
 
-from .errors import SpecError, InternalError
-from .exact import SparseMatrix, snf
+from .errors import InternalError
+from .exact import SparseMatrix, hermite_basis, integer_kernel, snf
 from .arrangement import geometric_key
-from .cells import chamber_fiber, opposite_chamber, code_at, _direction, _dot
+from .cells import chamber_fiber, opposite_chamber, code_at, _dot
 
 
 # ---------------------------------------------------------------------------
@@ -70,7 +70,7 @@ class GroupPresentation:
         for r in relators:
             r = free_reduce(r)
             if any(abs(x) < 1 or abs(x) > g for x in r):
-                raise SpecError("relator mentions an undeclared generator")
+                raise InternalError("relator mentions an undeclared generator")
             rels.append(tuple(r))
         self.relators = tuple(rels)
         self.tau_count = tau_count
@@ -142,7 +142,7 @@ def quotient_without_meridians(pres):
     """Kill every meridian generator; what remains is generated by the
     lattice loops alone."""
     if pres.tau_count is None:
-        raise SpecError("presentation does not distinguish lattice generators")
+        raise InternalError("presentation does not distinguish lattice generators")
     t = pres.tau_count
     rels = []
     for r in pres.relators:
@@ -357,7 +357,7 @@ def omega_paths(ctx, u):
     its translate by a nonnegative lattice vector."""
     u = tuple(int(x) for x in u)
     if any(x < 0 for x in u):
-        raise SpecError("omega paths need nonnegative coordinates")
+        raise InternalError("omega paths need nonnegative coordinates")
     word = []
     base = list(ctx.x0)
     for axis in range(ctx.n):
@@ -402,7 +402,7 @@ def delta_word(ctx, ref):
     by the shift, each crossing's orbit shift and wall key with it."""
     orbit, shift = ref
     if any(s < 0 for s in shift):
-        raise SpecError("expansion faces must have nonnegative shifts")
+        raise InternalError("expansion faces must have nonnegative shifts")
     mu = [c.moved(shift) for c in ctx.access(orbit)]
     word = []
     for g in sigma(list(ctx.omega(shift)) + mu):
@@ -422,6 +422,27 @@ def gamma_delta_word(ctx, ref):
     return free_reduce(list(invert_word(delta)) + core + list(delta))
 
 
+def transverse_plane(normals, n):
+    """Two rows spanning the plane of the normals through a codim-2 face,
+    oriented by the face's flat alone.
+
+    With H the Hermite basis of the normals (`exact.hermite_basis`), F the
+    two columns that the Hermite form of their kernel (`integer_kernel`)
+    leaves without a pivot, and M = H restricted to F, the rows are
+    sign(det M) adj(M) H: |det M| times the identity on F.  A basis of the
+    plane is fixed by its entries on F, so any other choice of spanning
+    rows gives a positive multiple of these, and the orientation depends
+    only on the flat's direction.
+    """
+    h = hermite_basis(normals)
+    pivots = {next(j for j, x in enumerate(row) if x) for row in integer_kernel(normals, n)}
+    free = [j for j in range(n) if j not in pivots]
+    (a, b), (c, d) = ([row[j] for j in free] for row in h)
+    sign = 1 if a * d - b * c > 0 else -1
+    return [[sign * (d * x - b * y) for x, y in zip(*h)],
+            [sign * (a * y - c * x) for x, y in zip(*h)]]
+
+
 def h_of_G(ctx, orbit):
     """The codim-1 faces around the canonical face G of a codim-2 orbit,
     as (orbit, shift) refs in cyclic angular order.
@@ -429,23 +450,21 @@ def h_of_G(ctx, orbit):
     G's cofaces are those of its orbit's representative in the vertex
     stars, moved to G.  Starts at the first face counterclockwise from the
     plane's first axis; each half meets each wall once, on opposite sides.
-    Angles are read from G's barycenter to each coface's, in the plane
-    orthogonal to G's flat, in the coordinates of `_direction`'s kernel
-    rows for the flat's direction: they fix the plane's orientation and
-    so the sense of the cycle (a lattice basis of the same plane, such as
-    `integer_kernel`'s, can reverse it).
+    Angles are read from G's barycenter to each coface's, in the plane of
+    the normals through G, in the coordinates of `transverse_plane`'s
+    rows: they are a positive multiple of the identity on the columns
+    where the Hermite form of the flat's direction has no pivot, which
+    fixes the plane's orientation and so the sense of the cycle (a lattice
+    basis of the same plane, such as the normals' Hermite basis, can
+    reverse it).
     """
-    n = ctx.n
     if ctx.fc.grades[orbit] != 2:
-        raise SpecError("expected a face orbit of codimension 2")
+        raise InternalError("expected a face orbit of codimension 2")
     g = ctx.code[orbit]
     rep, cofaces = ctx.stars.star[ctx.fc.objects[orbit][0]]
     crossings = [ctx.crossing_of_face(tuple(map(add, map(sub, c, rep), g)))
                  for c in cofaces if ctx.stars.codim(c) == 1]
-    normals = [a for a, c in zip(ctx.stars.alphas, g) if not c & 1]
-    proj = _direction(_direction(normals, (), n)[0], (), n)[0]
-    if len(proj) != 2:
-        raise InternalError("transverse plane of a codim-2 face is not 2-dimensional")
+    proj = transverse_plane([a for a, c in zip(ctx.stars.alphas, g) if not c & 1], ctx.n)
     # barycenter numerators share one positive denominator, which scales
     # every vector and so keeps the half-plane and cross-product signs
     at = ctx.bary[orbit]

@@ -273,8 +273,7 @@ def central_salvetti(normals, n):
         for (j2, k), m2 in strict.items():
             if j2 == j:
                 table[(m2, m1)] = strict[(i, k)]
-    return AcyclicCategory([rank_of[f] for f, _ in elements], morphs,
-                           range(len(elements)), table)
+    return AcyclicCategory([rank_of[f] for f, _ in elements], morphs, table)
 
 
 # -- Fraction Gauss-Jordan elimination: the reference for the integer

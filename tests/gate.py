@@ -12,7 +12,9 @@ still has `arrangement.window_cap` (before the lift was deleted), each
 command whose parser takes `--window` (`cli._takes`) also runs at each
 window from 1 to the arrangement's cap.  Each run is one JSON line: the input's
 name, the command line, the window (null for none), the exit code, the
-stdout and the stderr without its `elapsed` line.  `--only` and
+stdout and the stderr without its `elapsed` line.  A run whose `cli.run`
+raises is recorded with exit null and the exception's type and message
+at the end of its stderr, and recording goes on.  `--only` and
 `--exclude` keep or drop inputs by name.
 
 The inputs are fixed: the catalog, the first 12 draws of generator
@@ -99,12 +101,17 @@ def _import_tree(tree):
 
 
 def _run(cli, argv, doc):
+    """(exit, stdout, stderr) of one `cli.run`; a run that raises has exit
+    None, and the exception's type and message end its stderr."""
     out, err = io.StringIO(), io.StringIO()
     stdin = sys.stdin
     sys.stdin = io.StringIO(json.dumps(doc))
     try:
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
             code = cli.run(argv)
+    except Exception as e:
+        code = None
+        err.write("%s: %s\n" % (type(e).__name__, e))
     finally:
         sys.stdin = stdin
     stderr = "".join(line for line in err.getvalue().splitlines(True)
@@ -159,7 +166,7 @@ def classify(a, b, ignore, a_default):
     same.  `a_default` is A's run of the same input and command with no
     --window."""
     mode = "default" if a["window"] is None else "explicit"
-    head = "%s, %s window, exit %d -> %d" % (" ".join(a["command"]), mode,
+    head = "%s, %s window, exit %s -> %s" % (" ".join(a["command"]), mode,
                                               a["exit"], b["exit"])
     if a["exit"] == b["exit"] and a["stdout"] == b["stdout"] and a["stderr"] == b["stderr"]:
         return None

@@ -10,25 +10,23 @@ from toricarr.category import (AcyclicCategory, ChainComplex, check_acyclic,
 def interval_category():
     # poset 0 < 1: objects a, b; identity each; one morphism a -> b
     return AcyclicCategory(grades=[0, 1], morphisms=[(0, 0), (1, 1), (0, 1)],
-                           identities=[0, 1], table={})
+                           table={})
 
 
 def parallel_pair():
     # two parallel morphisms a -> b: a circle
     return AcyclicCategory(grades=[0, 1],
-                           morphisms=[(0, 0), (1, 1), (0, 1), (0, 1)],
-                           identities=[0, 1], table={})
+                           morphisms=[(0, 0), (1, 1), (0, 1), (0, 1)], table={})
 
 
 def chain_of_two():
     # poset 0 < 1 < 2 with the composite present
     morphs = [(0, 0), (1, 1), (2, 2), (0, 1), (1, 2), (0, 2)]
-    return AcyclicCategory(grades=[0, 1, 2], morphisms=morphs,
-                           identities=[0, 1, 2], table={(4, 3): 5})
+    return AcyclicCategory(grades=[0, 1, 2], morphisms=morphs, table={(4, 3): 5})
 
 
 def test_check_single_object():
-    cat = AcyclicCategory([0], [(0, 0)], [0], {})
+    cat = AcyclicCategory([0], [(0, 0)], {})
     ok, diags = check_acyclic(cat)
     assert ok, diags
 
@@ -39,7 +37,7 @@ def test_check_allows_parallel():
 
 
 def test_check_rejects_endomorphism():
-    cat = AcyclicCategory([0], [(0, 0), (0, 0)], [0], {})
+    cat = AcyclicCategory([0], [(0, 0), (0, 0)], {})
     ok, diags = check_acyclic(cat)
     assert not ok
     assert any("endomorphism" in d for d in diags)
@@ -47,7 +45,7 @@ def test_check_rejects_endomorphism():
 
 def test_check_rejects_missing_composite():
     morphs = [(0, 0), (1, 1), (2, 2), (0, 1), (1, 2)]
-    cat = AcyclicCategory([0, 1, 2], morphs, [0, 1, 2], {})
+    cat = AcyclicCategory([0, 1, 2], morphs, {})
     ok, diags = check_acyclic(cat)
     assert not ok
     assert any("missing composite" in d for d in diags)
@@ -121,14 +119,14 @@ def test_homology_circle():
 
 
 def test_homology_face_category_of_point(catalog):
-    cat = catalog("one_point").fc.as_category()
+    cat = catalog("one_point").fc
     chains = nerve_chains(cat, 1)
     assert [len(d) for d in chains] == [2, 2]
     assert homology(boundary_matrices(chains, cat)) == [(1, []), (1, [])]
 
 
 def test_torus_homology_from_grid(catalog):
-    cat = catalog("grid").fc.as_category()
+    cat = catalog("grid").fc
     chains = nerve_chains(cat, 2)
     h = homology(boundary_matrices(chains, cat))
     assert h == [(1, []), (2, []), (1, [])]
@@ -139,12 +137,12 @@ def test_euler_characteristic_examples(catalog):
         return euler_characteristic([len(d) for d in nerve_chains(cat, 1)])
     assert euler(interval_category()) == 1
     assert euler(parallel_pair()) == 0
-    assert euler(catalog("one_point").zeta.as_category()) == -1
+    assert euler(catalog("one_point").zeta) == -1
 
 
 def test_euler_equals_alternating_betti(catalog):
     for name in ("one_point", "diagonals", "grid"):
-        cat = catalog(name).fc.as_category()
+        cat = catalog(name).fc
         n = catalog(name).spec.rank
         chains = nerve_chains(cat, n)
         h = homology(boundary_matrices(chains, cat))
@@ -154,7 +152,7 @@ def test_euler_equals_alternating_betti(catalog):
 
 def test_thick_nerve_is_simplicial(catalog):
     # chains of a poset nerve are determined by their object support
-    cat = catalog("grid").zeta.as_category()
+    cat = catalog("grid").zeta
     chains = nerve_chains(cat, 2)
     for deg in chains[1:]:
         supports = set()
@@ -167,7 +165,7 @@ def test_thick_nerve_is_simplicial(catalog):
 
 def test_nerve_dimension_bounded_by_grade_span(catalog):
     for name in ("diagonals", "grid"):
-        cat = catalog(name).zeta.as_category()
+        cat = catalog(name).zeta
         chains = nerve_chains(cat, 10)
         assert len(chains) - 1 <= 2
 

@@ -6,12 +6,12 @@ from itertools import product
 from hypothesis import assume, given, settings, strategies as st
 import pytest
 
-from toricarr.errors import SpecError
+from toricarr.errors import InternalError, SpecError
 from toricarr.arrangement import parse_spec, essentialize
 from toricarr.cells import (layers, opposite_chamber, chamber_fiber, torus_vertices,
-                            VertexStars, code_at, code_leq, _direction, _dot,
-                            _reduce_mod_lattice)
-from toricarr.exact import rank
+                            VertexStars, code_at, code_leq, _dot)
+from toricarr.exact import integer_kernel, rank, reduce_mod_lattice
+from toricarr.pi1 import transverse_plane
 from toricarr.category import check_acyclic
 
 from conftest import BruteStars, Pipeline, covector_leq, moved_spec
@@ -122,15 +122,24 @@ def test_essentialize_and_flats_in_integers(doc, factors):
     assert work.rank <= len(b)
     for (chi, _), (y, _) in zip(spec4.hypersurfaces, work.hypersurfaces):
         assert tuple(_dot(y.alpha, col) for col in zip(*basis)) == chi.alpha
-    # the flat of every face at a vertex of the rank-3 stars: its direction
-    # rows are independent and orthogonal to the normals through it
+    # the transverse plane of every codim-2 face at a vertex of the
+    # rank-3 stars: its rows are orthogonal to the flat's direction, and
+    # c times the identity, c > 0, on the columns where the direction's
+    # Hermite form has no pivot
     stars = VertexStars(parse_spec(json.dumps(doc)))
     for _, faces in stars.vertices:
         for f in faces:
+            if stars.codim(f) != 2:
+                continue
             normals = [a for a, c in zip(stars.alphas, f) if not c & 1]
-            rows, _ = _direction(normals, (), 3)
-            assert not any(_dot(a, v) for a in normals for v in rows)
-            assert len(rows) == 3 - stars.codim(f) == rank(list(rows))
+            kernel = integer_kernel(normals, 3)
+            rows = transverse_plane(normals, 3)
+            assert not any(_dot(row, v) for row in rows for v in kernel)
+            pivots = {next(j for j, x in enumerate(v) if x) for v in kernel}
+            free = [j for j in range(3) if j not in pivots]
+            c = rows[0][free[0]]
+            assert c > 0
+            assert [[row[j] for j in free] for row in rows] == [[c, 0], [0, c]]
 
 
 @st.composite
@@ -276,7 +285,7 @@ def test_quotient_euler_vanishes(catalog):
 
 def test_quotient_category_axioms(catalog):
     for name in ("one_point", "diagonals", "grid"):
-        ok, diags = check_acyclic(catalog(name).fc.as_category())
+        ok, diags = check_acyclic(catalog(name).fc)
         assert ok, diags
 
 
@@ -347,8 +356,8 @@ def test_layer_references(name, betti, census):
 def test_reduce_mod_lattice_is_exact_on_large_ints():
     # a float division would round (10**17 + 1) / 3 and floor it to the
     # wrong multiple
-    assert _reduce_mod_lattice((10**17 + 1,), [[3]]) == ((2,), [33333333333333333])
-    assert _reduce_mod_lattice((Fraction(7, 2), 5), [[2, 1], [0, 3]])[0] == \
+    assert reduce_mod_lattice((10**17 + 1,), [[3]]) == ((2,), [33333333333333333])
+    assert reduce_mod_lattice((Fraction(7, 2), 5), [[2, 1], [0, 3]])[0] == \
         (Fraction(3, 2), 1)
 
 
@@ -399,9 +408,9 @@ def test_opposite_chamber_involution(catalog):
 def test_opposite_chamber_rejects_nonface():
     # one_point: the vertex 0 has the code (0,), the chamber (1, 2) the
     # code (3,); a code with an even entry is no chamber
-    with pytest.raises(SpecError):
+    with pytest.raises(InternalError):
         opposite_chamber((3,), (0,))
-    with pytest.raises(SpecError):
+    with pytest.raises(InternalError):
         opposite_chamber((2,), (2,))
 
 
@@ -431,7 +440,6 @@ def test_quotient_functorial_on_lifted_incidences(catalog):
     # composing the orbits of f -> e and g -> f gives the orbit of g -> e
     for stars in (catalog("diagonals").stars, VertexStars(parse_spec(json.dumps(DOCS["r3"])))):
         fc = stars.face_category()
-        cat = fc.as_category()
 
         def morphism(upper, lower):
             (g, f), _ = stars.canonical((upper, lower))
@@ -442,7 +450,7 @@ def test_quotient_functorial_on_lifted_incidences(catalog):
             for e in faces:
                 for f in ups[e]:
                     for g in ups[f]:
-                        assert cat.compose(morphism(f, e), morphism(g, f)) == morphism(g, e)
+                        assert fc.compose(morphism(f, e), morphism(g, f)) == morphism(g, e)
 
 
 # -- the categories from vertex stars against the lifted hyperplanes, read

@@ -273,6 +273,21 @@ def test_check_failure_reports_diagnostics(tmp_path, monkeypatch, capsys):
     assert "diag" in err
 
 
+def test_unexpected_exception_is_an_internal_error(tmp_path, monkeypatch, capsys):
+    # an exception that is neither SpecError nor InternalError is a bug,
+    # not bad input: exit 3 with one line, no traceback
+    from toricarr import cli
+
+    def broken(spec, args):
+        return [][0]
+    monkeypatch.setitem(cli.COMMANDS, "faces", (broken, ()))
+    path = write_spec(tmp_path, SPEC_ONE_POINT)
+    assert cli.run(["faces", path]) == 3
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "internal error: IndexError: list index out of range\n"
+
+
 def test_window_above_cap_exits_one_at_once(tmp_path):
     # check takes no window: any --window exits 1 before any work
     path = write_spec(tmp_path, SPEC_ONE_POINT)

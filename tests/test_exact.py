@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 import toricarr.exact
 from toricarr.exact import (SparseMatrix, hnf, snf, rank, integer_kernel,
-                            saturation_basis, adjugate)
+                            saturation_basis)
 
 from conftest import solve_affine
 
@@ -147,27 +147,6 @@ def test_snf_transform_properties(rows):
     for k in range(1, min(len(rows), len(rows[0])) + 1):
         expected = prod(factors[:k]) if k <= len(factors) else 0
         assert minors_gcd(rows, k) == expected
-
-
-# -- affine solving
-
-def test_adjugate_worked_example():
-    assert adjugate([[2, 1], [1, 1]]) == (1, [[1, -1], [-1, 2]])
-    assert adjugate([[1, 1], [2, 2]]) == (0, [[2, -1], [-2, 1]])
-    assert adjugate([[5]]) == (5, [[1]])
-    assert adjugate([]) == (1, [])
-
-
-@settings(max_examples=120, deadline=None)
-@given(st.integers(1, 4).flatmap(
-    lambda n: st.lists(st.lists(st.integers(-9, 9), min_size=n, max_size=n),
-                       min_size=n, max_size=n)))
-def test_adjugate_inverts_up_to_det(rows):
-    d, adj = adjugate(rows)
-    assert d == det(rows)
-    scalar = [[d * int(i == j) for j in range(len(rows))] for i in range(len(rows))]
-    assert mat_mul(adj, rows) == scalar
-    assert mat_mul(rows, adj) == scalar
 
 
 # -- the Fraction reference solver of the tests (conftest.py)

@@ -43,3 +43,33 @@ def test_gate_records_and_diffs_one_input(tmp_path, capsys):
             "B equals A's default run apart from window") in out
     assert gate.main(["diff", old, new]) == 1
     assert "check, default window, exit 0 -> 0: stdout differ" in capsys.readouterr().out
+
+
+def test_gate_records_a_raising_run_and_goes_on(tmp_path, monkeypatch, capsys):
+    # a tree whose cli.run raises on one command: that run is recorded
+    # with exit null and the exception in its stderr, and the rest follow
+    root = gate.ROOT
+    good = str(tmp_path / "good.jsonl")
+    gate.record(root, good, only={"one_point"})
+    from toricarr import cli
+    run = cli.run
+
+    def raising(argv):
+        if argv[0] == "faces":
+            raise IndexError("list index out of range")
+        return run(argv)
+    monkeypatch.setattr(cli, "run", raising)
+    bad = str(tmp_path / "bad.jsonl")
+    gate.record(root, bad, only={"one_point"})
+    with open(bad, encoding="utf-8") as fh:
+        runs = [json.loads(line) for line in fh]
+    assert len(runs) == 9
+    faces = next(r for r in runs if r["command"] == ["faces"])
+    assert (faces["exit"], faces["stdout"]) == (None, "")
+    assert faces["stderr"] == "IndexError: list index out of range\n"
+    assert {r["exit"] for r in runs if r is not faces} == {0}
+    capsys.readouterr()
+    assert gate.diff(good, bad) == 1
+    out = capsys.readouterr().out
+    assert "1 of 9 runs changed" in out
+    assert "faces, default window, exit 0 -> None: stdout and stderr differ" in out

@@ -28,9 +28,8 @@ def presentation(spec):
 
 
 def zeta_homology(spec, z):
-    cat = z.as_category()
-    chains = nerve_chains(cat, spec.rank)
-    return chains, homology(boundary_matrices(chains, cat))
+    chains = nerve_chains(z, spec.rank)
+    return chains, homology(boundary_matrices(chains, z))
 
 
 def test_square_character_has_two_components():
