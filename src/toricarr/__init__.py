@@ -10,8 +10,7 @@ finite presentation of the fundamental group.
 
 from .errors import SpecError, InternalError
 from .exact import SparseMatrix, hnf, snf
-from .arrangement import (Character, AngleQ, ArrangementSpec, parse_spec,
-                          is_essential, essentialize)
+from .arrangement import ArrangementSpec, parse_spec, is_essential, essentialize
 from .cells import (PeriodicCategory, FaceCategory, VertexStars, LayerPoset,
                     torus_vertices, layers, opposite_chamber, chamber_fiber)
 from .category import (AcyclicCategory, ChainComplex, check_acyclic,

@@ -1,71 +1,36 @@
-"""Complexified toric arrangements: parsing, essentialization, and the
-geometric key of a lifted hyperplane.
+"""Complexified toric arrangements: parsing and essentialization.
 
-An arrangement is a finite list of pairs (character, angle): the character
-is an integer exponent vector, the angle a rational q standing for the
-unit-modulus constant exp(2*pi*i*q).  On the universal cover of the
-compact torus the arrangement pulls back to the periodic family of affine
-hyperplanes <alpha, x> = q + k over all integers k.
+An arrangement is a finite list of hypersurfaces (alpha, q): the
+character alpha is a nonzero integer exponent vector, and the angle q, a
+Fraction in [0, 1), stands for the unit-modulus constant exp(2*pi*i*q).
+On the universal cover of the compact torus the arrangement pulls back
+to the periodic family of affine hyperplanes <alpha, x> = q + k over all
+integers k.
 """
 
 import json
 from fractions import Fraction
-import math
 
 from .errors import SpecError, InternalError
 from .exact import rank, reduce_mod_lattice, saturation_basis
 
 
-class Character:
-    """Integer exponent vector of a Laurent monomial; never zero."""
-
-    __slots__ = ("alpha",)
-
-    def __init__(self, alpha):
-        alpha = tuple(int(a) for a in alpha)
-        if not any(alpha):
-            raise SpecError("character exponent vector must be nonzero")
-        object.__setattr__(self, "alpha", alpha)
-
-    def __setattr__(self, *a):
-        raise AttributeError("immutable")
-
-    def __eq__(self, other):
-        return isinstance(other, Character) and self.alpha == other.alpha
-
-    def __hash__(self):
-        return hash(self.alpha)
-
-    def __repr__(self):
-        return "Character(%r)" % (self.alpha,)
-
-
-class AngleQ:
-    """Rational angle q in [0, 1), representing exp(2*pi*i*q)."""
-
-    __slots__ = ("q",)
-
-    def __init__(self, q):
-        q = Fraction(q)
-        if not (0 <= q < 1):
-            raise SpecError("angle must lie in [0, 1), got %s" % q)
-        object.__setattr__(self, "q", q)
-
-    def __setattr__(self, *a):
-        raise AttributeError("immutable")
-
-    def __eq__(self, other):
-        return isinstance(other, AngleQ) and self.q == other.q
-
-    def __hash__(self):
-        return hash(self.q)
-
-    def __repr__(self):
-        return "AngleQ(%s)" % (self.q,)
+def _hypersurface(alpha, q):
+    """(alpha, q) as a tuple of ints and a Fraction; the character must be
+    nonzero and the angle in [0, 1)."""
+    alpha = tuple(int(a) for a in alpha)
+    if not any(alpha):
+        raise SpecError("character exponent vector must be nonzero")
+    q = Fraction(q)
+    if not (0 <= q < 1):
+        raise SpecError("angle must lie in [0, 1), got %s" % q)
+    return alpha, q
 
 
 class ArrangementSpec:
-    """A rank together with pairwise-distinct (character, angle) pairs.
+    """A rank together with pairwise-distinct hypersurfaces (alpha, q),
+    each alpha a nonzero tuple of rank ints and q a Fraction in [0, 1).
+    This is the one type that enforces those conditions.
 
     Rank 0 is allowed only for the degenerate empty arrangement that
     essentializing an arrangement without hypersurfaces produces.
@@ -76,20 +41,14 @@ class ArrangementSpec:
         if rank_ < 0:
             raise SpecError("rank must be nonnegative")
         pairs = []
-        seen = set()
-        for chi, a in hypersurfaces:
-            if not isinstance(chi, Character):
-                chi = Character(chi)
-            if not isinstance(a, AngleQ):
-                a = AngleQ(a)
-            if len(chi.alpha) != rank_:
+        for alpha, q in hypersurfaces:
+            pair = _hypersurface(alpha, q)
+            if len(pair[0]) != rank_:
                 raise SpecError("character length %d does not match rank %d"
-                                % (len(chi.alpha), rank_))
-            key = (chi.alpha, a.q)
-            if key in seen:
-                raise SpecError("duplicate hypersurface %r" % (key,))
-            seen.add(key)
-            pairs.append((chi, a))
+                                % (len(pair[0]), rank_))
+            if pair in pairs:
+                raise SpecError("duplicate hypersurface %r" % (pair,))
+            pairs.append(pair)
         self.rank = rank_
         self.hypersurfaces = tuple(pairs)
 
@@ -100,16 +59,6 @@ class ArrangementSpec:
     def __repr__(self):
         return "ArrangementSpec(rank=%d, %d hypersurfaces)" % (
             self.rank, len(self.hypersurfaces))
-
-
-def geometric_key(alpha, c):
-    """Canonical key of the hyperplane <alpha, x> = c as a point set:
-    the primitive normal with positive leading entry, and its constant."""
-    g = 0
-    for a in alpha:
-        g = math.gcd(g, a)
-    sgn = 1 if next(a for a in alpha if a != 0) > 0 else -1
-    return tuple(a // (sgn * g) for a in alpha), Fraction(c) / (sgn * g)
 
 
 def parse_spec(text):
@@ -142,7 +91,7 @@ def parse_spec(text):
             q = Fraction(qraw)
         except (ValueError, ZeroDivisionError):
             raise SpecError("hypersurface %d: cannot parse rational %r" % (i, qraw)) from None
-        pairs.append((Character(chi), AngleQ(q)))
+        pairs.append(_hypersurface(chi, q))
     return ArrangementSpec(rank_, pairs)
 
 
@@ -150,7 +99,7 @@ def spec_to_json_dict(spec):
     return {
         "rank": spec.rank,
         "hypersurfaces": [
-            {"chi": list(chi.alpha), "q": str(a.q)} for chi, a in spec.hypersurfaces
+            {"chi": list(alpha), "q": str(q)} for alpha, q in spec.hypersurfaces
         ],
     }
 
@@ -161,7 +110,7 @@ def is_essential(spec):
         return True
     if not spec.hypersurfaces:
         return False
-    return rank([chi.alpha for chi, _ in spec.hypersurfaces]) == spec.rank
+    return rank([alpha for alpha, _ in spec.hypersurfaces]) == spec.rank
 
 
 def essentialize(spec):
@@ -176,11 +125,11 @@ def essentialize(spec):
     if is_essential(spec):
         ident = [[int(i == j) for j in range(spec.rank)] for i in range(spec.rank)]
         return spec, ident
-    basis = saturation_basis([chi.alpha for chi, _ in spec.hypersurfaces], spec.rank)
+    basis = saturation_basis([alpha for alpha, _ in spec.hypersurfaces], spec.rank)
     new_pairs = []
-    for chi, a in spec.hypersurfaces:
-        rest, y = reduce_mod_lattice(chi.alpha, basis)
+    for alpha, q in spec.hypersurfaces:
+        rest, y = reduce_mod_lattice(alpha, basis)
         if any(rest):
             raise InternalError("character escaped its own saturation")
-        new_pairs.append((Character(y), a))
+        new_pairs.append((y, q))
     return ArrangementSpec(len(basis), new_pairs), basis

@@ -139,11 +139,6 @@ class FaceCategory(PeriodicCategory):
     """Face category of the torus: one object per face orbit, mapping to
     the orbits of its boundary faces."""
 
-    @property
-    def orbits(self):
-        """Canonical face of each orbit, in object order."""
-        return [e[0] for e in self.objects]
-
     def census(self):
         """Orbit counts by face dimension 0..n."""
         return super().census()[::-1]
@@ -230,15 +225,15 @@ class VertexStars:
 
     def __init__(self, spec):
         n = self.dim = spec.rank
-        alphas = self.alphas = [chi.alpha for chi, _ in spec.hypersurfaces]
+        alphas = self.alphas = [alpha for alpha, _ in spec.hypersurfaces]
         # H = U G, G the rows 2A e_j spanning the lattice; all n rows of H
         # are nonzero, A having rank n
         self._basis, self._unimodular = hnf([[2 * a[j] for a in alphas] for j in range(n)])
         self._ranks = {}
         self._shifts = {}       # code -> its difference from its reduced code
         # (alpha, p, q) per source, its angle p / q, as `code_of_point` reads it
-        self.sources = [(chi.alpha, a.q.numerator, a.q.denominator)
-                        for chi, a in spec.hypersurfaces]
+        self.sources = [(alpha, q.numerator, q.denominator)
+                        for alpha, q in spec.hypersurfaces]
         self.scale, coords = torus_vertices(self.sources, n)
         lines = {}
         self.vertices = []

@@ -195,7 +195,7 @@ def cmd_check(spec, args):
     results["abelianization_matches_h1"] = (ab[0], list(ab[1])) == \
         (h_z[1][0], list(h_z[1][1]))
     results["meridian_quotient_is_lattice"] = \
-        abelianize(quotient_without_meridians(pres)) == (n, [])
+        abelianize(quotient_without_meridians(pres, n)) == (n, [])
     lp = layers(work, stars)
     results["betti_match_poincare"] = [b for b, _ in h_z] == lp.poincare_betti()
     results["face_census_matches_layers"] = fc.census() == lp.face_census()

@@ -9,10 +9,12 @@ sequences of straight segments and minimal positive chamber paths.
 Such a word moves with the lattice, so each orbit's chamber path is
 found once, at its canonical face, and moved by arithmetic.
 All of it is read off the vertex stars' face category, with faces as
-codes (`cells.code_at` gives a point's).
+codes (`cells.code_at` gives a point's), and each crossed wall as the
+pair (i, k) read off a face's code: the hyperplane <alpha_i, x> = q_i + k
+of its first source with an even entry.
 """
 
-from collections import Counter
+from collections import Counter, namedtuple
 from fractions import Fraction
 from functools import cmp_to_key
 import math
@@ -20,7 +22,6 @@ from operator import add, sub
 
 from .errors import InternalError
 from .exact import SparseMatrix, hermite_basis, integer_kernel, snf
-from .arrangement import geometric_key
 from .cells import chamber_fiber, opposite_chamber, code_at, _dot
 
 
@@ -63,7 +64,7 @@ def _substitute(word, gen, repl):
 class GroupPresentation:
     """Named generators and relator words of signed 1-based indices."""
 
-    def __init__(self, names, relators, tau_count=None):
+    def __init__(self, names, relators):
         self.names = tuple(names)
         rels = []
         g = len(self.names)
@@ -73,7 +74,6 @@ class GroupPresentation:
                 raise InternalError("relator mentions an undeclared generator")
             rels.append(tuple(r))
         self.relators = tuple(rels)
-        self.tau_count = tau_count
 
     def __repr__(self):
         return "GroupPresentation(<%d generators | %d relators>)" % (
@@ -133,45 +133,35 @@ def simplify_presentation(pres):
     names = tuple(pres.names[g - 1] for g in survivors)
     rels = tuple(tuple((1 if x > 0 else -1) * remap[abs(x)] for x in r)
                  for r in relators)
-    taus = sum(1 for g in survivors
-               if pres.tau_count is not None and g <= pres.tau_count)
-    return GroupPresentation(names, rels, tau_count=taus if pres.tau_count is not None else None)
+    return GroupPresentation(names, rels)
 
 
-def quotient_without_meridians(pres):
-    """Kill every meridian generator; what remains is generated by the
-    lattice loops alone."""
-    if pres.tau_count is None:
-        raise InternalError("presentation does not distinguish lattice generators")
-    t = pres.tau_count
-    rels = []
-    for r in pres.relators:
-        rels.append(free_reduce([x for x in r if abs(x) <= t]))
-    return GroupPresentation(pres.names[:t], [r for r in rels if r], tau_count=t)
+def quotient_without_meridians(pres, n):
+    """Kill every meridian generator; what remains is generated by the n
+    lattice loops, which come first."""
+    rels = [free_reduce([x for x in r if abs(x) <= n]) for r in pres.relators]
+    return GroupPresentation(pres.names[:n], [r for r in rels if r])
 
 
 # ---------------------------------------------------------------------------
 # crossings and paths
 
 
-class Crossing:
+class Crossing(namedtuple("Crossing", "orbit shift wall")):
     """One wall crossing of a path: the crossed face as (orbit, shift),
-    and the crossed wall's geometric key."""
+    and its wall (i, k), the hyperplane <alpha_i, x> = q_i + k with i the
+    face's first source with an even code entry and k that entry halved.
+    Every face of one wall has the same sources with an even entry, those
+    whose hyperplanes hold the wall, so the pair names the wall."""
 
-    __slots__ = ("orbit", "shift", "hyper_key")
+    __slots__ = ()
 
-    def __init__(self, orbit, shift, hyper_key):
-        self.orbit = orbit
-        self.shift = shift
-        self.hyper_key = hyper_key
-
-    def __repr__(self):
-        return "Crossing(orbit=%d, shift=%s)" % (self.orbit, self.shift)
-
-    def moved(self, u):
-        """The same crossing moved by the integer vector u."""
+    def moved(self, u, alphas):
+        """The same crossing moved by the integer vector u: the wall's
+        level rises by <alpha_i, u>, alphas the characters."""
+        i, k = self.wall
         return Crossing(self.orbit, tuple(a + b for a, b in zip(self.shift, u)),
-                        _shifted_key(self.hyper_key, u))
+                        (i, k + _dot(alphas[i], u)))
 
 
 def positive_minimal_path(ctx, c_from, c_to):
@@ -195,11 +185,6 @@ def positive_minimal_path(ctx, c_from, c_to):
     return steps
 
 
-def _shifted_key(key, shift):
-    alpha, c = key
-    return alpha, c + _dot(alpha, shift)
-
-
 class Pi1Context:
     """Base data for the presentation, read off the vertex stars: base
     point, base chamber, crossing sequences, and generator bookkeeping.
@@ -212,7 +197,7 @@ class Pi1Context:
         self.stars = stars
         self.fc = fc
         self.n = spec.rank
-        self.x0 = _choose_base_point(spec)
+        self.x0 = _choose_base_point(spec, stars)
         self.c0 = code_at(stars.sources, self.x0)
         # per object: its canonical code and barycenter numerators over den
         self.den, canon = stars.barycenters()
@@ -268,11 +253,9 @@ class Pi1Context:
         return [tuple(map(add, f, shift)) for f in self._facets[k]]
 
     def crossing_of_face(self, code):
-        """The crossing of a codim-1 face; its wall is the hyperplane of
-        its first source with an even entry."""
+        """The crossing of a codim-1 face, with its wall read off the code."""
         i = next(i for i, c in enumerate(code) if not c & 1)
-        alpha, p, q = self.stars.sources[i]
-        return Crossing(*self.key(code), geometric_key(alpha, Fraction(p, q) + code[i] // 2))
+        return Crossing(*self.key(code), (i, code[i] // 2))
 
     def crossing_at_point(self, point):
         code = code_at(self.stars.sources, point)
@@ -308,47 +291,47 @@ def _primes():
 
 
 def _segment_crossings(spec, base, axis, steps):
-    """Crossing times and points of the straight leg base -> base + steps*e_axis
-    against the full periodic arrangement."""
+    """Crossing times and points, sorted by time, of the straight leg
+    base -> base + steps*e_axis against the full periodic arrangement;
+    coincident copies of one wall give one point more than once."""
     out = []
-    for chi, a in spec.hypersurfaces:
-        aj = chi.alpha[axis]
+    for alpha, q in spec.hypersurfaces:
+        aj = alpha[axis]
         if aj == 0:
             continue
-        v0 = _dot(chi.alpha, base)
+        v0 = _dot(alpha, base)
         v1 = v0 + steps * aj
         lo, hi = (v0, v1) if v1 > v0 else (v1, v0)
-        k = math.floor(lo - a.q) + 1
-        while a.q + k < hi:
-            c = a.q + k
+        k = math.floor(lo - q) + 1
+        while q + k < hi:
+            c = q + k
             if c > lo:
                 t = (c - v0) / (steps * aj)
                 point = tuple(x + t * steps * int(j == axis)
                               for j, x in enumerate(base))
-                out.append((t, point, geometric_key(chi.alpha, c)))
+                out.append((t, point))
             k += 1
-    out.sort(key=lambda z: (z[0], z[2]))
+    out.sort()
     return out
 
 
-def _is_generic(spec, x0):
-    n = spec.rank
-    for chi, a in spec.hypersurfaces:
-        if (_dot(chi.alpha, x0) - a.q).denominator == 1:
-            return False
-    for axis in range(n):
-        crossings = _segment_crossings(spec, x0, axis, 1)
-        for (t1, _, k1), (t2, _, k2) in zip(crossings, crossings[1:]):
-            if t1 == t2 and k1 != k2:
-                return False
-    return True
+def _is_generic(spec, stars, x0):
+    """True when x0 lies on no wall and each unit leg from it along an
+    axis meets the walls at points of codimension 1 only: two distinct
+    walls cross a leg at one time exactly when they meet there, as a wall
+    that held the whole leg would hold x0."""
+    if not all(c & 1 for c in code_at(stars.sources, x0)):
+        return False
+    return all(stars.codim(code_at(stars.sources, point)) == 1
+               for axis in range(spec.rank)
+               for _, point in _segment_crossings(spec, x0, axis, 1))
 
 
-def _choose_base_point(spec):
+def _choose_base_point(spec, stars):
     n = spec.rank
     for p in _primes():
         x0 = tuple(Fraction(1, p ** (i + 1)) for i in range(n))
-        if _is_generic(spec, x0):
+        if _is_generic(spec, stars, x0):
             return x0
 
 
@@ -364,34 +347,24 @@ def omega_paths(ctx, u):
         steps = u[axis]
         if steps == 0:
             continue
-        crossings = _segment_crossings(ctx.spec, tuple(base), axis, steps)
-        for (t1, _, k1), (t2, _, k2) in zip(crossings, crossings[1:]):
-            if t1 == t2 and k1 != k2:
-                raise InternalError("segment is not generic")
-        last_key = None
-        for t, point, key in crossings:
-            if key == last_key:
-                continue  # coincident copies of one geometric wall
-            word.append(ctx.crossing_at_point(point))
-            last_key = key
+        last = None
+        for _, point in _segment_crossings(ctx.spec, tuple(base), axis, steps):
+            if point != last:   # coincident copies of one wall meet at one point
+                word.append(ctx.crossing_at_point(point))
+                last = point
         base[axis] += steps
     return word
 
 
 def sigma(path):
-    """Reduce a positive crossing word: repeatedly drop every crossing
-    whose wall supports an odd number of later crossings, until stable."""
-    seq = list(path)
-    while True:
-        tail = Counter()
-        marks = []
-        for c in reversed(seq):
-            marks.append(tail[c.hyper_key] % 2 == 1)
-            tail[c.hyper_key] += 1
-        marks.reverse()
-        if not any(marks):
-            return seq
-        seq = [c for c, mk in zip(seq, marks) if not mk]
+    """Reduce a positive crossing word: the last crossing of each wall, in
+    order.  This is the fixed point of dropping, again and again, every
+    crossing whose wall has an odd number of later crossings: a wall's
+    last crossing has none, and while a wall has two or more crossings,
+    the one before its last has exactly one, so each pass drops some of
+    them and keeps the last."""
+    last = {c.wall: i for i, c in enumerate(path)}
+    return [c for i, c in enumerate(path) if last[c.wall] == i]
 
 
 def delta_word(ctx, ref):
@@ -399,11 +372,11 @@ def delta_word(ctx, ref):
     canonical face moved by a nonnegative shift: the product of the based
     meridians of the surviving crossings of the access path, `omega` to
     the moved base chamber, then the canonical face's `access` path moved
-    by the shift, each crossing's orbit shift and wall key with it."""
+    by the shift, each crossing's orbit shift and wall with it."""
     orbit, shift = ref
     if any(s < 0 for s in shift):
         raise InternalError("expansion faces must have nonnegative shifts")
-    mu = [c.moved(shift) for c in ctx.access(orbit)]
+    mu = [c.moved(shift, ctx.stars.alphas) for c in ctx.access(orbit)]
     word = []
     for g in sigma(list(ctx.omega(shift)) + mu):
         tau = ctx.tau_word(g.shift)
@@ -496,7 +469,7 @@ def h_of_G(ctx, orbit):
         raise InternalError("odd number of faces around a codim-2 face")
     k = len(ordered) // 2
     for i in range(k):
-        if ordered[i].hyper_key != ordered[i + k].hyper_key:
+        if ordered[i].wall != ordered[i + k].wall:
             raise InternalError("opposite faces lie on different walls")
     return [(x.orbit, x.shift) for x in ordered]
 
@@ -541,4 +514,4 @@ def presentation_from_context(ctx):
             relators.append((i + 1, j + 1, -(i + 1), -(j + 1)))
     for orbit in ctx.codim2_orbits:
         relators.extend(relations_for_G(ctx, orbit))
-    return GroupPresentation(names, relators, tau_count=n)
+    return GroupPresentation(names, relators)

@@ -7,7 +7,7 @@ import math
 from hypothesis import Phase, settings
 import pytest
 
-from toricarr.arrangement import parse_spec, ArrangementSpec, AngleQ, Character
+from toricarr.arrangement import parse_spec, ArrangementSpec
 from toricarr.category import AcyclicCategory
 from toricarr.cells import VertexStars
 from toricarr.pi1 import build_context
@@ -94,10 +94,9 @@ def moved_spec(spec):
     vertices, their Hermite forms and their order differ."""
     big_u, u = MOVES[spec.rank]
     pairs = []
-    for chi, a in spec.hypersurfaces:
-        alpha = chi.alpha
+    for alpha, q in spec.hypersurfaces:
         new = [_dot(alpha, col) for col in zip(*big_u)]
-        pairs.append((Character(new), AngleQ((a.q - _dot(alpha, map(Fraction, u))) % 1)))
+        pairs.append((new, (q - _dot(alpha, map(Fraction, u))) % 1))
     return ArrangementSpec(spec.rank, pairs)
 
 
@@ -168,7 +167,7 @@ class BruteStars:
     def __init__(self, spec):
         n = self.n = spec.rank
         self._shifts = {}
-        self.sources = [(chi.alpha, a.q) for chi, a in spec.hypersurfaces]
+        self.sources = list(spec.hypersurfaces)
         self.alphas = [alpha for alpha, _ in self.sources]
         planes = []
         for i, (alpha, q) in enumerate(self.sources):

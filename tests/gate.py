@@ -7,28 +7,22 @@ source tree and compared with another's.
 `record` imports `toricarr` from TREE/src and calls `cli.run` in-process
 with `--format json` and the document on stdin.  It runs `validate`,
 `faces`, `layers`, `salvetti`, `homology` in both spaces, `pi1` with and
-without `--simplify`, and `check`, with no `--window`.  On a tree that
-still has `arrangement.window_cap` (before the lift was deleted), each
-command whose parser takes `--window` (`cli._takes`) also runs at each
-window from 1 to the arrangement's cap.  Each run is one JSON line: the input's
-name, the command line, the window (null for none), the exit code, the
-stdout and the stderr without its `elapsed` line.  A run whose `cli.run`
-raises is recorded with exit null and the exception's type and message
-at the end of its stderr, and recording goes on.  `--only` and
-`--exclude` keep or drop inputs by name.
+without `--simplify`, and `check`.  Each run is one JSON line: the
+input's name, the command line, the exit code, the stdout and the stderr
+without its `elapsed` line.  A run whose `cli.run` raises is recorded
+with exit null and the exception's type and message at the end of its
+stderr, and recording goes on.  `--only` and `--exclude` keep or drop
+inputs by name.
 
 The inputs are fixed: the catalog, the first 12 draws of generator
 families 1 and 2 (`perfbench/workloads.generate`), two three-wall cases,
 a two-wall case, a non-essential rank-3 spec, a rank-1 spec whose two
-sources share their hyperplanes, and `r3` at window 1 only where a
-command takes a window (with none otherwise), without `pi1 --simplify`.
+sources share their hyperplanes, and `r3`, without `pi1 --simplify`.
 
 `diff` pairs the runs of two recordings and groups the changed ones by
-kind: the command, default or explicit window, the exit codes and what
-differs.  With `--ignore-key`, a run whose stdout differs only in that
-top-level key of its JSON report is listed with the key's two values.  An
-explicit-window run that exits 0 only in B is compared with A's default
-run of the same command, apart from the ignored keys.  It exits 1 when
+kind: the command, the exit codes and what differs.  With
+`--ignore-key`, a run whose stdout differs only in that top-level key of
+its JSON report is listed with the key's two values.  It exits 1 when
 some run changed.  Pytest does not collect this file.
 """
 
@@ -73,9 +67,7 @@ R3 = (3, _hyps(((1, 0, 0), "0"), ((0, 1, 0), "0"), ((0, 0, 1), "0"),
 
 
 def inputs():
-    """(name, document, windows, commands) per input, in recording order;
-    windows None means no --window and each window from 1 to the cap.
-    A command that takes no --window runs once, with none."""
+    """(name, document, commands) per input, in recording order."""
     sys.path.insert(0, ROOT)
     try:
         from perfbench.workloads import generate
@@ -85,8 +77,8 @@ def inputs():
     for family in (1, 2):
         docs.update(generate(family, 12))
     docs.update((name, {"rank": r, "hypersurfaces": h}) for name, (r, h) in OTHERS.items())
-    out = [(name, doc, None, COMMANDS) for name, doc in docs.items()]
-    out.append(("r3", {"rank": R3[0], "hypersurfaces": R3[1]}, [1],
+    out = [(name, doc, COMMANDS) for name, doc in docs.items()]
+    out.append(("r3", {"rank": R3[0], "hypersurfaces": R3[1]},
                 [c for c in COMMANDS if c != ["pi1", "--simplify"]]))
     return out
 
@@ -94,10 +86,10 @@ def inputs():
 def _import_tree(tree):
     src = os.path.join(os.path.abspath(tree), "src")
     sys.path.insert(0, src)
-    from toricarr import arrangement, cli
+    from toricarr import cli
     if not os.path.abspath(cli.__file__).startswith(src + os.sep):
         raise SystemExit("toricarr was imported from %s, not %s" % (cli.__file__, src))
-    return arrangement, cli
+    return cli
 
 
 def _run(cli, argv, doc):
@@ -120,32 +112,22 @@ def _run(cli, argv, doc):
 
 
 def record(tree, path, only=None, exclude=()):
-    arrangement, cli = _import_tree(tree)
+    cli = _import_tree(tree)
     with open(path, "w", encoding="utf-8") as fh:
-        for name, doc, windows, commands in inputs():
+        for name, doc, commands in inputs():
             if only is not None and name not in only or name in exclude:
                 continue
-            if windows is None:
-                windows = [None]
-                if hasattr(arrangement, "window_cap"):
-                    cap = arrangement.window_cap(arrangement.parse_spec(json.dumps(doc)))
-                    windows += list(range(1, cap + 1))
             for command in commands:
-                takes = "--window" in cli._takes(command[0])
-                for k in windows if takes else [None]:
-                    argv = command + ["-", "--format", "json"]
-                    if k is not None:
-                        argv += ["--window", str(k)]
-                    code, stdout, stderr = _run(cli, argv, doc)
-                    fh.write(json.dumps({"input": name, "command": command, "window": k,
-                                         "exit": code, "stdout": stdout,
-                                         "stderr": stderr}, sort_keys=True) + "\n")
+                code, stdout, stderr = _run(cli, command + ["-", "--format", "json"], doc)
+                fh.write(json.dumps({"input": name, "command": command, "exit": code,
+                                     "stdout": stdout, "stderr": stderr},
+                                    sort_keys=True) + "\n")
 
 
 def _load(path):
     with open(path, encoding="utf-8") as fh:
         runs = [json.loads(line) for line in fh]
-    return {(r["input"], " ".join(r["command"]), r["window"]): r for r in runs}
+    return {(r["input"], " ".join(r["command"])): r for r in runs}
 
 
 def _report(run, ignore):
@@ -156,18 +138,10 @@ def _report(run, ignore):
     return {k: v for k, v in report.items() if k not in ignore}
 
 
-def _label(key):
-    name, command, k = key
-    return "%s %s%s" % (name, command, "" if k is None else " --window %d" % k)
-
-
-def classify(a, b, ignore, a_default):
+def classify(a, b, ignore):
     """(kind, note) of a run recorded on both sides, or None when it is the
-    same.  `a_default` is A's run of the same input and command with no
-    --window."""
-    mode = "default" if a["window"] is None else "explicit"
-    head = "%s, %s window, exit %s -> %s" % (" ".join(a["command"]), mode,
-                                              a["exit"], b["exit"])
+    same."""
+    head = "%s, exit %s -> %s" % (" ".join(a["command"]), a["exit"], b["exit"])
     if a["exit"] == b["exit"] and a["stdout"] == b["stdout"] and a["stderr"] == b["stderr"]:
         return None
     if a["exit"] == b["exit"] and a["stderr"] == b["stderr"] and ignore:
@@ -178,28 +152,22 @@ def classify(a, b, ignore, a_default):
                               for k in ignore if before.get(k) != after.get(k))
             return head + ": only " + ", ".join(ignore), moved
     what = [f for f in ("stdout", "stderr") if a[f] != b[f]]
-    kind = head + ": " + " and ".join(what) + " differ"
-    if a["exit"] != 0 and b["exit"] == 0 and a["window"] is not None and a_default:
-        same = a_default["exit"] == 0 and _report(a_default, ignore) == _report(b, ignore)
-        kind += ("; B equals A's default run" if same else
-                 "; B differs from A's default run") + \
-            (" apart from " + ", ".join(ignore) if ignore else "")
-    return kind, ""
+    return head + ": " + " and ".join(what) + " differ", ""
 
 
 def diff(path_a, path_b, ignore=()):
     """Print the changed runs grouped by kind; return their number."""
     a, b = _load(path_a), _load(path_b)
     groups = {}
-    for key in sorted(set(a) | set(b), key=lambda k: (k[0], k[1], k[2] or 0)):
+    for key in sorted(set(a) | set(b)):
         if key not in a or key not in b:
             kind, note = "only in %s" % ("A" if key in a else "B"), ""
         else:
-            got = classify(a[key], b[key], ignore, a.get((key[0], key[1], None)))
+            got = classify(a[key], b[key], ignore)
             if got is None:
                 continue
             kind, note = got
-        groups.setdefault(kind, []).append(_label(key) + (" (%s)" % note if note else ""))
+        groups.setdefault(kind, []).append(" ".join(key) + (" (%s)" % note if note else ""))
     changed = sum(map(len, groups.values()))
     print("%d of %d runs changed" % (changed, len(set(a) | set(b))))
     for kind in sorted(groups):

@@ -92,7 +92,7 @@ def test_criterion_05_pi1_h1_consistency():
         pres = presentation_from_context(pipe.ctx)
         ab = abelianize(pres)
         ok = ok and (ab[0], list(ab[1])) == (h[1][0], list(h[1][1]))
-        ok = ok and abelianize(quotient_without_meridians(pres)) == (n, [])
+        ok = ok and abelianize(quotient_without_meridians(pres, n)) == (n, [])
     verdict(5, "abelianized presentations equal H1 and meridian quotients "
                "equal the lattice", ok)
 

@@ -24,7 +24,7 @@ def test_parse_diagonal_pair():
     spec = parse_spec('{"rank":2,"hypersurfaces":'
                       '[{"chi":[1,1],"q":"0"},{"chi":[1,-1],"q":"0"}]}')
     assert spec.rank == 2
-    assert [chi.alpha for chi, _ in spec.hypersurfaces] == [(1, 1), (1, -1)]
+    assert [alpha for alpha, _ in spec.hypersurfaces] == [(1, 1), (1, -1)]
 
 
 @pytest.mark.parametrize("doc", [
@@ -40,6 +40,15 @@ def test_parse_diagonal_pair():
 ])
 def test_parse_rejects(doc):
     with pytest.raises(SpecError):
+        parse_spec(doc)
+
+
+def test_parse_reports_the_first_fault_in_document_order():
+    # the zero character of item 0 comes before item 1's unparseable
+    # angle and its short character
+    doc = ('{"rank":2,"hypersurfaces":'
+           '[{"chi":[0,0],"q":"0"},{"chi":[1],"q":"x"}]}')
+    with pytest.raises(SpecError, match="^character exponent vector must be nonzero$"):
         parse_spec(doc)
 
 
@@ -85,14 +94,14 @@ def test_essentialize_saturates():
     out, basis = essentialize(spec)
     assert out.rank == 1
     assert basis == [[1, 1]]
-    assert out.hypersurfaces[0][0].alpha == (2,)
+    assert out.hypersurfaces[0][0] == (2,)
 
 
 def test_essentialize_coordinate_line():
     spec = make(2, [((1, 0), 0)])
     out, basis = essentialize(spec)
     assert out.rank == 1
-    assert out.hypersurfaces[0][0].alpha == (1,)
+    assert out.hypersurfaces[0][0] == (1,)
 
 
 def test_essentialize_idempotent():

@@ -120,8 +120,8 @@ def test_essentialize_and_flats_in_integers(doc, factors):
         {"chi": list(chi), "q": q} for chi, q in walls]}))
     work, basis = essentialize(spec4)
     assert work.rank <= len(b)
-    for (chi, _), (y, _) in zip(spec4.hypersurfaces, work.hypersurfaces):
-        assert tuple(_dot(y.alpha, col) for col in zip(*basis)) == chi.alpha
+    for (alpha, _), (y, _) in zip(spec4.hypersurfaces, work.hypersurfaces):
+        assert tuple(_dot(y, col) for col in zip(*basis)) == alpha
     # the transverse plane of every codim-2 face at a vertex of the
     # rank-3 stars: its rows are orthogonal to the flat's direction, and
     # c times the identity, c > 0, on the columns where the direction's

@@ -11,38 +11,36 @@ def test_gate_records_and_diffs_one_input(tmp_path, capsys):
     gate.record(root, path, only={"one_point"})
     with open(path, encoding="utf-8") as fh:
         runs = [json.loads(line) for line in fh]
-    # nine command lines, none of which takes --window
+    # nine command lines
     assert len(runs) == 9
-    assert {r["window"] for r in runs} == {None}
     assert {r["exit"] for r in runs} == {0}
     assert not any("elapsed" in r["stderr"] for r in runs)
     faces = next(r for r in runs if r["command"] == ["faces"])
     assert json.loads(faces["stdout"])["census"] == [1, 1]
     assert gate.diff(path, path) == 0
 
-    # a recording from a tree whose check took a window: its default run
-    # reports the window, and its explicit run at window 1 failed where
-    # the other side's answers
-    check = next(r for r in runs if r["command"] == ["check"])
-    report = json.loads(check["stdout"])
-    windowed = dict(check, stdout=json.dumps(dict(report, window=2)))
-    failed = dict(check, window=1, exit=2, stdout="", stderr="error: too small\n")
-    answered = dict(check, window=1)
-    old, new = str(tmp_path / "old.jsonl"), str(tmp_path / "new.jsonl")
-    with open(old, "w", encoding="utf-8") as fh:
-        fh.writelines(json.dumps(windowed if r is check else r) + "\n" for r in runs + [failed])
+    # a recording whose faces report differs only in its euler key, and
+    # whose layers report differs in another key: ignoring euler leaves
+    # only the layers run changed in content
+    layers = next(r for r in runs if r["command"] == ["layers"])
+
+    def moved(run, **keys):
+        return dict(run, stdout=json.dumps(dict(json.loads(run["stdout"]), **keys)))
+    changed = [moved(r, euler=5) if r is faces else
+               moved(r, counts_by_dim={}) if r is layers else r for r in runs]
+    new = str(tmp_path / "new.jsonl")
     with open(new, "w", encoding="utf-8") as fh:
-        fh.writelines(json.dumps(r) + "\n" for r in runs + [answered])
+        fh.writelines(json.dumps(r) + "\n" for r in changed)
     capsys.readouterr()
-    assert gate.diff(old, new, ("window",)) == 2
+    assert gate.diff(path, new, ("euler",)) == 2
     out = capsys.readouterr().out
-    assert "2 of 10 runs changed" in out
-    assert "check, default window, exit 0 -> 0: only window" in out
-    assert "one_point check (window 2 -> None)" in out
-    assert ("check, explicit window, exit 2 -> 0: stdout and stderr differ; "
-            "B equals A's default run apart from window") in out
-    assert gate.main(["diff", old, new]) == 1
-    assert "check, default window, exit 0 -> 0: stdout differ" in capsys.readouterr().out
+    assert "2 of 9 runs changed" in out
+    assert "faces, exit 0 -> 0: only euler" in out
+    assert "one_point faces (euler 0 -> 5)" in out
+    assert "layers, exit 0 -> 0: stdout differ" in out
+    assert gate.main(["diff", path, new, "--ignore-key", "euler"]) == 1
+    assert gate.main(["diff", path, new]) == 1
+    assert "faces, exit 0 -> 0: stdout differ" in capsys.readouterr().out
 
 
 def test_gate_records_a_raising_run_and_goes_on(tmp_path, monkeypatch, capsys):
@@ -72,4 +70,4 @@ def test_gate_records_a_raising_run_and_goes_on(tmp_path, monkeypatch, capsys):
     assert gate.diff(good, bad) == 1
     out = capsys.readouterr().out
     assert "1 of 9 runs changed" in out
-    assert "faces, default window, exit 0 -> None: stdout and stderr differ" in out
+    assert "faces, exit 0 -> None: stdout and stderr differ" in out

@@ -1,7 +1,8 @@
+from collections import Counter
 import json
 from fractions import Fraction
 
-from hypothesis import given, settings
+from hypothesis import given, settings, strategies as st
 import pytest
 
 from toricarr.errors import InternalError
@@ -34,7 +35,7 @@ def code_of(ctx, ref):
 
 
 def wall(ctx, code):
-    return ctx.crossing_of_face(code).hyper_key
+    return ctx.crossing_of_face(code).wall
 
 
 # -- minimal paths; on one_point the chamber (k, k + 1) has the code
@@ -90,8 +91,7 @@ def test_omega_diagonals_horizontal(catalog):
     word = ctx.omega((1, 0))
     # one crossing per diagonal family along a horizontal unit segment
     assert len(word) == 2
-    keys = {c.hyper_key[0] for c in word}
-    assert keys == {(1, 1), (1, -1)}
+    assert {c.wall[0] for c in word} == {0, 1}
 
 
 def test_omega_rejects_negative(catalog):
@@ -104,27 +104,47 @@ def test_omega_crosses_family_members_once(catalog):
         ctx = catalog(name).ctx
         for i in range(ctx.n):
             unit = tuple(int(j == i) for j in range(ctx.n))
-            keys = [c.hyper_key for c in ctx.omega(unit)]
+            keys = [c.wall for c in ctx.omega(unit)]
             assert len(keys) == len(set(keys))
 
 
 # -- sigma reduction
 
-def make_crossing(orbit, shift, key):
-    return Crossing(orbit, shift, key)
-
-
 def test_sigma_distinct_walls_unchanged():
-    word = [make_crossing(0, (0,), ((1,), 0)),
-            make_crossing(1, (0,), ((1,), Fraction(1, 2)))]
+    word = [Crossing(0, (0,), (0, 0)), Crossing(1, (0,), (1, 0))]
     assert sigma(word) == word
 
 
 def test_sigma_deletes_odd_supported():
-    a = make_crossing(0, (0,), ((1,), 0))
-    b = make_crossing(0, (1,), ((1,), 0))     # same wall, later
+    a = Crossing(0, (0,), (0, 0))
+    b = Crossing(0, (1,), (0, 0))     # same wall, later
     out = sigma([a, b])
     assert out == [b]
+
+
+def sigma_by_passes(path):
+    """sigma's definition: drop every crossing whose wall has an odd
+    number of later crossings, again and again, until none has."""
+    seq = list(path)
+    while True:
+        tail = Counter()
+        marks = []
+        for c in reversed(seq):
+            marks.append(tail[c.wall] % 2 == 1)
+            tail[c.wall] += 1
+        marks.reverse()
+        if not any(marks):
+            return seq
+        seq = [c for c, mk in zip(seq, marks) if not mk]
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(st.lists(st.tuples(st.integers(0, 2), st.integers(-1, 1)), max_size=12))
+def test_sigma_matches_its_definition(walls):
+    # words over at most nine walls; each crossing its own orbit, so the
+    # comparison sees which copy of a wall survives
+    word = [Crossing(j, (0,), w) for j, w in enumerate(walls)]
+    assert sigma(word) == sigma_by_passes(word)
 
 
 def test_sigma_empty():
@@ -258,14 +278,14 @@ def test_presentation_matches_h1_on_generated(doc):
     pres = presentation_from_context(ctx)
     ab = abelianize(pres)
     assert (ab[0], list(ab[1])) == h1(ctx.spec, ctx.stars), doc
-    assert abelianize(quotient_without_meridians(pres)) == (ctx.n, []), doc
+    assert abelianize(quotient_without_meridians(pres, ctx.n)) == (ctx.n, []), doc
 
 
 def test_meridian_quotient_is_lattice(catalog):
     for name in ("one_point", "diagonals", "grid"):
         pres = presentation_from_context(catalog(name).ctx)
-        assert abelianize(quotient_without_meridians(pres)) == \
-            (catalog(name).spec.rank, [])
+        n = catalog(name).spec.rank
+        assert abelianize(quotient_without_meridians(pres, n)) == (n, [])
 
 
 # -- presentation utilities
@@ -318,7 +338,7 @@ def test_base_point_genericity(catalog):
     from toricarr.pi1 import _is_generic
     for name in ("diagonals", "grid", "coord3"):
         ctx = catalog(name).ctx
-        assert _is_generic(ctx.spec, ctx.x0)
+        assert _is_generic(ctx.spec, ctx.stars, ctx.x0)
         # base point lies in the open unit cube and in its chamber
         assert all(0 < c < 1 for c in ctx.x0)
         assert ctx.stars.codim(ctx.c0) == 0
@@ -332,7 +352,7 @@ def test_base_point_search_is_unbounded():
     primes = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47)
     spec = parse_spec(json.dumps({"rank": 1, "hypersurfaces": [
         {"chi": [1], "q": "1/%d" % p} for p in primes]}))
-    assert _choose_base_point(spec) == (Fraction(1, 53),)
     stars = VertexStars(spec)
+    assert _choose_base_point(spec, stars) == (Fraction(1, 53),)
     pres = presentation_from_context(build_context(spec, stars, stars.face_category()))
     assert abelianize(pres) == (16, [])
