@@ -18,13 +18,17 @@ class AcyclicCategory:
     `morphisms[i]` starts with the pair (source, target).  The first
     `n_objects` morphisms are the identities, in object order.  The table
     maps (second, first) to the composite for composable pairs of
-    nonidentity morphisms; identity composition is implicit.
+    nonidentity morphisms; identity composition is implicit.  `by_source`
+    lists the nonidentity morphisms out of each object, in id order.
     """
 
     def __init__(self, grades, morphisms, table):
         self.grades = grades
         self.morphisms = morphisms
         self.table = table
+        self.by_source = {}
+        for mid in self.nonidentity():
+            self.by_source.setdefault(morphisms[mid][0], []).append(mid)
 
     @property
     def n_objects(self):
@@ -79,12 +83,9 @@ def check_acyclic(cat):
     for (s, t) in directed:
         if s != t and (t, s) in directed:
             diags.append("morphisms in both directions between %d and %d" % (s, t))
-    by_source = {}
-    for mid in nonid:
-        by_source.setdefault(cat.source(mid), []).append(mid)
     composites = {}
     for m1 in nonid:
-        for m2 in by_source.get(cat.target(m1), ()):
+        for m2 in cat.by_source.get(cat.target(m1), ()):
             if (m2, m1) not in cat.table:
                 diags.append("missing composite (%d, %d)" % (m2, m1))
                 continue
@@ -93,7 +94,7 @@ def check_acyclic(cat):
                 diags.append("composite (%d, %d) has wrong endpoints" % (m2, m1))
             composites[(m2, m1)] = c
     for (m2, m1), c in composites.items():
-        for m3 in by_source.get(cat.target(m2), ()):
+        for m3 in cat.by_source.get(cat.target(m2), ()):
             left = composites.get((m3, m2))
             if left is None:
                 continue
@@ -111,17 +112,13 @@ def nerve_chains(cat, max_dim):
     Order is deterministic: chains extend in ascending morphism id.
     """
     degrees = [list(range(cat.n_objects))]
-    nonid = cat.nonidentity()
-    by_source = {}
-    for mid in nonid:
-        by_source.setdefault(cat.source(mid), []).append(mid)
-    current = [(m,) for m in nonid]
+    current = [(m,) for m in cat.nonidentity()]
     k = 1
     while k <= max_dim and current:
         degrees.append(current)
         nxt = []
         for chain in current:
-            for m in by_source.get(cat.target(chain[-1]), ()):
+            for m in cat.by_source.get(cat.target(chain[-1]), ()):
                 nxt.append(chain + (m,))
         current = nxt
         k += 1

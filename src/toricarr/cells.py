@@ -14,14 +14,14 @@ meet every face orbit; the vertices come from the Hermite forms of the
 source matrices (`torus_vertices`), and the faces at a vertex v are the
 covectors of the central arrangement through v, written as codes.  Codes
 are made canonical modulo the lattice 2A Z^n, A the matrix of the
-characters, and `face_category` and `salvetti_category` move codes to
-compose.  `PeriodicCategory` is the quotient by the translation lattice:
-objects are orbits keyed by a canonical translate, morphisms are orbits
-of incidences.
+characters.  `PeriodicCategory` is the quotient by the translation
+lattice: objects are orbits keyed by a canonical translate, a morphism
+is (source, target, shift), and composites add shifts.
 
-`layers` reads the stars' flats, and its layer poset gives `check` two
-references read off the layers alone, not the categories: the Poincare
-polynomial of the complement and the toric Zaslavsky face count.
+`layers` reads the stars' flats and their inclusions at each vertex, and
+its layer poset gives `check` two references read off the layers alone,
+not the categories: the Poincare polynomial of the complement and the
+toric Zaslavsky face count.
 """
 
 from collections import namedtuple
@@ -31,7 +31,8 @@ import math
 from operator import add, mul, sub
 
 from .errors import SpecError, InternalError
-from .exact import hermite_basis, hnf, integer_kernel, rank, reduce_mod_lattice
+from .exact import (hermite_basis, hnf, integer_kernel, rank, reduce_mod_lattice,
+                    saturation_basis)
 from .category import AcyclicCategory
 
 Q = Fraction
@@ -76,7 +77,7 @@ def code_leq(f, g):
 # quotient by the translation lattice
 
 
-Morphism = namedtuple("Morphism", "src tgt shift target")
+Morphism = namedtuple("Morphism", "src tgt shift")
 
 
 class PeriodicCategory(AcyclicCategory):
@@ -84,42 +85,34 @@ class PeriodicCategory(AcyclicCategory):
 
     An element is a tuple of face codes; its first face grades it.
     `objects` lists one canonical element per orbit and `grades` their
-    grades, 0..dim.  `lowers` maps an object to the elements it maps to,
-    each as (target, (object, shift)): the target is objects[object]
-    moved by the code shift, and grades strictly rise along it.  A
-    morphism orbit is stored on its canonical source with its target and
-    that (object, shift), so distinct translates of one orbit below the
-    same element give parallel morphisms.  The first `len(objects)`
-    morphisms are the identities, as `AcyclicCategory` reads them.
+    grades, 0..dim.  `lowers` maps an object to the (object, shift) pairs
+    it maps to: the element objects[object] moved by the code shift, and
+    grades strictly rise along it.  A morphism orbit is the triple
+    (source, target, shift) on its canonical source, so distinct
+    translates of one orbit below the same element give parallel
+    morphisms; `by_rep` numbers the triples.  Moving m2 along m1's shift
+    composes it after m1, so the composite is (m1.src, m2.tgt, m1.shift +
+    m2.shift).  The first `len(objects)` morphisms are the identities, as
+    `AcyclicCategory` reads them.
     """
 
     def __init__(self, dim, objects, grades, lowers):
         self.dim = dim
         self.objects = objects
         self.index = {e: k for k, e in enumerate(objects)}
-        morphisms = [Morphism(k, k, (0,) * len(e[0]), e) for k, e in enumerate(objects)]
+        morphisms = [Morphism(k, k, (0,) * len(e[0])) for k, e in enumerate(objects)]
         for k, e in enumerate(objects):
-            for target, (tgt, shift) in lowers.get(e, ()):
-                morphisms.append(Morphism(k, tgt, shift, target))
-        self.by_rep = {(m.src, m.target): mid for mid, m in enumerate(morphisms)}
-
-        # composition through translates: move the second factor's target
-        # along the first factor's shift and look the pair up
-        nonid = range(len(objects), len(morphisms))
-        by_src = {}
-        for mid in nonid:
-            by_src.setdefault(morphisms[mid].src, []).append(mid)
-        table = {}
-        for mid1 in nonid:
+            morphisms.extend(Morphism(k, tgt, shift) for tgt, shift in lowers.get(e, ()))
+        self.by_rep = {m: mid for mid, m in enumerate(morphisms)}
+        super().__init__(grades, morphisms, {})
+        for mid1 in self.nonidentity():
             m1 = morphisms[mid1]
-            for mid2 in by_src.get(m1.tgt, ()):
-                target = tuple([tuple(map(add, code, m1.shift))
-                                for code in morphisms[mid2].target])
-                comp = self.by_rep.get((m1.src, target))
+            for mid2 in self.by_source.get(m1.tgt, ()):
+                m2 = morphisms[mid2]
+                comp = self.by_rep.get((m1.src, m2.tgt, tuple(map(add, m1.shift, m2.shift))))
                 if comp is None:
                     raise InternalError("composition fell outside the star")
-                table[(mid2, mid1)] = comp
-        super().__init__(grades, morphisms, table)
+                self.table[(mid2, mid1)] = comp
 
     def census(self):
         """Object counts by grade 0..n."""
@@ -319,57 +312,45 @@ class VertexStars:
         return den, canon
 
     def face_category(self):
-        """The face category: each incidence orbit F <= G is met once, at
-        F's representative, and moved to G's canonical translate G - s_G.
-        F - s_G is then F's orbit moved by s_F - s_G, s_F the shift of
-        F's representative from its reduced code."""
-        lowers = {}
-        for k, (f, cofaces) in enumerate(self.star.values()):
-            _, s_f = self.canonical((f,))
-            for g in cofaces:
-                e, s_g = self.canonical((g, f))
-                lowers.setdefault(e[:1], []).append((e[1:], (k, tuple(map(sub, s_f, s_g)))))
-        return FaceCategory(self.dim, [(f,) for f in self.star],
-                            [self.codim(f) for f in self.star], lowers)
+        """The face category: one object per face orbit, mapping to the
+        orbits of its boundary faces."""
+        return FaceCategory(self.dim, *self._quotient(False))
 
     def salvetti_category(self):
         """The toric Salvetti category: objects are orbits of pairs [F, C],
         C a chamber at F, graded by F's codimension.  [G, C'] maps to
         [F, C] when F < G and C' is the composite G o C, which keeps G's
-        odd entries and takes C's where G's are even.  Each morphism orbit
-        is met once, at F's representative, and moved as in
-        `face_category`."""
+        odd entries and takes C's where G's are even."""
+        return PeriodicCategory(self.dim, *self._quotient(True))
+
+    def _quotient(self, salvetti):
+        """(objects, grades, lowers) of a `PeriodicCategory` on the elements
+        (F,) + c: c is () for faces and (C,), C a chamber at F, for
+        Salvetti pairs.  Each morphism orbit is met once, at F's
+        representative, below G's element (G,) + G o c; moving it to that
+        element's canonical translate, G's shift s_G, leaves F's orbit
+        moved by s_F - s_G, s_F the shift of F's representative from its
+        reduced code."""
         objects, lowers = [], {}
         for f, cofaces in self.star.values():
-            for c in [f] if self.codim(f) == 0 else \
-                    [g for g in cofaces if self.codim(g) == 0]:
-                k = len(objects)
-                obj, s_f = self.canonical((f, c))
-                objects.append(obj)
+            # a chamber has no strict cofaces
+            chambers = [(g,) for g in [f] + cofaces if self.codim(g) == 0] if salvetti else [()]
+            for c in chambers:
+                obj, s_f = self.canonical((f,) + c)
                 for g in cofaces:
-                    pair = (g, tuple(a if a & 1 else b for a, b in zip(g, c)))
-                    e, s_g = self.canonical(pair + (f, c))
-                    lowers.setdefault(e[:2], []).append(
-                        (e[2:], (k, tuple(map(sub, s_f, s_g)))))
-        return PeriodicCategory(self.dim, objects, [self.codim(f) for f, _ in objects],
-                                lowers)
+                    upper = (g,) + tuple(tuple(a if a & 1 else b for a, b in zip(g, x))
+                                         for x in c)
+                    e, s_g = self.canonical(upper)
+                    lowers.setdefault(e, []).append((len(objects), tuple(map(sub, s_f, s_g))))
+                objects.append(obj)
+        return objects, [self.codim(e[0]) for e in objects], lowers
 
 
 # ---------------------------------------------------------------------------
 # layers
 
 
-class Layer:
-    __slots__ = ("index", "dim", "key", "flat")
-
-    def __init__(self, index, dim, key, flat):
-        self.index = index
-        self.dim = dim
-        self.key = key
-        self.flat = flat
-
-    def __repr__(self):
-        return "Layer(%d, dim=%d)" % (self.index, self.dim)
+Layer = namedtuple("Layer", "index dim")
 
 
 class LayerPoset:
@@ -425,66 +406,47 @@ class LayerPoset:
         return census
 
 
-def layers(spec, stars):
+def layers(stars):
     """Connected components of hypersurface intersections on the torus.
 
     Every flat holds a vertex, so a translate of it is the span of a face
     at a vertex v of the stars: the flat through v of the sources with an
-    even entry.  A layer is keyed by the characters vanishing on the
-    flat's direction (`integer_kernel`) and their values on the flat,
-    reduced modulo the image of the translation lattice."""
-    n = spec.rank
-    recs = {}
-    kernels = {}        # normals -> (direction rows, characters vanishing there)
+    even entry.  A layer is keyed by the saturated lattice of the flat's
+    normals (`exact.saturation_basis`) and their values on the flat,
+    reduced modulo the image of the translation lattice.
+
+    At v, two flats nest exactly when their source sets do, the larger
+    set giving the smaller flat.  Every inclusion X < Y of layers shows
+    at a vertex of X: a lift of X through a vertex of the stars lies in a
+    translate of Y's lift, which passes through that vertex too.  So the
+    strict inclusions are read off the proper subsets among the source
+    sets at each vertex."""
+    n = stars.dim
+    dims = {}           # layer key -> dimension
+    lattices = {}       # sources -> (saturated normals, image of the lattice)
+    at_vertex = []      # per vertex: {sources through a face: layer key}
     for num, faces in stars.vertices:
-        for normals in {frozenset(a for a, c in zip(stars.alphas, f) if not c & 1)
-                        for f in faces}:
-            if normals not in kernels:
-                rows = integer_kernel(sorted(normals), n)
-                kernels[normals] = rows, integer_kernel(rows, n)
-            rows, a_rows = kernels[normals]
-            r = len(a_rows)
-            if r == 0:
-                key = ((), ())
-                image = []
-            else:
-                # Fraction constants: layers are ordered by the key's printed form
-                b = [Q(_dot(row, num), stars.scale) for row in a_rows]
-                # the translation lattice acts on constants through the columns
-                cols = [[a_rows[i][j] for i in range(r)] for j in range(n)]
-                image = hermite_basis(cols)
-                key = (tuple(tuple(row) for row in a_rows),
-                       reduce_mod_lattice(b, image)[0])
-            if key not in recs:
-                recs[key] = (n - r, (num, stars.scale, rows), a_rows, image)
-    ordered = sorted(recs.items(), key=lambda kv: (-kv[1][0], str(kv[0])))
-    layers_list = [Layer(i, dim, key, flat)
-                   for i, (key, (dim, flat, _, _)) in enumerate(ordered)]
-
-    def contained(l1, l2):
-        # some integer translate of flat(l1) lies inside flat(l2)
-        if l1.dim > l2.dim:
-            return False
-        p1, d1, rows1 = l1.flat
-        p2, d2, _ = l2.flat
-        _, _, a2, image = recs[l2.key]
-        if not a2:
-            return True
-        if any(_dot(row, v) for row in a2 for v in rows1):
-            return False
-        # a2 (p2 - p1), over d1 d2, must be an integer vector in the image
-        d = d1 * d2
-        w = [_dot(row, p2) * d1 - _dot(row, p1) * d2 for row in a2]
-        if any(x % d for x in w):
-            return False
-        return not any(reduce_mod_lattice([x // d for x in w], image)[0])
-
-    relations = []
-    for l1 in layers_list:
-        for l2 in layers_list:
-            if l1.index != l2.index and l1.dim < l2.dim and contained(l1, l2):
-                relations.append((l1.index, l2.index))
-    return LayerPoset(layers_list, relations)
+        keys = {}
+        for f in faces:
+            sources = frozenset(i for i, c in enumerate(f) if not c & 1)
+            if sources in keys:
+                continue
+            if sources not in lattices:
+                rows = saturation_basis([stars.alphas[i] for i in sorted(sources)], n)
+                # the translation lattice acts on the values through the columns
+                lattices[sources] = rows, hermite_basis([list(c) for c in zip(*rows)])
+            rows, image = lattices[sources]
+            # Fraction values: layers are ordered by the key's printed form
+            b = [Q(_dot(row, num), stars.scale) for row in rows]
+            key = keys[sources] = (tuple(map(tuple, rows)), reduce_mod_lattice(b, image)[0])
+            dims[key] = n - len(rows)
+        at_vertex.append(keys)
+    ordered = sorted(dims, key=lambda key: (-dims[key], str(key)))
+    index = {key: i for i, key in enumerate(ordered)}
+    relations = {(index[lower], index[upper]) for keys in at_vertex
+                 for s1, lower in keys.items() for s2, upper in keys.items() if s2 < s1}
+    return LayerPoset([Layer(i, dims[key]) for i, key in enumerate(ordered)],
+                      sorted(relations))
 
 
 # ---------------------------------------------------------------------------

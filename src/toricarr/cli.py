@@ -78,18 +78,17 @@ def cmd_validate(spec, args):
 def cmd_faces(spec, args):
     work = _essential(spec)
     fc = VertexStars(work).face_category()
-    nonid = sum(fc.morphism_multiplicities().values())
     return {
         "arrangement": spec_to_json_dict(work),
         "census": fc.census(),
-        "nonidentity_morphisms": nonid,
+        "nonidentity_morphisms": len(fc.nonidentity()),
         "euler": euler_characteristic(fc.census()),
     }
 
 
 def cmd_layers(spec, args):
     work = _essential(spec)
-    lp = layers(work, VertexStars(work))
+    lp = layers(VertexStars(work))
     return {
         "arrangement": spec_to_json_dict(work),
         "counts_by_dim": {str(d): c for d, c in sorted(lp.census().items())},
@@ -196,7 +195,7 @@ def cmd_check(spec, args):
         (h_z[1][0], list(h_z[1][1]))
     results["meridian_quotient_is_lattice"] = \
         abelianize(quotient_without_meridians(pres, n)) == (n, [])
-    lp = layers(work, stars)
+    lp = layers(stars)
     results["betti_match_poincare"] = [b for b, _ in h_z] == lp.poincare_betti()
     results["face_census_matches_layers"] = fc.census() == lp.face_census()
     results["homology_torsion_free"] = not any(t for _, t in h_z)

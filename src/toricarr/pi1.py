@@ -5,9 +5,10 @@ codimension-1 face orbit.  Relators: commutators of the t_i, plus, for
 every codimension-2 face orbit, the cyclic relations read off the star
 of its canonical face.  Each meridian entering a relation is conjugated
 back to the base chamber by an explicit word produced from crossing
-sequences of straight segments and minimal positive chamber paths.
-Such a word moves with the lattice, so each orbit's chamber path is
-found once, at its canonical face, and moved by arithmetic.
+sequences of straight legs and minimal positive chamber paths.  Such a
+word moves with the lattice, so the crossings of the unit legs from the
+base point and each orbit's chamber path, at its canonical face, are
+found once and moved by arithmetic.
 All of it is read off the vertex stars' face category, with faces as
 codes (`cells.code_at` gives a point's), and each crossed wall as the
 pair (i, k) read off a face's code: the hyperplane <alpha_i, x> = q_i + k
@@ -187,17 +188,18 @@ def positive_minimal_path(ctx, c_from, c_to):
 
 class Pi1Context:
     """Base data for the presentation, read off the vertex stars: base
-    point, base chamber, crossing sequences, and generator bookkeeping.
-    Faces are codes; an orbit keeps its face category object number, and
-    its canonical face is its translate with barycenter in [0,1)^n.
-    Meridians and codim-2 stars go in (dimension, barycenter) order."""
+    point, base chamber, the crossings of its unit legs (`legs`), and
+    generator bookkeeping.  Faces are codes; an orbit keeps its face
+    category object number, and its canonical face is its translate with
+    barycenter in [0,1)^n.  Meridians and codim-2 stars go in (dimension,
+    barycenter) order."""
 
     def __init__(self, spec, stars, fc):
         self.spec = spec
         self.stars = stars
         self.fc = fc
         self.n = spec.rank
-        self.x0 = _choose_base_point(spec, stars)
+        self.x0, legs = _choose_base_point(spec, stars)
         self.c0 = code_at(stars.sources, self.x0)
         # per object: its canonical code and barycenter numerators over den
         self.den, canon = stars.barycenters()
@@ -210,9 +212,12 @@ class Pi1Context:
         self._facets = {}
         for m in fc.morphisms[len(fc.objects):]:
             if fc.grades[m.src] == 0 and fc.grades[m.tgt] == 1:
-                self._facets.setdefault(m.src, []).append(m.target[0])
+                self._facets.setdefault(m.src, []).append(
+                    tuple(map(add, fc.objects[m.tgt][0], m.shift)))
         for faces in self._facets.values():
             faces.sort(key=lambda f: self.barycenter(self.key(f)))
+        # the crossings of the unit leg x0 -> x0 + e_j, per axis j
+        self.legs = [[self.crossing_of_face(f) for f in leg] for leg in legs]
         self._omega_cache = {}
         self._access_cache = {}
 
@@ -257,12 +262,6 @@ class Pi1Context:
         i = next(i for i, c in enumerate(code) if not c & 1)
         return Crossing(*self.key(code), (i, code[i] // 2))
 
-    def crossing_at_point(self, point):
-        code = code_at(self.stars.sources, point)
-        if self.stars.codim(code) != 1:
-            raise InternalError("crossing point does not lie on a single wall")
-        return self.crossing_of_face(code)
-
     def omega(self, u):
         u = tuple(int(x) for x in u)
         if u not in self._omega_cache:
@@ -290,69 +289,58 @@ def _primes():
         p += 1
 
 
-def _segment_crossings(spec, base, axis, steps):
-    """Crossing times and points, sorted by time, of the straight leg
-    base -> base + steps*e_axis against the full periodic arrangement;
-    coincident copies of one wall give one point more than once."""
-    out = []
-    for alpha, q in spec.hypersurfaces:
-        aj = alpha[axis]
-        if aj == 0:
-            continue
-        v0 = _dot(alpha, base)
-        v1 = v0 + steps * aj
-        lo, hi = (v0, v1) if v1 > v0 else (v1, v0)
-        k = math.floor(lo - q) + 1
-        while q + k < hi:
-            c = q + k
-            if c > lo:
-                t = (c - v0) / (steps * aj)
-                point = tuple(x + t * steps * int(j == axis)
-                              for j, x in enumerate(base))
-                out.append((t, point))
-            k += 1
-    out.sort()
-    return out
-
-
-def _is_generic(spec, stars, x0):
-    """True when x0 lies on no wall and each unit leg from it along an
-    axis meets the walls at points of codimension 1 only: two distinct
-    walls cross a leg at one time exactly when they meet there, as a wall
-    that held the whole leg would hold x0."""
+def _unit_legs(spec, stars, x0):
+    """The codes of the faces that the unit leg x0 -> x0 + e_j crosses, in
+    order, per axis j, or None when x0 is not generic: when it lies on a
+    wall or a leg meets the walls at a point of codimension above 1.  Two
+    distinct walls cross a leg at one time exactly when they meet there,
+    as a wall that held the whole leg would hold x0; coincident copies of
+    one wall give one point."""
     if not all(c & 1 for c in code_at(stars.sources, x0)):
-        return False
-    return all(stars.codim(code_at(stars.sources, point)) == 1
-               for axis in range(spec.rank)
-               for _, point in _segment_crossings(spec, x0, axis, 1))
+        return None
+    legs = []
+    for axis in range(len(x0)):
+        times = set()
+        for alpha, q in spec.hypersurfaces:
+            aj = alpha[axis]
+            if aj:
+                v0 = _dot(alpha, x0)
+                lo, hi = sorted((v0, v0 + aj))
+                times.update((q + k - v0) / aj
+                             for k in range(math.floor(lo - q) + 1, math.ceil(hi - q)))
+        leg = [code_at(stars.sources, tuple(x + t * (j == axis) for j, x in enumerate(x0)))
+               for t in sorted(times)]
+        if any(stars.codim(code) != 1 for code in leg):
+            return None
+        legs.append(leg)
+    return legs
 
 
 def _choose_base_point(spec, stars):
-    n = spec.rank
+    """(x0, legs): the first generic base point 1/p^(i+1), p prime, and its
+    unit legs (`_unit_legs`)."""
     for p in _primes():
-        x0 = tuple(Fraction(1, p ** (i + 1)) for i in range(n))
-        if _is_generic(spec, stars, x0):
-            return x0
+        x0 = tuple(Fraction(1, p ** (i + 1)) for i in range(spec.rank))
+        legs = _unit_legs(spec, stars, x0)
+        if legs is not None:
+            return x0, legs
 
 
 def omega_paths(ctx, u):
     """Crossing sequence of the broken-segment path from the base point to
-    its translate by a nonnegative lattice vector."""
+    its translate by a nonnegative lattice vector, axis by axis.  The
+    arrangement is invariant under Z^n, so the unit step x0 + a -> x0 + a
+    + e_j crosses the unit leg's walls moved by a, and no crossing falls
+    on a step's end, a translate of the generic x0."""
     u = tuple(int(x) for x in u)
     if any(x < 0 for x in u):
         raise InternalError("omega paths need nonnegative coordinates")
     word = []
-    base = list(ctx.x0)
-    for axis in range(ctx.n):
-        steps = u[axis]
-        if steps == 0:
-            continue
-        last = None
-        for _, point in _segment_crossings(ctx.spec, tuple(base), axis, steps):
-            if point != last:   # coincident copies of one wall meet at one point
-                word.append(ctx.crossing_at_point(point))
-                last = point
-        base[axis] += steps
+    offset = [0] * ctx.n
+    for axis, steps in enumerate(u):
+        for _ in range(steps):
+            word.extend(c.moved(offset, ctx.stars.alphas) for c in ctx.legs[axis])
+            offset[axis] += 1
     return word
 
 
@@ -477,28 +465,21 @@ def h_of_G(ctx, orbit):
 def relations_for_G(ctx, orbit):
     """Relators of one codim-2 orbit: all consecutive equalities of the
     cyclic window products of the based meridians around its canonical
-    face G.  The cofaces of G go in `h_of_G`'s order, from the smallest
-    barycenter.  Every shift then rises by s = max(0, -min entry): the
-    star of G + (s, ..., s), whose shifts are nonnegative, as
-    `delta_word` needs."""
+    face G, each of the 2k windows of k meridians formed once.  The
+    cofaces of G go in `h_of_G`'s order, from the smallest barycenter.
+    Every shift then rises by s = max(0, -min entry): the star of
+    G + (s, ..., s), whose shifts are nonnegative, as `delta_word`
+    needs."""
     refs = h_of_G(ctx, orbit)
     start = refs.index(min(refs, key=ctx.barycenter))
     s = max(0, -min(x for _, u in refs for x in u))
     refs = [(o, tuple(x + s for x in u)) for o, u in refs[start:] + refs[:start]]
     words = [gamma_delta_word(ctx, ref) for ref in refs]
     two_k = len(words)
-    k = two_k // 2
-    relators = []
-    for j in range(two_k - 1):
-        w1 = []
-        w2 = []
-        for i in range(k):
-            w1.extend(words[(j + i) % two_k])
-            w2.extend(words[(j + 1 + i) % two_k])
-        rel = free_reduce(list(w1) + list(invert_word(w2)))
-        if rel:
-            relators.append(rel)
-    return relators
+    windows = [[x for i in range(two_k // 2) for x in words[(j + i) % two_k]]
+               for j in range(two_k)]
+    relators = (free_reduce(w1 + list(invert_word(w2))) for w1, w2 in zip(windows, windows[1:]))
+    return [rel for rel in relators if rel]
 
 
 def build_context(spec, stars, fc):

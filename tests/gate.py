@@ -17,7 +17,9 @@ inputs by name.
 The inputs are fixed: the catalog, the first 12 draws of generator
 families 1 and 2 (`perfbench/workloads.generate`), two three-wall cases,
 a two-wall case, a non-essential rank-3 spec, a rank-1 spec whose two
-sources share their hyperplanes, and `r3`, without `pi1 --simplify`.
+sources share their hyperplanes, `r3`, without `pi1 --simplify`, and
+`r4` with `validate`, `faces`, `layers`, `salvetti` and `pi1` only: its
+`homology` and `check` take seconds each.
 
 `diff` pairs the runs of two recordings and groups the changed ones by
 kind: the command, the exit codes and what differs.  With
@@ -65,6 +67,9 @@ OTHERS = {
 R3 = (3, _hyps(((1, 0, 0), "0"), ((0, 1, 0), "0"), ((0, 0, 1), "0"),
                ((1, 1, 0), "1/2"), ((0, 1, -1), "1/3"), ((1, -1, 1), "0")))
 
+R4 = (4, _hyps(((1, 0, 0, 0), "0"), ((0, 1, 0, 0), "0"), ((0, 0, 1, 0), "0"),
+               ((0, 0, 0, 1), "0"), ((1, 1, 0, 0), "1/2"), ((0, 0, 1, -1), "1/3")))
+
 
 def inputs():
     """(name, document, commands) per input, in recording order."""
@@ -80,6 +85,8 @@ def inputs():
     out = [(name, doc, COMMANDS) for name, doc in docs.items()]
     out.append(("r3", {"rank": R3[0], "hypersurfaces": R3[1]},
                 [c for c in COMMANDS if c != ["pi1", "--simplify"]]))
+    out.append(("r4", {"rank": R4[0], "hypersurfaces": R4[1]},
+                [["validate"], ["faces"], ["layers"], ["salvetti"], ["pi1"]]))
     return out
 
 

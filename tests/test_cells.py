@@ -2,6 +2,7 @@ from collections import Counter
 import json
 from fractions import Fraction
 from itertools import product
+from operator import sub
 
 from hypothesis import assume, given, settings, strategies as st
 import pytest
@@ -318,13 +319,13 @@ def test_quotient_window_independent(catalog):
 
 def test_layers_one_point(catalog):
     pipe = catalog("one_point")
-    lp = layers(pipe.spec, pipe.stars)
+    lp = layers(pipe.stars)
     assert lp.census() == {1: 1, 0: 1}
 
 
 def test_layers_diagonals(catalog):
     pipe = catalog("diagonals")
-    lp = layers(pipe.spec, pipe.stars)
+    lp = layers(pipe.stars)
     assert lp.census() == {2: 1, 1: 2, 0: 2}
     top = max(range(len(lp.layers)), key=lambda i: lp.layers[i].dim)
     below_top = {a for a, b in lp.relations if b == top}
@@ -349,7 +350,7 @@ def test_layer_references(name, betti, census):
     # count from the layer poset alone; r3's are those `homology` and
     # `faces` print
     spec = parse_spec(json.dumps(DOCS[name]))
-    lp = layers(spec, VertexStars(spec))
+    lp = layers(VertexStars(spec))
     assert (lp.poincare_betti(), lp.face_census()) == (betti, census)
 
 
@@ -442,8 +443,9 @@ def test_quotient_functorial_on_lifted_incidences(catalog):
         fc = stars.face_category()
 
         def morphism(upper, lower):
-            (g, f), _ = stars.canonical((upper, lower))
-            return fc.by_rep[(fc.index[(g,)], (f,))]
+            (g,), s_g = stars.canonical((upper,))
+            (f,), s_f = stars.canonical((lower,))
+            return fc.by_rep[(fc.index[(g,)], fc.index[(f,)], tuple(map(sub, s_f, s_g)))]
 
         for _, faces in stars.vertices:
             ups = {f: [g for g in faces if g != f and code_leq(f, g)] for f in faces}

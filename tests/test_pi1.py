@@ -59,6 +59,34 @@ def test_minimal_path_line(catalog):
     assert [x for _, x in steps] == [(-1,), (1,)]
 
 
+def test_minimal_path_takes_the_first_separating_facet():
+    # three walls x = y, x - 2y = 2/3 and x + 2y = 0: from the chamber
+    # (1, -3, 5), three of its facets separate it from (-1, -1, 1), and the
+    # walk leaves by the first of them in barycenter order
+    ctx = context({"rank": 2, "hypersurfaces": [{"chi": [1, -1], "q": "0"},
+                                                {"chi": [1, -2], "q": "2/3"},
+                                                {"chi": [1, 2], "q": "0"}]})
+    assert ctx.facets((1, -3, 5)) == [(1, -3, 4), (0, -3, 5), (1, -2, 5), (1, -3, 6)]
+    assert positive_minimal_path(ctx, (1, -3, 5), (-1, -1, 1)) == [
+        ((1, -3, 4), (1, -3, 5)), ((0, -3, 3), (1, -3, 3)),
+        ((-1, -3, 2), (-1, -3, 3)), ((-1, -2, 1), (-1, -3, 1))]
+
+
+def test_orbits_in_dimension_and_barycenter_order(catalog):
+    # the diagonals' edges and vertices, by their canonical faces'
+    # barycenters; their reduced codes order the edges otherwise
+    ctx = catalog("diagonals").ctx
+
+    def barycenters(orbits):
+        return [tuple(Fraction(x, ctx.den) for x in ctx.bary[o]) for o in orbits]
+
+    F = Fraction
+    assert barycenters(ctx.codim1_orbits) == [
+        (F(1, 4), F(1, 4)), (F(1, 4), F(3, 4)), (F(3, 4), F(1, 4)), (F(3, 4), F(3, 4))]
+    assert [ctx.code[o] for o in ctx.codim1_orbits] == [(1, 0), (2, -1), (2, 1), (3, 0)]
+    assert barycenters(ctx.codim2_orbits) == [(0, 0), (F(1, 2), F(1, 2))]
+
+
 def test_minimal_path_crosses_each_wall_once(catalog):
     # every odd pair is a chamber of the diagonals, and a path between
     # two crosses the walls between them, each once
@@ -84,6 +112,10 @@ def test_omega_unit_line(catalog):
     assert len(word) == 1
     assert (word[0].orbit, word[0].shift) == (ctx.codim1_orbits[0], (1,)) or \
         word[0].shift == (1,)
+    # from x0 = 1/2, the unit leg crosses the point 1, and the second step,
+    # the leg moved by 1, the point 2
+    assert ctx.x0 == (Fraction(1, 2),)
+    assert ctx.omega((2,)) == [(1, (1,), (0, 1)), (1, (2,), (0, 2))]
 
 
 def test_omega_diagonals_horizontal(catalog):
@@ -106,6 +138,11 @@ def test_omega_crosses_family_members_once(catalog):
             unit = tuple(int(j == i) for j in range(ctx.n))
             keys = [c.wall for c in ctx.omega(unit)]
             assert len(keys) == len(set(keys))
+    # on the grid, from x0 = (1/3, 1/9): the leg along x crosses x = 1/2
+    # and x = 1, then the leg along y, moved by (1, 0), y = 1/2 and y = 1
+    ctx = catalog("grid").ctx
+    assert ctx.omega((1, 1)) == [(14, (0, 0), (1, 0)), (5, (1, 0), (0, 1)),
+                                 (11, (1, 0), (3, 0)), (7, (1, 1), (2, 1))]
 
 
 # -- sigma reduction
@@ -335,10 +372,10 @@ def test_presentation_top_level(catalog):
 
 
 def test_base_point_genericity(catalog):
-    from toricarr.pi1 import _is_generic
+    from toricarr.pi1 import _unit_legs
     for name in ("diagonals", "grid", "coord3"):
         ctx = catalog(name).ctx
-        assert _is_generic(ctx.spec, ctx.stars, ctx.x0)
+        assert _unit_legs(ctx.spec, ctx.stars, ctx.x0) is not None
         # base point lies in the open unit cube and in its chamber
         assert all(0 < c < 1 for c in ctx.x0)
         assert ctx.stars.codim(ctx.c0) == 0
@@ -353,6 +390,6 @@ def test_base_point_search_is_unbounded():
     spec = parse_spec(json.dumps({"rank": 1, "hypersurfaces": [
         {"chi": [1], "q": "1/%d" % p} for p in primes]}))
     stars = VertexStars(spec)
-    assert _choose_base_point(spec, stars) == (Fraction(1, 53),)
+    assert _choose_base_point(spec, stars)[0] == (Fraction(1, 53),)
     pres = presentation_from_context(build_context(spec, stars, stars.face_category()))
     assert abelianize(pres) == (16, [])

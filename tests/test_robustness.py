@@ -2,6 +2,7 @@
 backed by several list entries at once, and nonzero angles."""
 
 import json
+from fractions import Fraction
 import subprocess
 import sys
 
@@ -50,9 +51,14 @@ def test_coincident_walls_share_geometry():
         '{"rank":1,"hypersurfaces":[{"chi":[1],"q":"0"},{"chi":[2],"q":"0"}]}')
     # the unit leg meets x = 1/2 on the second source and x = 1 on both:
     # two crossings on two walls, the coincident copy at x = 1 skipped
-    word = build_context(spec, stars, fc).omega((1,))
+    ctx = build_context(spec, stars, fc)
+    word = ctx.omega((1,))
     assert len(word) == 2
     assert len({c.wall for c in word}) == 2
+    # from x0 = 1/3; the second step is the unit leg moved by 1
+    assert ctx.x0 == (Fraction(1, 3),)
+    assert ctx.omega((2,)) == [(3, (0,), (1, 1)), (1, (1,), (0, 1)),
+                               (3, (1,), (1, 3)), (1, (2,), (0, 2))]
     assert [code for code in stars.vertices[0][1] if not any(c & 1 for c in code)] == [(0, 0)]
     assert fc.census() == [2, 2]
     chains, h = zeta_homology(spec, z)
