@@ -14,7 +14,7 @@ from .arrangement import ArrangementSpec, parse_spec, is_essential, essentialize
 from .cells import (PeriodicCategory, FaceCategory, VertexStars, LayerPoset,
                     torus_vertices, layers, opposite_chamber, chamber_fiber)
 from .category import (AcyclicCategory, ChainComplex, check_acyclic,
-                       nerve_chains, boundary_matrices, homology,
+                       nerve_chains, nerve_counts, boundary_matrices, homology,
                        euler_characteristic)
 from .pi1 import (GroupPresentation, Pi1Context, abelianize,
                   simplify_presentation, positive_minimal_path,

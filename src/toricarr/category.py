@@ -13,19 +13,20 @@ from .exact import SparseMatrix, snf
 
 
 class AcyclicCategory:
-    """Objects with an integer grade, morphisms, and a composition table.
+    """Objects with an integer grade, morphisms, and composition on demand.
 
     `morphisms[i]` starts with the pair (source, target).  The first
-    `n_objects` morphisms are the identities, in object order.  The table
-    maps (second, first) to the composite for composable pairs of
-    nonidentity morphisms; identity composition is implicit.  `by_source`
-    lists the nonidentity morphisms out of each object, in id order.
+    `n_objects` morphisms are the identities, in object order.
+    `composite(m2, m1)` is the id of m2 after m1, formed when asked, for a
+    composable pair of nonidentity morphisms, or None when there is none;
+    identity composition is implicit.  `by_source` lists the nonidentity
+    morphisms out of each object, in id order.
     """
 
-    def __init__(self, grades, morphisms, table):
+    def __init__(self, grades, morphisms, composite):
         self.grades = grades
         self.morphisms = morphisms
-        self.table = table
+        self.composite = composite
         self.by_source = {}
         for mid in self.nonidentity():
             self.by_source.setdefault(morphisms[mid][0], []).append(mid)
@@ -54,10 +55,10 @@ class AcyclicCategory:
             return m2
         if self.is_identity(m2):
             return m1
-        try:
-            return self.table[(m2, m1)]
-        except KeyError:
-            raise InternalError("missing composite for pair (%d, %d)" % (m2, m1)) from None
+        c = self.composite(m2, m1)
+        if c is None:
+            raise InternalError("missing composite for pair (%d, %d)" % (m2, m1))
+        return c
 
 
 def check_acyclic(cat):
@@ -86,10 +87,10 @@ def check_acyclic(cat):
     composites = {}
     for m1 in nonid:
         for m2 in cat.by_source.get(cat.target(m1), ()):
-            if (m2, m1) not in cat.table:
+            c = cat.composite(m2, m1)
+            if c is None:
                 diags.append("missing composite (%d, %d)" % (m2, m1))
                 continue
-            c = cat.table[(m2, m1)]
             if (cat.source(c), cat.target(c)) != (cat.source(m1), cat.target(m2)):
                 diags.append("composite (%d, %d) has wrong endpoints" % (m2, m1))
             composites[(m2, m1)] = c
@@ -106,7 +107,8 @@ def check_acyclic(cat):
 
 
 def nerve_chains(cat, max_dim):
-    """Chains of composable nonidentity morphisms, degree by degree.
+    """Chains of composable nonidentity morphisms, degree by degree, up to
+    the first empty degree; `nerve_counts` counts them with no list.
 
     Degree 0 lists object ids; degree k lists k-tuples of morphism ids.
     Order is deterministic: chains extend in ascending morphism id.
@@ -125,6 +127,25 @@ def nerve_chains(cat, max_dim):
     return degrees
 
 
+def nerve_counts(cat, max_dim):
+    """`[len(d) for d in nerve_chains(cat, max_dim)]` with no chain listed:
+    the chains of degree k that end at an object number the sum, over the
+    nonidentity morphisms into it, of those of degree k - 1 ending at its
+    source."""
+    arrows = [m[:2] for m in cat.morphisms[cat.n_objects:]]
+    counts = [cat.n_objects]
+    ending = [1] * cat.n_objects        # chains of the last degree, by end
+    while len(counts) <= max_dim:
+        nxt = [0] * cat.n_objects
+        for s, t in arrows:
+            nxt[t] += ending[s]
+        if not any(nxt):
+            break
+        counts.append(sum(nxt))
+        ending = nxt
+    return counts
+
+
 class ChainComplex:
     """Integral chain complex: `counts[k]` chains in degree k, and
     `boundaries[k - 1]` the SparseMatrix of d_k, for k = 1 .. len(counts) - 1."""
@@ -141,9 +162,10 @@ def boundary_matrices(chains, cat):
     each inner pair, and dropping the last.  All faces stay nondegenerate
     and pairwise distinct because grades are strictly monotone along
     chains, so each boundary is a SparseMatrix whose columns hold k+1
-    entries, all +-1.
+    entries, all +-1.  Inner pairs are chains of degree 2, composed once.
     """
     index = [{c: i for i, c in enumerate(deg)} for deg in chains]
+    composites = {pair: cat.compose(pair[1], pair[0]) for deg in chains[2:3] for pair in deg}
     boundaries = []
     for k in range(1, len(chains)):
         columns = []
@@ -160,7 +182,7 @@ def boundary_matrices(chains, cat):
                     elif j == k:
                         face = chain[:-1]
                     else:
-                        comp = cat.compose(chain[j], chain[j - 1])
+                        comp = composites[chain[j - 1:j + 1]]
                         face = chain[:j - 1] + (comp,) + chain[j + 1:]
                     col[index[k - 1][face]] = 1 if j % 2 == 0 else -1
             columns.append(col)

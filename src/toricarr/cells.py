@@ -26,6 +26,7 @@ toric Zaslavsky face count.
 
 from collections import namedtuple
 from fractions import Fraction
+from functools import partial
 from itertools import combinations, product
 import math
 from operator import add, mul, sub
@@ -80,6 +81,12 @@ def code_leq(f, g):
 Morphism = namedtuple("Morphism", "src tgt shift")
 
 
+def _composite(morphisms, by_rep, m2, m1):
+    """m2 after m1: (m1.src, m2.tgt, m1.shift + m2.shift), or None."""
+    a, b = morphisms[m1], morphisms[m2]
+    return by_rep.get((a.src, b.tgt, tuple(map(add, a.shift, b.shift))))
+
+
 class PeriodicCategory(AcyclicCategory):
     """Quotient of the periodic faces by the translation lattice.
 
@@ -92,8 +99,8 @@ class PeriodicCategory(AcyclicCategory):
     translates of one orbit below the same element give parallel
     morphisms; `by_rep` numbers the triples.  Moving m2 along m1's shift
     composes it after m1, so the composite is (m1.src, m2.tgt, m1.shift +
-    m2.shift).  The first `len(objects)` morphisms are the identities, as
-    `AcyclicCategory` reads them.
+    m2.shift), looked up in `by_rep` when asked.  The first `len(objects)`
+    morphisms are the identities, as `AcyclicCategory` reads them.
     """
 
     def __init__(self, dim, objects, grades, lowers):
@@ -104,27 +111,14 @@ class PeriodicCategory(AcyclicCategory):
         for k, e in enumerate(objects):
             morphisms.extend(Morphism(k, tgt, shift) for tgt, shift in lowers.get(e, ()))
         self.by_rep = {m: mid for mid, m in enumerate(morphisms)}
-        super().__init__(grades, morphisms, {})
-        for mid1 in self.nonidentity():
-            m1 = morphisms[mid1]
-            for mid2 in self.by_source.get(m1.tgt, ()):
-                m2 = morphisms[mid2]
-                comp = self.by_rep.get((m1.src, m2.tgt, tuple(map(add, m1.shift, m2.shift))))
-                if comp is None:
-                    raise InternalError("composition fell outside the star")
-                self.table[(mid2, mid1)] = comp
+        # a bound method would make a cycle that keeps a dropped category alive
+        super().__init__(grades, morphisms, partial(_composite, morphisms, self.by_rep))
 
     def census(self):
         """Object counts by grade 0..n."""
         counts = [0] * (self.dim + 1)
         for g in self.grades:
             counts[g] += 1
-        return counts
-
-    def morphism_multiplicities(self):
-        counts = {}
-        for m in self.morphisms[len(self.objects):]:
-            counts[(m.src, m.tgt)] = counts.get((m.src, m.tgt), 0) + 1
         return counts
 
 
@@ -139,7 +133,7 @@ class FaceCategory(PeriodicCategory):
     def is_thick(self):
         """A face category is thick when it is a poset: no parallel
         morphisms."""
-        return all(c <= 1 for c in self.morphism_multiplicities().values())
+        return len({m[:2] for m in self.morphisms[self.n_objects:]}) == len(self.nonidentity())
 
 
 # ---------------------------------------------------------------------------

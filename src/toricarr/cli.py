@@ -21,7 +21,7 @@ import types
 from .errors import SpecError, InternalError
 from .arrangement import parse_spec, spec_to_json_dict, is_essential, essentialize
 from .cells import layers, VertexStars
-from .category import (check_acyclic, nerve_chains, boundary_matrices,
+from .category import (check_acyclic, nerve_chains, nerve_counts, boundary_matrices,
                        homology, euler_characteristic, verify_dd_zero)
 from .pi1 import (build_context, presentation_from_context, abelianize,
                   simplify_presentation, quotient_without_meridians)
@@ -56,10 +56,9 @@ def _homology_json(h):
 def _nerve_homology(cat, rank, max_dim):
     """The whole nerve's chain counts, its chain complex through degree
     max_dim + 1, and the homology in degrees 0..max_dim, which that complex
-    determines."""
-    chains = nerve_chains(cat, rank)
-    cc = boundary_matrices(chains[:max_dim + 2], cat)
-    return [len(d) for d in chains], cc, homology(cc)[:max_dim + 1]
+    determines.  Chains are listed only through degree max_dim + 1."""
+    cc = boundary_matrices(nerve_chains(cat, min(rank, max_dim + 1)), cat)
+    return nerve_counts(cat, rank), cc, homology(cc)[:max_dim + 1]
 
 
 def cmd_validate(spec, args):
@@ -104,7 +103,7 @@ def cmd_salvetti(spec, args):
     z = stars.salvetti_category()
     counts = z.census()
     max_dim = args.max_dim if args.max_dim is not None else work.rank
-    chain_counts = [len(d) for d in nerve_chains(z, work.rank)]
+    chain_counts = nerve_counts(z, work.rank)
     return {
         "arrangement": spec_to_json_dict(work),
         "face_census": fc.census(),

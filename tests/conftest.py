@@ -267,12 +267,9 @@ def central_salvetti(normals, n):
             if f != g and covector_leq(f, g) and gc == tuple(a or b for a, b in zip(g, c)):
                 strict[(i, j)] = len(morphs)
                 morphs.append((i, j))
-    table = {}
-    for (i, j), m1 in strict.items():
-        for (j2, k), m2 in strict.items():
-            if j2 == j:
-                table[(m2, m1)] = strict[(i, k)]
-    return AcyclicCategory([rank_of[f] for f, _ in elements], morphs, table)
+    # a poset: the composite is the one morphism between the outer objects
+    return AcyclicCategory([rank_of[f] for f, _ in elements], morphs,
+                           lambda m2, m1: strict.get((morphs[m1][0], morphs[m2][1])))
 
 
 # -- Fraction Gauss-Jordan elimination: the reference for the integer

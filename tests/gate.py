@@ -17,9 +17,11 @@ inputs by name.
 The inputs are fixed: the catalog, the first 12 draws of generator
 families 1 and 2 (`perfbench/workloads.generate`), two three-wall cases,
 a two-wall case, a non-essential rank-3 spec, a rank-1 spec whose two
-sources share their hyperplanes, `r3`, without `pi1 --simplify`, and
-`r4` with `validate`, `faces`, `layers`, `salvetti` and `pi1` only: its
-`homology` and `check` take seconds each.
+sources share their hyperplanes, `r3`, without `pi1 --simplify`, `r4`
+with `validate`, `faces`, `layers`, `salvetti` and `pi1` only: its
+`homology` and `check` take seconds each, and `d4` with `validate`,
+`faces`, `layers` and `salvetti` only: its Salvetti category has 29823
+objects and its nerve 12487743 chains, and its `salvetti` takes seconds.
 
 `diff` pairs the runs of two recordings and groups the changed ones by
 kind: the command, the exit codes and what differs.  With
@@ -70,6 +72,9 @@ R3 = (3, _hyps(((1, 0, 0), "0"), ((0, 1, 0), "0"), ((0, 0, 1), "0"),
 R4 = (4, _hyps(((1, 0, 0, 0), "0"), ((0, 1, 0, 0), "0"), ((0, 0, 1, 0), "0"),
                ((0, 0, 0, 1), "0"), ((1, 1, 0, 0), "1/2"), ((0, 0, 1, -1), "1/3")))
 
+D4 = (4, _hyps(((-2, -2, -2, -1), "1/2"), ((-2, 1, 0, -1), "0"), ((-1, 2, 1, 2), "1/2"),
+               ((1, 1, 2, 2), "1/2"), ((2, -2, 2, 1), "2/3"), ((2, -1, 2, -2), "1/4")))
+
 
 def inputs():
     """(name, document, commands) per input, in recording order."""
@@ -87,6 +92,8 @@ def inputs():
                 [c for c in COMMANDS if c != ["pi1", "--simplify"]]))
     out.append(("r4", {"rank": R4[0], "hypersurfaces": R4[1]},
                 [["validate"], ["faces"], ["layers"], ["salvetti"], ["pi1"]]))
+    out.append(("d4", {"rank": D4[0], "hypersurfaces": D4[1]},
+                [["validate"], ["faces"], ["layers"], ["salvetti"]]))
     return out
 
 

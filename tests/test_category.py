@@ -3,30 +3,37 @@ import pytest
 from toricarr.errors import InternalError
 from toricarr.exact import SparseMatrix
 from toricarr.category import (AcyclicCategory, ChainComplex, check_acyclic,
-                               nerve_chains, boundary_matrices, homology,
-                               euler_characteristic, verify_dd_zero)
+                               nerve_chains, nerve_counts, boundary_matrices,
+                               homology, euler_characteristic, verify_dd_zero)
+
+from conftest import CATALOG, central_salvetti
+
+
+def no_composite(m2, m1):
+    return None
 
 
 def interval_category():
     # poset 0 < 1: objects a, b; identity each; one morphism a -> b
     return AcyclicCategory(grades=[0, 1], morphisms=[(0, 0), (1, 1), (0, 1)],
-                           table={})
+                           composite=no_composite)
 
 
 def parallel_pair():
     # two parallel morphisms a -> b: a circle
-    return AcyclicCategory(grades=[0, 1],
-                           morphisms=[(0, 0), (1, 1), (0, 1), (0, 1)], table={})
+    return AcyclicCategory(grades=[0, 1], morphisms=[(0, 0), (1, 1), (0, 1), (0, 1)],
+                           composite=no_composite)
 
 
 def chain_of_two():
     # poset 0 < 1 < 2 with the composite present
     morphs = [(0, 0), (1, 1), (2, 2), (0, 1), (1, 2), (0, 2)]
-    return AcyclicCategory(grades=[0, 1, 2], morphisms=morphs, table={(4, 3): 5})
+    return AcyclicCategory(grades=[0, 1, 2], morphisms=morphs,
+                           composite=lambda m2, m1: 5 if (m2, m1) == (4, 3) else None)
 
 
 def test_check_single_object():
-    cat = AcyclicCategory([0], [(0, 0)], {})
+    cat = AcyclicCategory([0], [(0, 0)], no_composite)
     ok, diags = check_acyclic(cat)
     assert ok, diags
 
@@ -37,7 +44,7 @@ def test_check_allows_parallel():
 
 
 def test_check_rejects_endomorphism():
-    cat = AcyclicCategory([0], [(0, 0), (0, 0)], {})
+    cat = AcyclicCategory([0], [(0, 0), (0, 0)], no_composite)
     ok, diags = check_acyclic(cat)
     assert not ok
     assert any("endomorphism" in d for d in diags)
@@ -45,7 +52,7 @@ def test_check_rejects_endomorphism():
 
 def test_check_rejects_missing_composite():
     morphs = [(0, 0), (1, 1), (2, 2), (0, 1), (1, 2)]
-    cat = AcyclicCategory([0, 1, 2], morphs, {})
+    cat = AcyclicCategory([0, 1, 2], morphs, no_composite)
     ok, diags = check_acyclic(cat)
     assert not ok
     assert any("missing composite" in d for d in diags)
@@ -64,6 +71,35 @@ def test_nerve_parallel_pair():
 def test_nerve_respects_cap():
     chains = nerve_chains(chain_of_two(), 1)
     assert [len(d) for d in chains] == [3, 3]
+
+
+HAND_MADE = {
+    "single_object": lambda: AcyclicCategory([0], [(0, 0)], no_composite),
+    "interval": interval_category,
+    "parallel_pair": parallel_pair,
+    "chain_of_two": chain_of_two,
+    "endomorphism": lambda: AcyclicCategory([0], [(0, 0), (0, 0)], no_composite),
+    "missing_composite": lambda: AcyclicCategory(
+        [0, 1, 2], [(0, 0), (1, 1), (2, 2), (0, 1), (1, 2)], no_composite),
+    "central_point": lambda: central_salvetti([(1,)], 1),
+    "central_two_lines": lambda: central_salvetti([(1, 0), (0, 1)], 2),
+}
+
+
+CATALOG_NERVES = ["%s-%s" % (entry, space) for entry in CATALOG for space in ("fc", "zeta")]
+
+
+@pytest.mark.parametrize("name", list(HAND_MADE) + CATALOG_NERVES)
+def test_nerve_counts_match_chains(name, catalog):
+    # the path counts equal the chain lists' lengths at every cap, past
+    # the first empty degree too
+    if name in HAND_MADE:
+        cat = HAND_MADE[name]()
+    else:
+        entry, space = name.split("-")
+        cat = getattr(catalog(entry), space)
+    for k in range(len(nerve_chains(cat, 10)) + 2):
+        assert nerve_counts(cat, k) == [len(d) for d in nerve_chains(cat, k)], k
 
 
 def test_boundary_single_morphism():

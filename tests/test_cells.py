@@ -260,6 +260,11 @@ def test_codes_match_signs_and_locate():
 
 # -- quotient
 
+def multiplicities(fc):
+    """The number of parallel morphisms per (source, target) pair."""
+    return Counter((m.src, m.tgt) for m in fc.morphisms[len(fc.objects):])
+
+
 def test_quotient_circle_with_one_point(catalog):
     pipe = catalog("one_point")
     fc = pipe.fc
@@ -275,7 +280,7 @@ def test_quotient_diagonals_census(catalog):
 
 def test_quotient_grid_is_poset(catalog):
     fc = catalog("grid").fc
-    assert all(c <= 1 for c in fc.morphism_multiplicities().values())
+    assert all(c <= 1 for c in multiplicities(fc).values())
 
 
 def test_quotient_euler_vanishes(catalog):
@@ -311,8 +316,7 @@ def test_quotient_window_independent(catalog):
         moved = Pipeline(name, moved_spec(catalog(name).spec)).fc
         assert fc.census() == moved.census()
         assert len(fc.morphisms) == len(moved.morphisms)
-        assert sorted(fc.morphism_multiplicities().values()) == \
-            sorted(moved.morphism_multiplicities().values())
+        assert sorted(multiplicities(fc).values()) == sorted(multiplicities(moved).values())
 
 
 # -- layers

@@ -273,6 +273,36 @@ def test_check_failure_reports_diagnostics(tmp_path, monkeypatch, capsys):
     assert "diag" in err
 
 
+def test_faces_salvetti_and_pi1_compose_nothing(tmp_path, monkeypatch, capsys):
+    # composites are formed only when asked, and only the nerve's
+    # boundaries and `check_acyclic` ask
+    from toricarr import cells, cli
+
+    def refuse(morphisms, by_rep, m2, m1):
+        raise AssertionError("composite formed")
+    monkeypatch.setattr(cells, "_composite", refuse)
+    path = write_spec(tmp_path, SPEC_GRID)
+    for command in ("faces", "salvetti", "pi1"):
+        assert cli.run([command, path]) == 0, capsys.readouterr().err
+    assert cli.run(["homology", path]) == 3
+
+
+def test_salvetti_lists_no_chains(tmp_path, monkeypatch, capsys):
+    # `salvetti` counts the nerve's chains as paths, with no chain listed
+    from toricarr import category, cli
+    path = write_spec(tmp_path, SPEC_GRID)
+    assert cli.run(["salvetti", path]) == 0
+    expected = capsys.readouterr().out
+
+    def refuse(cat, max_dim):
+        raise AssertionError("nerve listed")
+    monkeypatch.setattr(category, "nerve_chains", refuse)
+    monkeypatch.setattr(cli, "nerve_chains", refuse)
+    assert cli.run(["salvetti", path]) == 0
+    assert capsys.readouterr().out == expected
+    assert cli.run(["homology", path]) == 3
+
+
 def test_unexpected_exception_is_an_internal_error(tmp_path, monkeypatch, capsys):
     # an exception that is neither SpecError nor InternalError is a bug,
     # not bad input: exit 3 with one line, no traceback

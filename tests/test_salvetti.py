@@ -4,6 +4,7 @@ from hypothesis import given, settings
 import pytest
 
 from toricarr.arrangement import parse_spec, essentialize
+from toricarr.errors import InternalError
 from toricarr.cells import FaceCategory, VertexStars
 from toricarr.category import (check_acyclic, nerve_chains, boundary_matrices,
                                homology, euler_characteristic, verify_dd_zero)
@@ -75,6 +76,18 @@ def test_zeta_diagonals(catalog):
     chains, h = nerve_homology(z, 2)
     assert euler_characteristic([len(d) for d in chains]) == 2 == chi
     assert h[0] == (1, [])
+
+
+def test_missing_composite_is_reported_and_raised():
+    z = Pipeline("diagonals").zeta
+    m1 = next(m for m in z.nonidentity() if z.target(m) in z.by_source)
+    m2 = z.by_source[z.target(m1)][0]
+    del z.by_rep[z.morphisms[z.compose(m2, m1)]]
+    ok, diags = check_acyclic(z)
+    assert not ok
+    assert "missing composite (%d, %d)" % (m2, m1) in diags
+    with pytest.raises(InternalError, match="missing composite"):
+        z.compose(m2, m1)
 
 
 def test_thickness_catalog(catalog):
